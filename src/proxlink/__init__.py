@@ -38,7 +38,6 @@ from .topics import (  # noqa: F401
     TokenizedDoc,
     coherence,
     cognitive_distance,
-    fit_lda,
     knowledge_vector,
     porter_stem,
     select_k,
@@ -56,7 +55,6 @@ from .logit import (  # noqa: F401
     LogisticIRLS,
     LogitFit,
     effect_pct,
-    fit_logit,
     pseudo_r2,
     tenb_elasticity_curve,
 )

@@ -35,9 +35,3 @@ def check_both_classes(y, name="y"):
     if not ((y == 0).any() and (y == 1).any()):
         raise ValueError(f"{name} must contain both classes (0 and 1)")
     return y
-
-
-def check_random_seed(seed):
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return int(seed)

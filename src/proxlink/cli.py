@@ -21,20 +21,6 @@ from .pipeline import (
     write_canonical_dump,
 )
 
-_SUBCOMMAND_STAGE = {
-    "ingest": "ingest",
-    "geocode": "geocode",
-    "windows": "windows",
-    "topics": "topics",
-    "features": "features",
-    "fit": "fit",
-    "ml": "ml",
-    "explain": "explain",
-    "report": "report",
-    "run": "report",
-}
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run-config JSON (see README)")
     parser.add_argument("--corpus", help="corpus JSONL path (overrides config)")
@@ -113,13 +99,13 @@ def main(argv=None) -> int:
             path = write_canonical_dump(config)
             print(f"canonical dump: {path}")
             return 0
-        state = run_pipeline(config, through_stage=_SUBCOMMAND_STAGE[args.command])
+        stage = "report" if args.command == "run" else args.command
+        state = run_pipeline(config, through_stage=stage)
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    summary = {k: v for k, v in state.stage_summary.items()}
-    print(json.dumps({"out": config.out, "stages": summary}, indent=1, sort_keys=True,
-                     default=str))
+    print(json.dumps({"out": config.out, "stages": state.stage_summary}, indent=1,
+                     sort_keys=True, default=str))
     return 0
 
 

@@ -5,9 +5,8 @@ Great-circle distance, affiliation geocoding, and the region binaries.
 
 Geocoding is pluggable: resolution order is explicit coordinates on the
 record, then the persistent cache, then whichever client is configured
-(offline gazetteer for normal use, a stub for tests, or the optional HTTP
-client). Distances use the haversine formula on a sphere of radius
-6373 km.
+(offline gazetteer for normal use, a stub for tests). Distances use the
+haversine formula on a sphere of radius 6373 km.
 """
 from __future__ import annotations
 
@@ -150,12 +149,6 @@ class AdjacencyTable:
             self._codes.update((a, b))
 
     @classmethod
-    def from_file(cls, path) -> "AdjacencyTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls(raw["level"], raw["pairs"], raw.get("codes", ()))
-
-    @classmethod
     def bundled(cls, level: str) -> "AdjacencyTable":
         name = {"province": "adjacency_province.json", "country": "adjacency_country.json"}[level]
         raw = json.loads(resources.files("proxlink.data").joinpath(name).read_text())
@@ -231,8 +224,8 @@ class StubGeocoder:
 class GazetteerGeocoder:
     """Offline city-level lookup from a bundled CSV (city,province,country,lat,lon).
 
-    An address resolves when it contains a known city name together with its
-    country code (and province, when the gazetteer row carries one).
+    An address resolves when one of its comma-separated fields is a known
+    city name and, if the address names a country code, the city lies in it.
     """
 
     def __init__(self, path=None):
@@ -264,47 +257,13 @@ class GazetteerGeocoder:
         return self._by_city_country.get((city, country))
 
     def resolve(self, address: str) -> Optional[tuple[float, float]]:
-        addr = normalize_address(address)
-        tokens = [t.strip() for t in addr.split(",")]
-        countries = [t.upper() for t in tokens if len(t) == 2 and t.upper() in country_continent_table()]
+        fields = [t.strip() for t in normalize_address(address).split(",")]
+        countries = [t.upper() for t in fields if len(t) == 2 and t.upper() in country_continent_table()]
+        # a city must fill a whole field: "institut de paris, lyon" is Lyon
         for (city, country), point in self._by_city_country.items():
-            if city in addr and (not countries or country in countries):
+            if city in fields and (not countries or country in countries):
                 return point
         return None
-
-
-class HttpGeocoder:
-    """Optional thin client for a JSON geocoding endpoint.
-
-    Wire format: GET {base_url}?q=<urlencoded address> returning
-    {"lat": <float>, "lon": <float>} (HTTP 404 for unknown addresses).
-    Requests are spaced at least ``min_interval_s`` apart. Not used by any
-    bundled workflow or test; provided for live deployments.
-    """
-
-    def __init__(self, base_url: str, min_interval_s: float = 0.1, timeout_s: float = 10.0):
-        self.base_url = base_url
-        self.min_interval_s = min_interval_s
-        self.timeout_s = timeout_s
-        self._last_call = 0.0
-
-    def resolve(self, address: str) -> Optional[tuple[float, float]]:
-        import urllib.parse
-        import urllib.request
-
-        wait = self._last_call + self.min_interval_s - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        self._last_call = time.monotonic()
-        url = f"{self.base_url}?q={urllib.parse.quote(address)}"
-        try:
-            with urllib.request.urlopen(url, timeout=self.timeout_s) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-        except Exception:
-            return None
-        if "lat" not in payload or "lon" not in payload:
-            return None
-        return float(payload["lat"]), float(payload["lon"])
 
 
 class GeocodeCache:

@@ -234,16 +234,6 @@ def effect_pct(beta_k: float) -> float:
     return 1.0 - math.exp(beta_k)
 
 
-def fit_logit(dataset, feature_names: Optional[Sequence[str]] = None,
-              **irls_kwargs) -> LogitFit:
-    """Fit the co-publication logit on a feature Dataset."""
-    names = list(feature_names) if feature_names else list(dataset.feature_names)
-    X, y = dataset.to_matrix(names)
-    model = LogisticIRLS(**irls_kwargs)
-    model.fit(X, y, feature_names=names)
-    return model.result_
-
-
 def tenb_elasticity_curve(beta_tenb: float, beta_interaction: float,
                           distance_grid: Sequence[float],
                           at_p: Optional[float] = None) -> list[tuple[float, float]]:

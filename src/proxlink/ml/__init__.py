@@ -13,7 +13,7 @@ from .classifiers import (
 )
 from .metrics import auc
 from .smote import Smote
-from .split import SplitPlan, stratified_folds, stratified_split
+from .split import stratified_folds, stratified_split
 from .tree import CartTree
 from .tune import (
     EvalResult,
@@ -21,7 +21,6 @@ from .tune import (
     TunePlan,
     apply_smote_train_only,
     cross_val_auc,
-    train_and_test,
     tune,
 )
 
@@ -29,7 +28,7 @@ __all__ = [
     "CLASSIFIER_KINDS", "ClassifierSpec", "GaussianNaiveBayes",
     "GradientBoostedTrees", "KNearestNeighbors", "LinearSvm", "RandomForest",
     "SgdLogistic", "make_classifier", "model_size", "auc", "Smote",
-    "SplitPlan", "stratified_folds", "stratified_split", "CartTree",
+    "stratified_folds", "stratified_split", "CartTree",
     "EvalResult", "SmoteConfig", "TunePlan", "apply_smote_train_only",
-    "cross_val_auc", "train_and_test", "tune",
+    "cross_val_auc", "tune",
 ]

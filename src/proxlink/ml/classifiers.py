@@ -14,6 +14,7 @@ import numpy as np
 
 from .._base import ParamsMixin, check_fitted
 from .._validation import check_X_y, check_both_classes
+from ..logit import sigmoid
 from .tree import CartTree
 
 CLASSIFIER_KINDS = (
@@ -24,16 +25,6 @@ CLASSIFIER_KINDS = (
     "random-forest",
     "gradient-boosted-trees",
 )
-
-
-def _sigmoid(z):
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _stack_proba(p1: np.ndarray) -> np.ndarray:
@@ -87,7 +78,7 @@ class SgdLogistic(_ClassifierBase):
             for i in rng.permutation(n):
                 t += 1
                 eta = self.lr / (1.0 + self.lr * self.l2 * t)
-                p = float(_sigmoid(Z[i] @ w + b))
+                p = float(sigmoid(Z[i] @ w + b))
                 grad = p - y[i]
                 w -= eta * (grad * Z[i] + self.l2 * w)
                 b -= eta * grad
@@ -98,7 +89,7 @@ class SgdLogistic(_ClassifierBase):
     def predict_proba(self, X):
         check_fitted(self, "coef_")
         Z = self._scaler.transform(np.asarray(X, dtype=float))
-        return _stack_proba(_sigmoid(Z @ self.coef_ + self.intercept_))
+        return _stack_proba(sigmoid(Z @ self.coef_ + self.intercept_))
 
     def to_json(self):
         check_fitted(self, "coef_")
@@ -234,7 +225,7 @@ class LinearSvm(_ClassifierBase):
         return Z @ self.coef_ + self.intercept_
 
     def predict_proba(self, X):
-        return _stack_proba(_sigmoid(self.decision_function(X)))
+        return _stack_proba(sigmoid(self.decision_function(X)))
 
     def to_json(self):
         check_fitted(self, "coef_")
@@ -330,7 +321,7 @@ class GradientBoostedTrees(_ClassifierBase):
         score = np.full(len(y), self.base_score_)
         self.trees_ = []
         for _ in range(self.n_trees):
-            p = _sigmoid(score)
+            p = sigmoid(score)
             residual = y - p
             hess = np.maximum(p * (1.0 - p), 1e-12)
 
@@ -354,7 +345,7 @@ class GradientBoostedTrees(_ClassifierBase):
         return score
 
     def predict_proba(self, X):
-        return _stack_proba(_sigmoid(self.decision_function(X)))
+        return _stack_proba(sigmoid(self.decision_function(X)))
 
     def to_json(self):
         check_fitted(self, "trees_")

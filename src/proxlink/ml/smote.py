@@ -5,6 +5,7 @@ import numpy as np
 
 from .._base import ParamsMixin
 from .._validation import check_X_y, check_both_classes
+from .classifiers import _Standardizer
 
 
 class Smote(ParamsMixin):
@@ -41,10 +42,7 @@ class Smote(ParamsMixin):
             return X.copy(), y.copy()
 
         # neighbour search in standardized space; interpolation in the original
-        mu = X.mean(axis=0)
-        sd = X.std(axis=0)
-        sd[sd == 0] = 1.0
-        Z = (X[min_idx] - mu) / sd
+        Z = _Standardizer().fit(X).transform(X[min_idx])
         d2 = ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
         # stable k-nearest ordering: distance, then index

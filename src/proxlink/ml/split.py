@@ -1,21 +1,9 @@
 """Stratified train/test split and cross-validation folds."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .._validation import check_both_classes
-
-
-@dataclass
-class SplitPlan:
-    """Reference protocol: 90/10 stratified split, 5 stratified folds."""
-
-    train_fraction: float = 0.9
-    folds: int = 5
-    stratified: bool = True
-    seed: int = 0
 
 
 def stratified_split(y, train_fraction: float = 0.9, seed: int = 0

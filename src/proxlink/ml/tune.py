@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,7 +19,7 @@ from .._rng import stable_seed
 from .classifiers import ClassifierSpec, make_classifier, model_size
 from .metrics import auc
 from .smote import Smote
-from .split import stratified_folds, stratified_split
+from .split import stratified_folds
 
 # (name, sampler, lo, hi) per kind; samplers: int / int_log / float_log
 PARAM_SPACES = {
@@ -196,25 +195,3 @@ def tune(kind: str, X, y, plan: Optional[TunePlan] = None, seed: int = 0,
     best_spec, best_folds, best_mean = grid_results[best_of(grid_results)]
     return best_spec, EvalResult(spec=best_spec, fold_aucs=best_folds, mean_auc=best_mean)
 
-
-def train_and_test(spec: ClassifierSpec, X, y, plan: Optional[TunePlan] = None,
-                   seed: int = 0) -> tuple[EvalResult, object]:
-    """Split 90/10, CV-score the spec on the training side, retrain on all
-    training rows, score once on the held-out test set."""
-    plan = plan or TunePlan()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    t0 = time.perf_counter()
-    train_idx, test_idx = stratified_split(y, train_fraction=0.9,
-                                           seed=stable_seed(seed, "split"))
-    fold_aucs = cross_val_auc(spec, X[train_idx], y[train_idx], folds=plan.folds,
-                              smote=plan.smote, seed=stable_seed(seed, "cv"))
-    X_tr, y_tr = apply_smote_train_only(
-        X[train_idx], y[train_idx], plan.smote, seed=stable_seed(seed, "smote-final"))
-    model = make_classifier(spec).fit(X_tr, y_tr)
-    test_auc = auc(model.predict_proba(X[test_idx])[:, 1], y[test_idx])
-    result = EvalResult(spec=spec, fold_aucs=fold_aucs,
-                        mean_auc=float(np.mean(fold_aucs)),
-                        test_auc=float(test_auc),
-                        wall_time_s=time.perf_counter() - t0)
-    return result, model

@@ -13,7 +13,6 @@ count.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -82,49 +81,40 @@ class CoPubGraph:
     """Weighted co-authorship graph for one year span.
 
     n[k] counts publications listing author k inside the span; g[(i, j)]
-    (keys ordered i < j) counts publications listing both.
+    (keys ordered i < j) counts publications listing both. adj[i][j] is
+    g indexed by either endpoint, derived from g at construction.
     """
 
     span: tuple[int, int]
     n: dict[str, int] = field(default_factory=dict)
     g: dict[tuple[str, str], int] = field(default_factory=dict)
+    adj: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
 
-    @property
-    def nodes(self) -> set[str]:
-        return set(self.n)
+    def __post_init__(self):
+        self.adj = {}
+        for (a, b), w in self.g.items():
+            self.adj.setdefault(a, {})[b] = w
+            self.adj.setdefault(b, {})[a] = w
 
     def copubs(self, i: str, j: str) -> int:
         if i == j:
             return 0
         return self.g.get((i, j) if i < j else (j, i), 0)
 
-    def neighbors(self, i: str) -> dict[str, int]:
-        out = {}
-        for (a, b), w in self.g.items():
-            if a == i:
-                out[b] = w
-            elif b == i:
-                out[a] = w
-        return out
-
 
 def build_graph(corpus: Corpus, start_year: int, end_year: int) -> CoPubGraph:
     """Count publications and co-publications over one span; no self-edges."""
-    graph = CoPubGraph(span=(start_year, end_year))
+    n: dict[str, int] = {}
+    g: dict[tuple[str, str], int] = {}
     for pub_id in corpus.pub_ids_in_years(start_year, end_year):
         keys = corpus.record(pub_id).author_keys
         for k in keys:
-            graph.n[k] = graph.n.get(k, 0) + 1
+            n[k] = n.get(k, 0) + 1
         for idx, i in enumerate(keys):
             for j in keys[idx + 1:]:
                 edge = (i, j) if i < j else (j, i)
-                graph.g[edge] = graph.g.get(edge, 0) + 1
-    # adjacency index speeds up the bridging sum for repeated queries
-    graph._adj = {}
-    for (a, b), w in graph.g.items():
-        graph._adj.setdefault(a, {})[b] = w
-        graph._adj.setdefault(b, {})[a] = w
-    return graph
+                g[edge] = g.get(edge, 0) + 1
+    return CoPubGraph(span=(start_year, end_year), n=n, g=g)
 
 
 def tenb(graph: CoPubGraph, i: str, j: str) -> float:
@@ -135,14 +125,8 @@ def tenb(graph: CoPubGraph, i: str, j: str) -> float:
     """
     if i == j:
         raise ValueError("network proximity is undefined for an author with itself")
-    adj = getattr(graph, "_adj", None)
-    if adj is None:
-        adj = {}
-        for (a, b), w in graph.g.items():
-            adj.setdefault(a, {})[b] = w
-            adj.setdefault(b, {})[a] = w
-    ni = adj.get(i, {})
-    nj = adj.get(j, {})
+    ni = graph.adj.get(i, {})
+    nj = graph.adj.get(j, {})
     if len(nj) < len(ni):
         ni, nj = nj, ni
     # canonical (sorted) summation order keeps results independent of how
@@ -254,14 +238,3 @@ def candidate_pairs(corpus: Corpus, window: WindowPair,
 
     return [CandidatePair(i=i, j=j, window=window) for i, j in pairs]
 
-
-def dump_graph(graph: CoPubGraph, path) -> None:
-    """Debug dump: JSON {window, nodes: {key: n}, edges: [[i, j, g]]}."""
-    payload = {
-        "window": list(graph.span),
-        "nodes": {k: graph.n[k] for k in sorted(graph.n)},
-        "edges": [[i, j, w] for (i, j), w in sorted(graph.g.items())],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")

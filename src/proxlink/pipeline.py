@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -158,6 +159,7 @@ class RunState:
     k_scores: Optional[dict] = None
     dataset: Optional[Dataset] = None
     logit_fit: Optional[object] = None
+    elasticity: Optional[list] = None
     ml_results: Optional[dict] = None
     best_model: Optional[object] = None
     best_kind: Optional[str] = None
@@ -303,6 +305,7 @@ def _stage_fit(state: RunState) -> None:
     max_d = float(max(r.geo_distance_km for r in state.dataset.rows))
     grid = [0.0] + list(np.geomspace(1.0, max(max_d, 10.0), 60))
     curve = elasticity_from_fit(fit, grid)
+    state.elasticity = curve
     with open(os.path.join(out, "elasticity.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("distance_km,elasticity\n")
         for d, e in curve:
@@ -328,6 +331,7 @@ def _stage_ml(state: RunState) -> None:
     results = {}
     best_kind, best_cv = None, -1.0
     for kind in cfg.classifiers:
+        t0 = time.perf_counter()
         spec, cv_result = tune(kind, X[train_idx], y[train_idx], plan=plan,
                                seed=stable_seed(cfg.seed, "tune", kind), log=log_rows)
         X_tr, y_tr = apply_smote_train_only(
@@ -336,6 +340,7 @@ def _stage_ml(state: RunState) -> None:
         model = make_classifier(spec).fit(X_tr, y_tr)
         test_auc = float(auc(model.predict_proba(X[test_idx])[:, 1], y[test_idx]))
         cv_result.test_auc = test_auc
+        cv_result.wall_time_s = time.perf_counter() - t0
         results[kind] = cv_result
         if cv_result.mean_auc > best_cv:
             best_cv = cv_result.mean_auc
@@ -393,14 +398,8 @@ def _stage_explain(state: RunState) -> None:
 def _stage_report(state: RunState) -> None:
     cfg = state.config
     out = cfg.out
-    curve = []
-    with open(os.path.join(out, "elasticity.csv"), "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            d, e = line.strip().split(",")
-            curve.append((float(d), float(e)))
     with open(os.path.join(out, "elasticity.svg"), "w", encoding="utf-8") as fh:
-        fh.write(render_line_svg(curve))
+        fh.write(render_line_svg(state.elasticity))
 
     outputs = {}
     for name in BUNDLE_FILES:

@@ -385,16 +385,6 @@ class GibbsLda(ParamsMixin):
         return model
 
 
-def fit_lda(docs: Sequence[TokenizedDoc], n_topics: int,
-            alpha: Optional[float] = None, beta: float = 0.01,
-            iterations: int = 1000, seed: int = 0
-            ) -> tuple[GibbsLda, dict[str, np.ndarray]]:
-    """Fit and return (model, per-publication topic vectors)."""
-    model = GibbsLda(n_topics=n_topics, alpha=alpha, beta=beta,
-                     iterations=iterations, seed=seed).fit(docs)
-    return model, dict(model.doc_topic_)
-
-
 # ---------------------------------------------------------------------------
 # Coherence and K selection
 # ---------------------------------------------------------------------------

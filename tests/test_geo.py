@@ -216,6 +216,13 @@ class TestGeocode:
         assert gaz.lookup("montreal", None, "CA") == (45.5019, -73.5674)
         assert gaz.lookup("atlantis", None, "CA") is None
 
+    def test_gazetteer_resolve_matches_whole_fields(self):
+        gaz = GazetteerGeocoder()
+        # "paris" inside the institution name must not win over the city field
+        assert gaz.resolve("institut de paris, lyon, FR") == (45.7640, 4.8357)
+        assert gaz.resolve("Lab, Montreal, QC, CA") == (45.5019, -73.5674)
+        assert gaz.resolve("institut de paris, FR") is None
+
     def test_normalize_address(self):
         assert normalize_address("  A  B ,  C ") == "a b , c"
 

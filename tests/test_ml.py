@@ -21,7 +21,6 @@ from proxlink.ml import (
     model_size,
     stratified_folds,
     stratified_split,
-    train_and_test,
     tune,
 )
 from proxlink.ml.tune import SmoteConfig
@@ -106,6 +105,17 @@ class TestSmote:
         a = Smote(k=3, seed=9).fit_resample(X, y)
         b = Smote(k=3, seed=9).fit_resample(X, y)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_neighbours_found_in_standardized_space(self):
+        # rescaling a feature leaves the neighbour choice alone, and a
+        # constant column (zero spread) does not break the scaling
+        rng = np.random.default_rng(4)
+        X = np.column_stack([rng.normal(size=40), rng.normal(size=40), np.full(40, 3.0)])
+        y = np.array([1] * 10 + [0] * 30)
+        scale = np.array([1000.0, 1.0, 1.0])
+        a, _ = Smote(k=3, seed=5).fit_resample(X, y)
+        b, _ = Smote(k=3, seed=5).fit_resample(X * scale, y)
+        assert np.allclose(b, a * scale, rtol=1e-9)
 
 
 class TestSplits:
@@ -363,21 +373,3 @@ class TestCrossValAndTune:
         best_random = max(random_rows, key=lambda r: r["mean_auc"])
         assert any(r["hyperparameters"] == best_random["hyperparameters"]
                    for r in grid_rows)
-
-    def test_train_and_test_scores_heldout_once(self):
-        X, y = separable_dataset(n=300, seed=10)
-        spec = ClassifierSpec.create("gaussian-naive-bayes")
-        result, model = train_and_test(spec, X, y,
-                                       plan=TunePlan(smote=SmoteConfig(k=3), folds=3),
-                                       seed=4)
-        assert result.test_auc is not None
-        assert 0.0 <= result.test_auc <= 1.0
-        assert result.mean_auc >= 0.9
-
-    def test_wall_time_excluded_from_canonical_json(self):
-        X, y = separable_dataset(n=200, seed=11)
-        result, _ = train_and_test(ClassifierSpec.create("gaussian-naive-bayes"),
-                                   X, y, plan=TunePlan(smote=None, folds=3), seed=0)
-        assert "wall_time_s" not in result.to_json()
-        assert "wall_time_s" in result.to_json(include_wall_time=True)
-        assert result.wall_time_s > 0

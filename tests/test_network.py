@@ -4,11 +4,11 @@ import pytest
 
 from proxlink.network import (
     CandidatePair,
+    CoPubGraph,
     SamplingPolicy,
     WindowPair,
     build_graph,
     candidate_pairs,
-    dump_graph,
     make_windows,
     outcome_label,
     tenb,
@@ -102,15 +102,16 @@ class TestBuildGraph:
             assert i != j
             assert 1 <= w <= min(g.n[i], g.n[j])
 
-    def test_dump_graph(self, tmp_path):
-        corpus = corpus_from_rosters({2005: [["a", "b"]]})
+    def test_counts_and_adjacency(self):
+        corpus = corpus_from_rosters({2005: [["a", "b"], ["b", "c"]]})
         g = build_graph(corpus, 2005, 2005)
-        path = tmp_path / "graph.json"
-        dump_graph(g, path)
-        import json
-        payload = json.loads(path.read_text())
-        assert payload["nodes"] == {"a": 1, "b": 1}
-        assert payload["edges"] == [["a", "b", 1]]
+        assert g.n == {"a": 1, "b": 2, "c": 1}
+        assert g.g == {("a", "b"): 1, ("b", "c"): 1}
+        assert g.adj == {"a": {"b": 1}, "b": {"a": 1, "c": 1}, "c": {"b": 1}}
+        # a graph constructed directly derives the same adjacency
+        direct = CoPubGraph(span=(2005, 2005), n=dict(g.n), g=dict(g.g))
+        assert direct.adj == g.adj
+        assert tenb(direct, "a", "c") == tenb(g, "a", "c") == 0.5
 
 
 class TestTenb:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -13,6 +14,32 @@ from proxlink.pipeline import (
     run_pipeline,
     write_canonical_dump,
 )
+
+
+# sha256 of every bundle file but manifest.json for demo_config(seed=7) on
+# the seed-7 demo corpus. A change that moves these bytes must update the
+# digests and say why; a refactor must leave them alone.
+GOLDEN_BUNDLE = {
+    "beeswarm.svg": "d937b790452b8837ac417bdb3c5610eed7768e16616230603ac0cdc1247d491a",
+    "corr.csv": "a9075a6304c4a5188527018f5fe3db48a5601ec41ee39c61645fe0aff74cf535",
+    "dataset.csv": "1c847d22c640e2ac6fc59d9837204102eb80d67663a642df53651d40bd083c95",
+    "describe.csv": "da63b2e527f6d6d5f2ca4ddb521decd8206fb3ad212600a8f1d6fe7a1f78c438",
+    "elasticity.csv": "ffb9206877b7e9018290b34de064146312c801683206aa8a59db2876791d0070",
+    "elasticity.svg": "9a6f33365fe1350a278ec16844d52250b430dfa5eb033318856ebdbad1379cd2",
+    "eval.json": "d012e69e5fce3ed59a2ad52a9e3184cb5b02cbc5ffeee014e7d9a9e9b6c5db25",
+    "logit_table.txt": "9684cb281341fd4c35cc448ec917601015fcf6e239ea6ca035fc336e58058cad",
+    "ml_tuning.csv": "f4dc8ad0ad2fd949af2720c3e27671df72c04247b65915437c62ad0adcfb97eb",
+    "shap.csv": "a0e673c7cd7d5db4d8fd5683dd01c32ea5244955f437f475a007a5cbb389ae41",
+}
+# manifest.json embeds the absolute corpus and output paths, so its own
+# digest varies by directory; its "stages" field is pinned instead, as the
+# sha256 of its sort_keys JSON.
+GOLDEN_STAGES = "3ebe1d184e684df5b31e67ef6f4671661a16c9fec41db9b64212980a1b5240a3"
+
+
+def _file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +105,24 @@ class TestPipelineStages:
         assert "corpus" in manifest["input_checksums"]
         assert len(manifest["outputs"]) == len(BUNDLE_FILES) - 1  # all but itself
         assert state.stage_summary["ml"]["best_kind"] in manifest["stages"]["ml"]["best_kind"]
+
+        digests = {name: _file_sha256(os.path.join(config.out, name))
+                   for name in BUNDLE_FILES if name != "manifest.json"}
+        assert digests == GOLDEN_BUNDLE
+        assert manifest["outputs"] == GOLDEN_BUNDLE
+        stages = json.dumps(manifest["stages"], sort_keys=True).encode()
+        assert hashlib.sha256(stages).hexdigest() == GOLDEN_STAGES
+
+        # tune -> SMOTE -> refit -> one held-out AUC per kind; wall time is
+        # recorded but kept out of the canonical eval.json
+        eval_json = json.load(open(os.path.join(config.out, "eval.json")))
+        assert set(state.ml_results) == set(config.classifiers)
+        for kind, result in state.ml_results.items():
+            assert 0.0 <= result.test_auc <= 1.0
+            assert result.mean_auc >= 0.9
+            assert result.wall_time_s > 0
+            assert "wall_time_s" in result.to_json(include_wall_time=True)
+            assert "wall_time_s" not in eval_json["results"][kind]
 
     def test_unknown_stage_rejected(self, tmp_path, demo_corpus):
         config = demo_config(demo_corpus, out=str(tmp_path / "out"))

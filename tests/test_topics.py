@@ -8,7 +8,6 @@ from proxlink.topics import (
     TokenizedDoc,
     coherence,
     cognitive_distance,
-    fit_lda,
     has_zero_variance,
     knowledge_vector,
     npmi,
@@ -125,9 +124,9 @@ class TestGibbsLda:
 
     def test_rows_and_doc_vectors_are_simplex(self):
         docs, _, _ = synthetic_topic_docs(n_docs=30)
-        model, vectors = fit_lda(docs, n_topics=3, iterations=60, seed=0)
+        model = GibbsLda(n_topics=3, iterations=60, seed=0).fit(docs)
         assert np.allclose(model.topic_term_.sum(axis=1), 1.0, atol=1e-9)
-        for vec in vectors.values():
+        for vec in model.doc_topic_.values():
             assert vec.min() >= 0
             assert abs(vec.sum() - 1.0) < 1e-9
 
