@@ -1,7 +1,8 @@
 """CART decision tree with exhaustive, deterministic split search.
 
 Split candidates are scanned over presorted feature values (midpoints
-between consecutive distinct values). Equal gains resolve to the lower
+between consecutive distinct values, or the lower value where the
+midpoint rounds onto the upper one). Equal gains resolve to the lower
 feature index, then the lower threshold, making every fit reproducible.
 Supports variance-reduction splits for regression (used by gradient
 boosting, with pluggable leaf values) and Gini splits for classification
@@ -148,7 +149,12 @@ class CartTree:
             if gains[k] > best_gain:
                 best_gain = float(gains[k])
                 i = int(pos[k])
-                best = (int(feature), float((values[i] + values[i + 1]) / 2.0))
+                threshold = (values[i] + values[i + 1]) / 2.0
+                # the midpoint of adjacent floats can round up onto the
+                # upper value, which would leave the right child empty
+                if not threshold < values[i + 1]:
+                    threshold = values[i]
+                best = (int(feature), float(threshold))
         return best
 
     @staticmethod

@@ -3,8 +3,9 @@ around the winner.
 
 Every candidate is scored by mean AUC over stratified CV folds, with
 minority oversampling applied to each fold's training part only; the
-validation rows are always original rows. Ties go to the smaller model,
-then the earlier candidate.
+validation rows are always original rows. The folds are built and
+resampled once per search and shared by every candidate. Ties go to the
+smaller model, then the earlier candidate.
 """
 from __future__ import annotations
 
@@ -94,18 +95,39 @@ def apply_smote_train_only(X_train, y_train, cfg: Optional[SmoteConfig], seed: i
     return Smote(k=k, target_ratio=cfg.target_ratio, seed=seed).fit_resample(X_train, y_train)
 
 
-def cross_val_auc(spec: ClassifierSpec, X, y, folds: int = 5,
-                  smote: Optional[SmoteConfig] = None, seed: int = 0) -> tuple:
-    """Per-fold validation AUCs; oversampling never touches validation rows."""
+def build_fold_sets(X, y, folds: int = 5, smote: Optional[SmoteConfig] = None,
+                    seed: int = 0) -> list[tuple]:
+    """``(X_train, y_train, X_val, y_val)`` per stratified CV fold, with the
+    training part oversampled; validation rows are always original rows.
+
+    A fold set depends only on the data, ``folds``, ``smote`` and ``seed``,
+    so one list serves every candidate of a search. The arrays are made
+    read-only because they are shared between fits.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    fold_aucs = []
+    out = []
     for fold_no, (tr, va) in enumerate(stratified_folds(y, folds=folds, seed=seed)):
         X_tr, y_tr = apply_smote_train_only(
             X[tr], y[tr], smote, seed=stable_seed(seed, "smote", fold_no))
-        model = make_classifier(spec).fit(X_tr, y_tr)
-        fold_aucs.append(auc(model.predict_proba(X[va])[:, 1], y[va]))
-    return tuple(fold_aucs)
+        fold = (X_tr, y_tr, X[va], y[va])
+        for arr in fold:
+            arr.flags.writeable = False
+        out.append(fold)
+    return out
+
+
+def score_spec(spec: ClassifierSpec, fold_sets: list[tuple]) -> tuple:
+    """Validation AUC per fold of a fresh ``spec`` model fit on each fold."""
+    return tuple(
+        auc(make_classifier(spec).fit(X_tr, y_tr).predict_proba(X_va)[:, 1], y_va)
+        for X_tr, y_tr, X_va, y_va in fold_sets)
+
+
+def cross_val_auc(spec: ClassifierSpec, X, y, folds: int = 5,
+                  smote: Optional[SmoteConfig] = None, seed: int = 0) -> tuple:
+    """Per-fold validation AUCs; oversampling never touches validation rows."""
+    return score_spec(spec, build_fold_sets(X, y, folds, smote, seed))
 
 
 def _sample_params(kind: str, rng: np.random.Generator) -> dict:
@@ -153,11 +175,12 @@ def tune(kind: str, X, y, plan: Optional[TunePlan] = None, seed: int = 0,
         candidates.append(ClassifierSpec.create(
             kind, seed=stable_seed(seed, kind, "spec"), **params))
 
+    fold_sets = build_fold_sets(X, y, plan.folds, plan.smote, stable_seed(seed, "cv"))
+
     def evaluate(stage: str, specs: list[ClassifierSpec]):
         results = []
         for i, spec in enumerate(specs):
-            fold_aucs = cross_val_auc(spec, X, y, folds=plan.folds,
-                                      smote=plan.smote, seed=stable_seed(seed, "cv"))
+            fold_aucs = score_spec(spec, fold_sets)
             mean = float(np.mean(fold_aucs))
             results.append((spec, fold_aucs, mean))
             if log is not None:

@@ -201,22 +201,29 @@ def tokenize(pub: PublicationRecord, stoplist: Optional[frozenset] = None,
     after stemming), stems. An all-stopword text yields an empty doc,
     which downstream fitting skips and flags.
     """
-    stoplist = default_stopwords() if stoplist is None else stoplist
-    text = (pub.title + " " + pub.abstract).lower()
-    tokens = []
-    for raw in _TOKEN_RE.findall(text):
-        if raw in stoplist:
-            continue
-        stem = stemmer(raw) if stemmer else raw
-        if stem and stem not in stoplist:
-            tokens.append(stem)
-    return TokenizedDoc(pub_id=pub.pub_id, tokens=tuple(tokens))
+    return tokenize_corpus([pub], stoplist, stemmer)[0]
 
 
 def tokenize_corpus(records: Iterable[PublicationRecord],
                     stoplist: Optional[frozenset] = None,
                     stemmer=porter_stem) -> list[TokenizedDoc]:
-    return [tokenize(r, stoplist, stemmer) for r in records]
+    """``tokenize`` over many records, calling ``stemmer`` once per distinct
+    raw token."""
+    stoplist = default_stopwords() if stoplist is None else stoplist
+    stems: dict[str, str] = {}
+    docs = []
+    for pub in records:
+        tokens = []
+        for raw in _TOKEN_RE.findall((pub.title + " " + pub.abstract).lower()):
+            if raw in stoplist:
+                continue
+            stem = stems.get(raw)
+            if stem is None:
+                stem = stems[raw] = stemmer(raw) if stemmer else raw
+            if stem and stem not in stoplist:
+                tokens.append(stem)
+        docs.append(TokenizedDoc(pub_id=pub.pub_id, tokens=tuple(tokens)))
+    return docs
 
 
 # ---------------------------------------------------------------------------

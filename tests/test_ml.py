@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from proxlink.ml import (
     stratified_split,
     tune,
 )
+from proxlink.ml import smote as smote_mod
 from proxlink.ml.tune import SmoteConfig
 
 
@@ -118,6 +120,30 @@ class TestSmote:
         assert np.allclose(b, a * scale, rtol=1e-9)
 
 
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 40 * 2 * 3, 2 ** 40])
+    def test_blocked_neighbours_match_dense_sort(self, monkeypatch, block_bytes):
+        # duplicate rows and a coarse grid give many tied distances; small
+        # blocks split the minority over several blocks
+        rng = np.random.default_rng(6)
+        Z = rng.integers(0, 3, size=(40, 2)).astype(float)
+        Z[10:15] = Z[3]
+        d2 = ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        monkeypatch.setattr(smote_mod, "BLOCK_BYTES", block_bytes)
+        for k in (1, 4, 9, 39):
+            expected = np.argsort(d2, axis=1, kind="mergesort")[:, :k]
+            assert np.array_equal(smote_mod.k_nearest(Z, k), expected), k
+
+    def test_block_size_leaves_resample_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        X = np.round(rng.normal(size=(90, 3)), 1)
+        y = np.array([1] * 30 + [0] * 60)
+        a = Smote(k=5, seed=1).fit_resample(X, y)
+        monkeypatch.setattr(smote_mod, "BLOCK_BYTES", 8 * 30 * 3 * 7)
+        b = Smote(k=5, seed=1).fit_resample(X, y)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
 class TestSplits:
     def test_90_10_split_stratified_exactly(self):
         y = np.array([1] * 10 + [0] * 90)
@@ -208,6 +234,21 @@ class TestCartTree:
         y = np.array([0.0, 0.0, 1.0, 1.0])
         tree = CartTree(max_depth=1, criterion="mse").fit(X, y)
         assert tree.root_split == (0, 1.5)
+
+    @pytest.mark.parametrize("criterion", ["mse", "gini"])
+    def test_adjacent_float_split_leaves_no_empty_child(self, criterion):
+        # (lo + hi) / 2 rounds up onto hi for adjacent floats; the split
+        # must still send hi to the right child
+        hi = 2.0
+        lo = np.nextafter(hi, 0.0)
+        X = np.array([[lo], [lo], [hi], [hi]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tree = CartTree(max_depth=1, criterion=criterion).fit(X, y)
+        feature, threshold = tree.root_split
+        assert lo <= threshold < hi
+        assert np.array_equal(tree.predict(X), y)
 
 
 class TestClassifiers:
@@ -320,6 +361,42 @@ class TestCrossValAndTune:
             r2 = cross_val_auc(spec, X, y, folds=4, smote=SmoteConfig(k=3), seed=2)
             assert r1 == r2, kind
 
+    def test_cross_val_auc_values_pinned(self):
+        # overlapping, imbalanced blobs; values recorded before fold sets
+        # were shared between candidates
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.normal(0.0, 1.0, size=(120, 3)),
+                       rng.normal(0.8, 1.0, size=(30, 3))])
+        y = np.array([0] * 120 + [1] * 30)
+        expected = {
+            "gaussian-naive-bayes": (0.8, 0.8333333333333334, 0.819047619047619,
+                                     0.7857142857142857),
+            "k-nearest-neighbors": (0.5479166666666667, 0.7791666666666667, 0.75,
+                                    0.7952380952380952),
+            "gradient-boosted-trees": (0.6916666666666667, 0.675, 0.819047619047619,
+                                       0.6666666666666666),
+        }
+        for kind, aucs in expected.items():
+            spec = ClassifierSpec.create(kind, seed=1)
+            assert cross_val_auc(spec, X, y, folds=4, smote=SmoteConfig(k=3),
+                                 seed=2) == aucs, kind
+
+    @pytest.mark.parametrize("n_random", [1, 6])
+    def test_tune_resamples_each_fold_once(self, monkeypatch, n_random):
+        calls = []
+        original = Smote.fit_resample
+
+        def counting(self, X, y):
+            calls.append(self.seed)
+            return original(self, X, y)
+
+        monkeypatch.setattr(Smote, "fit_resample", counting)
+        X, y = separable_dataset(n=150, seed=4)
+        plan = TunePlan(n_random=n_random, folds=4, smote=SmoteConfig(k=3))
+        tune("gaussian-naive-bayes", X, y, plan=plan, seed=0)
+        assert len(calls) == plan.folds
+        assert len(set(calls)) == plan.folds
+
     def test_tune_finds_dominant_hyperparameter(self):
         # paired points: the 1-nearest neighbour is always the pair mate,
         # so CV AUC decays monotonically in k and k=1 dominates
@@ -352,8 +429,8 @@ class TestCrossValAndTune:
     def test_cv_tie_prefers_smaller_model(self, monkeypatch):
         import sys
         tune_mod = sys.modules["proxlink.ml.tune"]
-        monkeypatch.setattr(tune_mod, "cross_val_auc",
-                            lambda spec, X, y, folds, smote, seed: (0.7,) * folds)
+        monkeypatch.setattr(tune_mod, "score_spec",
+                            lambda spec, fold_sets: (0.7,) * len(fold_sets))
         X, y = separable_dataset(n=60, seed=0)
         log = []
         spec, result = tune("k-nearest-neighbors", X, y,

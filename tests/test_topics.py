@@ -14,6 +14,7 @@ from proxlink.topics import (
     porter_stem,
     select_k,
     tokenize,
+    tokenize_corpus,
 )
 
 from conftest import make_record_dict, corpus_from_dicts
@@ -77,6 +78,24 @@ class TestTokenize:
         doc = tokenize(rec, stoplist=frozenset(), stemmer=None)
         assert "2020" not in doc.tokens
         assert "graph" in doc.tokens and "based" in doc.tokens
+
+
+    def test_corpus_stems_each_distinct_token_once(self):
+        recs = corpus_from_dicts([
+            make_record_dict("P1", title="Models of networks", abstract="the models"),
+            make_record_dict("P2", title="Network models", abstract="of networks"),
+        ]).records
+        calls = []
+
+        def stemmer(word):
+            calls.append(word)
+            return porter_stem(word)
+
+        stop = frozenset({"of", "the"})
+        docs = tokenize_corpus(recs, stoplist=stop, stemmer=stemmer)
+        assert sorted(calls) == ["models", "network", "networks"]
+        assert [d.tokens for d in docs] == [
+            ("model", "network", "model"), ("network", "model", "network")]
 
 
 def synthetic_topic_docs(n_docs=90, tokens_per_doc=12, seed=5):
