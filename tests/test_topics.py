@@ -1,11 +1,16 @@
+import errno
+import os
 import random
 
 import numpy as np
 import pytest
 
+import proxlink.topics as topics_mod
 from proxlink.topics import (
     GibbsLda,
     TokenizedDoc,
+    _score_k,
+    _window_counts,
     coherence,
     cognitive_distance,
     has_zero_variance,
@@ -228,6 +233,66 @@ class TestCoherence:
             coherence(model, docs, top_m=99)
 
 
+def reference_window_counts(docs, words, window):
+    """The per-window sorted-set counting that ``_window_counts`` replaced."""
+    occur = {w: 0 for w in words}
+    joint = {}
+    n_windows = 0
+    for doc in docs:
+        toks = doc.tokens
+        if not toks:
+            continue
+        n_positions = max(1, len(toks) - window + 1)
+        for start in range(n_positions):
+            present = sorted({t for t in toks[start:start + window] if t in words})
+            n_windows += 1
+            for i, wi in enumerate(present):
+                occur[wi] += 1
+                for wj in present[i + 1:]:
+                    joint[(wi, wj)] = joint.get((wi, wj), 0) + 1
+    return occur, joint, n_windows
+
+
+class TestWindowCounts:
+    DOCS = [
+        TokenizedDoc("rep", ("a", "a", "b", "a", "c", "b", "b", "d", "a", "e", "c", "c")),
+        TokenizedDoc("short", ("c", "a", "c")),
+        TokenizedDoc("empty", ()),
+        TokenizedDoc("other", ("x", "y", "x", "z")),
+        TokenizedDoc("one", ("b",)),
+    ]
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 12, 50])
+    @pytest.mark.parametrize("words", [
+        {"a", "b", "c"},               # repeated inside windows
+        {"a", "c", "never", "absent"},  # needed words that never occur
+        {"x", "y", "z", "e"},
+        {"nothing"},
+        set(),
+    ])
+    def test_matches_reference(self, words, window):
+        assert _window_counts(self.DOCS, words, window) == \
+            reference_window_counts(self.DOCS, words, window)
+
+    def test_short_and_empty_documents(self):
+        docs = [TokenizedDoc("E", ()), TokenizedDoc("S", ("a", "b", "a"))]
+        occur, joint, n_windows = _window_counts(docs, {"a", "b"}, 10)
+        assert (occur, joint, n_windows) == ({"a": 1, "b": 1}, {("a", "b"): 1}, 1)
+        assert _window_counts([TokenizedDoc("E", ())], {"a"}, 3) == ({"a": 0}, {}, 0)
+
+    def test_random_documents(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            pool = [f"w{i}" for i in range(rng.randint(1, 8))]
+            docs = [TokenizedDoc(f"D{d}", tuple(rng.choice(pool)
+                                                for _ in range(rng.randint(0, 25))))
+                    for d in range(rng.randint(0, 6))]
+            words = set(rng.sample(pool + ["u", "v"], rng.randint(0, len(pool) + 2)))
+            window = rng.randint(1, 12)
+            assert _window_counts(docs, words, window) == \
+                reference_window_counts(docs, words, window)
+
+
 class TestSelectK:
     def test_singleton_grid(self):
         docs, _, _ = synthetic_topic_docs(n_docs=30)
@@ -241,7 +306,6 @@ class TestSelectK:
         assert best == 3, scores
 
     def test_tie_breaks_to_smallest_k(self, monkeypatch):
-        import proxlink.topics as topics_mod
         monkeypatch.setattr(topics_mod, "coherence",
                             lambda model, docs, top_m, window: ([], 0.5))
         docs, _, _ = synthetic_topic_docs(n_docs=30)
@@ -252,6 +316,101 @@ class TestSelectK:
     def test_empty_grid_errors(self):
         with pytest.raises(ValueError):
             select_k([], [], seed=0)
+
+
+def in_process_select(docs, grid, seed, iterations):
+    scores = {k: _score_k(docs, k, seed, None, 0.01, iterations, 10, 10) for k in grid}
+    return min(sorted(scores), key=lambda k: (-scores[k], k)), scores
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, counting ``os.fork`` calls; no child may outlive the test."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedSelectK:
+    @pytest.mark.parametrize("grid", [[6, 4, 3, 2], [3, 5, 3, 2]])
+    def test_matches_in_process_bit_for_bit(self, two_cpus, grid):
+        docs, _, _ = synthetic_topic_docs(n_docs=30)
+        best, scores = select_k(docs, grid, seed=2, iterations=15)
+        expected_best, expected = in_process_select(docs, grid, seed=2, iterations=15)
+        assert best == expected_best
+        assert list(scores) == list(dict.fromkeys(grid))
+        assert all(scores[k] == expected[k] for k in expected)
+        assert len(two_cpus) == len(expected)
+
+    def test_one_cpu_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called with one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        docs, _, _ = synthetic_topic_docs(n_docs=30)
+        assert select_k(docs, [4, 2, 3], seed=2, iterations=10) == \
+            in_process_select(docs, [4, 2, 3], seed=2, iterations=10)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_error_reraised_in_parent(self, two_cpus):
+        docs, _, _ = synthetic_topic_docs(n_docs=30)
+        with pytest.raises(ValueError, match="at least K=40"):
+            select_k(docs, [2, 40, 3], seed=0, iterations=5)
+        assert len(two_cpus) == 3
+
+    def test_child_error_carries_child_traceback(self, two_cpus):
+        docs, _, _ = synthetic_topic_docs(n_docs=30)
+        with pytest.raises(ValueError) as info:
+            select_k(docs, [2, 40], seed=0, iterations=5)
+        cause = info.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert "select_k child for K=40" in str(cause)
+        assert "Traceback" in str(cause) and "in _score_k" in str(cause)
+
+    def test_failed_fork_scores_in_process(self, two_cpus, monkeypatch):
+        counting_fork = os.fork
+
+        def fork_fails_every_other():
+            if len(two_cpus) % 2:
+                two_cpus.append(0)
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return counting_fork()
+
+        monkeypatch.setattr(os, "fork", fork_fails_every_other)
+        docs, _, _ = synthetic_topic_docs(n_docs=30)
+        grid = [6, 4, 3, 2]
+        assert select_k(docs, grid, seed=2, iterations=15) == \
+            in_process_select(docs, grid, seed=2, iterations=15)
+        assert two_cpus == [1, 0, 1, 0]
+
+    def test_no_fork_possible_scores_in_process(self, two_cpus, monkeypatch):
+        def fork_fails():
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(os, "fork", fork_fails)
+        docs, _, _ = synthetic_topic_docs(n_docs=30)
+        assert select_k(docs, [3, 2], seed=2, iterations=10) == \
+            in_process_select(docs, [3, 2], seed=2, iterations=10)
+
+    def test_child_dying_without_reply_names_k(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(topics_mod, "_score_k", lambda docs, k, *args: os._exit(3))
+        docs, _, _ = synthetic_topic_docs(n_docs=30)
+        with pytest.raises(RuntimeError, match=r"K=2 exited without a reply "
+                                               r"\(exit status 3\)"):
+            select_k(docs, [2, 3], seed=0, iterations=5)
 
 
 class TestKnowledgeVector:
