@@ -331,8 +331,7 @@ class GradientBoostedTrees(_ClassifierBase):
             tree = CartTree(max_depth=self.max_depth,
                             min_samples_leaf=self.min_samples_leaf,
                             criterion="mse")
-            tree.fit(X, residual, leaf_value_fn=newton_leaf)
-            score += self.lr * tree.predict(X)
+            score += self.lr * tree.fit_values(X, residual, leaf_value_fn=newton_leaf)
             self.trees_.append(tree)
         return self
 

@@ -1,12 +1,20 @@
 """CART decision tree with exhaustive, deterministic split search.
 
-Split candidates are scanned over presorted feature values (midpoints
-between consecutive distinct values, or the lower value where the
-midpoint rounds onto the upper one). Equal gains resolve to the lower
-feature index, then the lower threshold, making every fit reproducible.
+The sample is argsorted once per feature at the root. Each node carries
+its own F x n order matrix, row f listing the node's rows in ascending
+order of feature f; a split partitions every row stably into the two
+children's matrices, so no node rescans the full sample. A node's split
+search is one vectorized scan over all candidate features: cumulative
+sums along each sorted row give the impurity gain at every position
+whose adjacent values differ (midpoint threshold, or the lower value
+where the midpoint rounds onto the upper one), and one flat argmax picks
+the best. Equal gains resolve to the lower feature index, then the lower
+threshold, making every fit reproducible.
+
 Supports variance-reduction splits for regression (used by gradient
 boosting, with pluggable leaf values) and Gini splits for classification
-(used by the random forest).
+(used by the random forest). ``fit_values`` also returns each training
+row's leaf value, which boosting adds to its score without a predict.
 """
 from __future__ import annotations
 
@@ -55,40 +63,55 @@ class CartTree:
         self.nodes: list[_Node] = []
 
     def fit(self, X, y, leaf_value_fn: Optional[Callable] = None) -> "CartTree":
+        self.fit_values(X, y, leaf_value_fn)
+        return self
+
+    def fit_values(self, X, y, leaf_value_fn: Optional[Callable] = None) -> np.ndarray:
+        """Fit the tree and return each training row's leaf value,
+        equal to ``predict(X)`` bit for bit."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         self.n_features_ = X.shape[1]
-        # one argsort per feature; nodes filter this order by membership
-        self._order = np.argsort(X, axis=0, kind="mergesort")
         self.nodes = []
         if leaf_value_fn is None:
             leaf_value_fn = lambda idx: float(y[idx].mean())
-        self._build(X, y, np.arange(len(y)), depth=0, leaf_value_fn=leaf_value_fn)
-        del self._order
-        return self
+        order = np.argsort(X, axis=0, kind="mergesort").T.copy()
+        out = np.empty(len(y))
+        self._build(X, y, np.arange(len(y)), order, 0, leaf_value_fn, out)
+        return out
 
-    def _leaf(self, idx, leaf_value_fn) -> int:
-        self.nodes.append(_Node(value=leaf_value_fn(idx)))
+    def _leaf(self, idx, leaf_value_fn, out) -> int:
+        value = leaf_value_fn(idx)
+        out[idx] = value
+        self.nodes.append(_Node(value=value))
         return len(self.nodes) - 1
 
-    def _build(self, X, y, idx, depth, leaf_value_fn) -> int:
+    def _build(self, X, y, idx, order, depth, leaf_value_fn, out) -> int:
+        """Grow the subtree over rows ``idx`` (ascending) whose per-feature
+        sorted orders are the rows of ``order``."""
         n = len(idx)
         if (depth >= self.max_depth or n < self.min_samples_split
                 or n < 2 * self.min_samples_leaf):
-            return self._leaf(idx, leaf_value_fn)
+            return self._leaf(idx, leaf_value_fn, out)
 
-        best = self._best_split(X, y, idx)
+        best = self._best_split(X, y, idx, order)
         if best is None:
-            return self._leaf(idx, leaf_value_fn)
+            return self._leaf(idx, leaf_value_fn, out)
         feature, threshold = best
 
-        mask = X[idx, feature] <= threshold
+        go_left = X[:, feature] <= threshold
+        mask = go_left[idx]
         left_idx = idx[mask]
         right_idx = idx[~mask]
+        in_left = go_left[order]
+        left_order = order[in_left].reshape(len(order), len(left_idx))
+        right_order = order[~in_left].reshape(len(order), len(right_idx))
         node_id = len(self.nodes)
         self.nodes.append(_Node(feature=feature, threshold=threshold))
-        self.nodes[node_id].left = self._build(X, y, left_idx, depth + 1, leaf_value_fn)
-        self.nodes[node_id].right = self._build(X, y, right_idx, depth + 1, leaf_value_fn)
+        self.nodes[node_id].left = self._build(
+            X, y, left_idx, left_order, depth + 1, leaf_value_fn, out)
+        self.nodes[node_id].right = self._build(
+            X, y, right_idx, right_order, depth + 1, leaf_value_fn, out)
         return node_id
 
     def _candidate_features(self) -> np.ndarray:
@@ -99,19 +122,15 @@ class CartTree:
         picked = self.rng.choice(self.n_features_, size=self.max_features, replace=False)
         return np.sort(picked)
 
-    def _best_split(self, X, y, idx) -> Optional[tuple[int, float]]:
+    def _best_split(self, X, y, idx, order) -> Optional[tuple[int, float]]:
         n = len(idx)
-        member = np.zeros(X.shape[0], dtype=bool)
-        member[idx] = True
         min_leaf = self.min_samples_leaf
 
-        best_gain = _MIN_GAIN
-        best: Optional[tuple[int, float]] = None
-
-        total_sum = float(y[idx].sum())
+        y_node = y[idx]
+        total_sum = float(y_node.sum())
         total_pos = total_sum
         if self.criterion == "mse":
-            total_sq = float((y[idx] ** 2).sum())
+            total_sq = float((y_node ** 2).sum())
             parent_impurity = total_sq - total_sum * total_sum / n
         else:
             parent_impurity = self._gini_ss(total_pos, n)
@@ -119,43 +138,39 @@ class CartTree:
         lo, hi = min_leaf - 1, n - min_leaf  # candidate split positions
         if hi <= lo:
             return None
-        for feature in self._candidate_features():
-            order = self._order[:, feature]
-            sorted_idx = order[member[order]]
-            values = X[sorted_idx, feature]
-            ys = y[sorted_idx]
+        feats = self._candidate_features()
+        rows = order[feats]
+        values = X[rows, feats[:, None]]
+        ys = y[rows]
 
-            boundary = values[lo:hi] != values[lo + 1:hi + 1]
-            if not boundary.any():
-                continue
-            pos = np.nonzero(boundary)[0] + lo
-            n_l = pos + 1.0
-            n_r = n - n_l
-            if self.criterion == "mse":
-                csum = np.cumsum(ys)
-                csq = np.cumsum(ys ** 2)
-                s_l = csum[pos]
-                imp_l = csq[pos] - s_l * s_l / n_l
-                s_r = total_sum - s_l
-                imp_r = (total_sq - csq[pos]) - s_r * s_r / n_r
-            else:
-                cpos = np.cumsum(ys)
-                pos_l = cpos[pos]
-                imp_l = n_l - (pos_l ** 2 + (n_l - pos_l) ** 2) / n_l
-                pos_r = total_pos - pos_l
-                imp_r = n_r - (pos_r ** 2 + (n_r - pos_r) ** 2) / n_r
-            gains = parent_impurity - imp_l - imp_r
-            k = int(np.argmax(gains))  # first max: the lowest threshold
-            if gains[k] > best_gain:
-                best_gain = float(gains[k])
-                i = int(pos[k])
-                threshold = (values[i] + values[i + 1]) / 2.0
-                # the midpoint of adjacent floats can round up onto the
-                # upper value, which would leave the right child empty
-                if not threshold < values[i + 1]:
-                    threshold = values[i]
-                best = (int(feature), float(threshold))
-        return best
+        # column j splits each sorted row after position lo + j
+        boundary = values[:, lo:hi] != values[:, lo + 1:hi + 1]
+        n_l = np.arange(lo + 1.0, hi + 1.0)
+        n_r = n - n_l
+        if self.criterion == "mse":
+            s_l = ys.cumsum(axis=1)[:, lo:hi]
+            sq_l = (ys ** 2).cumsum(axis=1)[:, lo:hi]
+            imp_l = sq_l - s_l * s_l / n_l
+            s_r = total_sum - s_l
+            imp_r = (total_sq - sq_l) - s_r * s_r / n_r
+        else:
+            pos_l = ys.cumsum(axis=1)[:, lo:hi]
+            imp_l = n_l - (pos_l ** 2 + (n_l - pos_l) ** 2) / n_l
+            pos_r = total_pos - pos_l
+            imp_r = n_r - (pos_r ** 2 + (n_r - pos_r) ** 2) / n_r
+        gains = np.where(boundary, parent_impurity - imp_l - imp_r, -np.inf)
+        # the flat argmax is row-major: first the lower feature, then
+        # the lower threshold
+        f, i = divmod(int(np.argmax(gains)), hi - lo)
+        if not gains[f, i] > _MIN_GAIN:
+            return None
+        i += lo
+        threshold = (values[f, i] + values[f, i + 1]) / 2.0
+        # the midpoint of adjacent floats can round up onto the upper
+        # value, which would leave the right child empty
+        if not threshold < values[f, i + 1]:
+            threshold = values[f, i]
+        return int(feats[f]), float(threshold)
 
     @staticmethod
     def _gini_ss(pos: float, n: int) -> float:

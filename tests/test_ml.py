@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -25,7 +26,9 @@ from proxlink.ml import (
     tune,
 )
 from proxlink.ml import smote as smote_mod
+from proxlink.ml.tree import _MIN_GAIN, _Node
 from proxlink.ml.tune import SmoteConfig
+from synth_data import synth_logit_data
 
 
 def separable_dataset(n=2000, seed=0, margin=0.5):
@@ -251,6 +254,178 @@ class TestCartTree:
         assert np.array_equal(tree.predict(X), y)
 
 
+class ReferenceCartTree(CartTree):
+    """The per-feature split search the vectorized kernel replaced: one
+    full-sample argsort filtered by a membership mask at every node, and
+    a Python loop over the candidate features."""
+
+    def fit(self, X, y, leaf_value_fn=None):
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self.n_features_ = X.shape[1]
+        self._order = np.argsort(X, axis=0, kind="mergesort")
+        self.nodes = []
+        if leaf_value_fn is None:
+            leaf_value_fn = lambda idx: float(y[idx].mean())
+        self._build(X, y, np.arange(len(y)), 0, leaf_value_fn)
+        del self._order
+        return self
+
+    def _build(self, X, y, idx, depth, leaf_value_fn):
+        n = len(idx)
+        if (depth >= self.max_depth or n < self.min_samples_split
+                or n < 2 * self.min_samples_leaf):
+            self.nodes.append(_Node(value=leaf_value_fn(idx)))
+            return len(self.nodes) - 1
+        best = self._best_split(X, y, idx)
+        if best is None:
+            self.nodes.append(_Node(value=leaf_value_fn(idx)))
+            return len(self.nodes) - 1
+        feature, threshold = best
+        mask = X[idx, feature] <= threshold
+        node_id = len(self.nodes)
+        self.nodes.append(_Node(feature=feature, threshold=threshold))
+        self.nodes[node_id].left = self._build(X, y, idx[mask], depth + 1, leaf_value_fn)
+        self.nodes[node_id].right = self._build(X, y, idx[~mask], depth + 1, leaf_value_fn)
+        return node_id
+
+    def _best_split(self, X, y, idx):
+        n = len(idx)
+        member = np.zeros(X.shape[0], dtype=bool)
+        member[idx] = True
+        min_leaf = self.min_samples_leaf
+        best_gain = _MIN_GAIN
+        best = None
+        total_sum = float(y[idx].sum())
+        total_pos = total_sum
+        if self.criterion == "mse":
+            total_sq = float((y[idx] ** 2).sum())
+            parent_impurity = total_sq - total_sum * total_sum / n
+        else:
+            parent_impurity = self._gini_ss(total_pos, n)
+        lo, hi = min_leaf - 1, n - min_leaf
+        if hi <= lo:
+            return None
+        for feature in self._candidate_features():
+            order = self._order[:, feature]
+            sorted_idx = order[member[order]]
+            values = X[sorted_idx, feature]
+            ys = y[sorted_idx]
+            boundary = values[lo:hi] != values[lo + 1:hi + 1]
+            if not boundary.any():
+                continue
+            pos = np.nonzero(boundary)[0] + lo
+            n_l = pos + 1.0
+            n_r = n - n_l
+            if self.criterion == "mse":
+                csum = np.cumsum(ys)
+                csq = np.cumsum(ys ** 2)
+                s_l = csum[pos]
+                imp_l = csq[pos] - s_l * s_l / n_l
+                s_r = total_sum - s_l
+                imp_r = (total_sq - csq[pos]) - s_r * s_r / n_r
+            else:
+                cpos = np.cumsum(ys)
+                pos_l = cpos[pos]
+                imp_l = n_l - (pos_l ** 2 + (n_l - pos_l) ** 2) / n_l
+                pos_r = total_pos - pos_l
+                imp_r = n_r - (pos_r ** 2 + (n_r - pos_r) ** 2) / n_r
+            gains = parent_impurity - imp_l - imp_r
+            k = int(np.argmax(gains))
+            if gains[k] > best_gain:
+                best_gain = float(gains[k])
+                i = int(pos[k])
+                threshold = (values[i] + values[i + 1]) / 2.0
+                if not threshold < values[i + 1]:
+                    threshold = values[i]
+                best = (int(feature), float(threshold))
+        return best
+
+
+def random_tree_case(seed):
+    """Features mixing continuous, integer-grid (heavy ties), constant and
+    adjacent-float (1.9999999999999998 / 2.0) columns, with a random
+    criterion, depth, leaf size and feature subset."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 150))
+    n_features = int(rng.integers(1, 8))
+    columns = []
+    for _ in range(n_features):
+        kind = rng.integers(4)
+        if kind == 0:
+            columns.append(rng.normal(size=n))
+        elif kind == 1:
+            columns.append(rng.integers(0, int(rng.integers(1, 6)), size=n).astype(float))
+        elif kind == 2:
+            columns.append(rng.choice([np.nextafter(2.0, 0.0), 2.0], size=n))
+        else:
+            columns.append(np.full(n, float(rng.integers(-2, 3))))
+    X = np.column_stack(columns)
+    criterion = "mse" if seed % 2 == 0 else "gini"
+    if criterion == "gini":
+        y = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(float)
+    elif rng.uniform() < 0.5:
+        y = rng.normal(size=n)
+    else:
+        y = rng.integers(-3, 4, size=n).astype(float)
+    params = dict(max_depth=int(rng.integers(1, 13)),
+                  min_samples_leaf=int(rng.integers(1, 9)),
+                  min_samples_split=int(rng.integers(2, 6)),
+                  criterion=criterion)
+    if n_features > 1 and rng.uniform() < 0.5:
+        params["max_features"] = int(rng.integers(1, n_features))
+    leaf_value_fn = None
+    if criterion == "mse" and rng.uniform() < 0.5:
+        hess = rng.uniform(0.05, 0.25, size=n)
+        leaf_value_fn = lambda idx: float(y[idx].sum() / hess[idx].sum())
+    return X, y, params, leaf_value_fn
+
+
+class TestCartTreeKernel:
+    @pytest.mark.parametrize("block", range(8))
+    def test_matches_reference_split_search(self, block):
+        for seed in range(block * 30, block * 30 + 30):
+            X, y, params, leaf_value_fn = random_tree_case(seed)
+            ref_rng = np.random.default_rng(seed)
+            new_rng = np.random.default_rng(seed)
+            ref = ReferenceCartTree(**params, rng=ref_rng).fit(X, y, leaf_value_fn)
+            tree = CartTree(**params, rng=new_rng)
+            values = tree.fit_values(X, y, leaf_value_fn)
+            assert tree.to_dict() == ref.to_dict(), seed
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state, seed
+            assert values.tobytes() == tree.predict(X).tobytes(), seed
+
+    def test_reference_cases_cover_the_grid(self):
+        cases = [random_tree_case(seed) for seed in range(240)]
+        params = [p for _, _, p, _ in cases]
+        assert {p["criterion"] for p in params} == {"mse", "gini"}
+        assert {p["min_samples_leaf"] for p in params} == set(range(1, 9))
+        assert {p["max_depth"] for p in params} == set(range(1, 13))
+        assert sum("max_features" in p for p in params) >= 50
+        assert sum(bool(np.isin(X, [np.nextafter(2.0, 0.0)]).any())
+                   for X, _, _, _ in cases) >= 50
+
+    def test_fit_returns_self_and_keeps_no_sort_state(self):
+        X, y, params, _ = random_tree_case(0)
+        tree = CartTree(**params, rng=np.random.default_rng(0))
+        assert tree.fit(X, y) is tree
+        assert not any(isinstance(v, np.ndarray) for v in vars(tree).values())
+
+
+class TestTreeEnsembleMemory:
+    @pytest.mark.parametrize("model", [
+        RandomForest(n_trees=4, max_depth=5, seed=2),
+        GradientBoostedTrees(n_trees=4, max_depth=3, seed=2),
+    ])
+    def test_trees_hold_no_per_row_array(self, model):
+        X, y = synth_logit_data(n=173, seed=3)
+        model.fit(X, y)
+        for tree in model.trees_:
+            for name, value in vars(tree).items():
+                assert not (isinstance(value, np.ndarray) and value.ndim
+                            and value.shape[0] == len(y)), name
+
+
 class TestClassifiers:
     def test_gaussian_nb_separates_blobs(self):
         X, y = gaussian_blobs()
@@ -271,6 +446,25 @@ class TestClassifiers:
                               bootstrap=False, seed=0).fit(X, y)
         single = CartTree(max_depth=3, criterion="gini").fit(X, y.astype(float))
         assert np.array_equal(forest.predict_proba(X)[:, 1], single.predict(X))
+
+    @pytest.mark.parametrize("model, json_sha, proba_sha", [
+        (RandomForest(n_trees=12, max_depth=6, min_samples_leaf=2,
+                      max_features="sqrt", bootstrap=True, seed=5),
+         "a13a7d96828070e746241ebe3f00a8ede2be18c2424e9406ffc824704005a929",
+         "7be6cf23827a7de6eac3853732396156cecb67c93c0d554491dda74fc7481014"),
+        (GradientBoostedTrees(n_trees=25, lr=0.2, max_depth=3,
+                              min_samples_leaf=2, seed=0),
+         "e9ba3263e359b68d957b5de983367625fcc194814b8fe589bf6a40983553bcd1",
+         "88e9df60e54b782285d2c39f1e790976b90dc6aa4114f295b6ba461fc2d6f210"),
+    ])
+    def test_tree_ensembles_pinned(self, model, json_sha, proba_sha):
+        # digests taken with the per-feature split search, before the
+        # vectorized kernel
+        X, y = synth_logit_data(n=400, seed=11)
+        model.fit(X, y)
+        dump = json.dumps(model.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(dump).hexdigest() == json_sha
+        assert hashlib.sha256(model.predict_proba(X).tobytes()).hexdigest() == proba_sha
 
     def test_knn_distance_tie_breaks_to_lower_index(self):
         # rows 0 and 1 coincide (distance ties exactly) with opposite labels
