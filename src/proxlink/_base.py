@@ -1,4 +1,4 @@
-"""Minimal estimator plumbing shared by every fit/transform/predict class.
+"""Minimal plumbing shared by every estimator class.
 
 The mixin mirrors the scikit-learn parameter conventions (constructor
 arguments are hyperparameters, fitted state gets a trailing underscore,

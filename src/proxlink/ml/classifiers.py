@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._base import ParamsMixin, check_fitted
-from .._validation import check_X_y, check_both_classes
+from .._validation import check_array, check_X_y, check_both_classes
 from ..logit import sigmoid
-from .tree import CartTree
+from .tree import CartTree, presort
 
 CLASSIFIER_KINDS = (
     "logistic-sgd",
@@ -40,6 +40,43 @@ class _Standardizer:
 
     def transform(self, X):
         return (X - self.mu) / self.sd
+
+
+# cap on the bytes of one block of pairwise differences in the neighbour search
+BLOCK_BYTES = 2 ** 20
+
+
+def k_nearest(R: np.ndarray, k: int, Q: np.ndarray | None = None) -> np.ndarray:
+    """Ids of the ``k`` nearest rows of ``R`` to each row of ``Q``.
+
+    Rows are ordered by squared Euclidean distance, ties by the lower row
+    index of ``R``. Without ``Q``, each row of ``R`` is matched against
+    the others and never against itself (needs ``k < len(R)``); with
+    ``Q``, needs ``k <= len(R)`` and finite ``Q``. Distances are computed
+    for a block of query rows at a time, so the temporaries stay within a
+    few times ``BLOCK_BYTES`` (and at least one query row) whatever the
+    row counts.
+    """
+    exclude_self = Q is None
+    if exclude_self:
+        Q = R
+    n_ref, n_features = R.shape
+    n_query = len(Q)
+    rows_per_block = max(1, BLOCK_BYTES // (8 * n_ref * n_features))
+    out = np.empty((n_query, k), dtype=np.intp)
+    for start in range(0, n_query, rows_per_block):
+        stop = min(n_query, start + rows_per_block)
+        d2 = ((Q[start:stop, None, :] - R[None, :, :]) ** 2).sum(axis=-1)
+        if exclude_self:
+            d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        # every candidate tied with the k-th smallest distance is kept, so
+        # the (distance, index) order below matches a full stable sort
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(d2 <= kth[:, None])  # cols ascend per row
+        order = np.lexsort((d2[rows, cols], rows))  # stable: index breaks ties
+        first = np.searchsorted(rows, np.arange(stop - start))
+        out[start:stop] = cols[order][first[:, None] + np.arange(k)]
+    return out
 
 
 class _ClassifierBase(ParamsMixin):
@@ -145,8 +182,10 @@ class GaussianNaiveBayes(_ClassifierBase):
 class KNearestNeighbors(_ClassifierBase):
     """Vote of the k nearest training rows in standardized space.
 
-    Distance ties resolve to the lower training-row index, so predictions
-    do not depend on sort stability.
+    Neighbours come from ``k_nearest``: distance ties resolve to the lower
+    training-row index, so predictions do not depend on sort stability,
+    and queries are searched in blocks whose temporaries stay within a
+    few times ``BLOCK_BYTES``.
     """
 
     def __init__(self, k: int = 5):
@@ -166,14 +205,12 @@ class KNearestNeighbors(_ClassifierBase):
 
     def predict_proba(self, X):
         check_fitted(self, "X_")
-        Z = self._scaler.transform(np.asarray(X, dtype=float))
-        p1 = np.empty(Z.shape[0])
-        idx_key = np.arange(len(self.y_))
-        for row in range(Z.shape[0]):
-            d2 = ((self.X_ - Z[row]) ** 2).sum(axis=1)
-            order = np.lexsort((idx_key, d2))[: self.k]
-            p1[row] = self.y_[order].mean()
-        return _stack_proba(p1)
+        X = check_array(X)
+        if X.shape[1] != self.X_.shape[1]:
+            raise ValueError(f"X has {X.shape[1]} features; the model was fitted "
+                             f"on {self.X_.shape[1]}")
+        Z = self._scaler.transform(X)
+        return _stack_proba(self.y_[k_nearest(self.X_, self.k, Z)].mean(axis=1))
 
     def to_json(self):
         check_fitted(self, "X_")
@@ -275,7 +312,8 @@ class RandomForest(_ClassifierBase):
             tree = CartTree(max_depth=self.max_depth,
                             min_samples_leaf=self.min_samples_leaf,
                             criterion="gini", max_features=mf, rng=rng)
-            tree.fit(X[idx], y[idx].astype(float))
+            X_tree = X[idx]
+            tree.fit(X_tree, y[idx].astype(float), presort(X_tree))
             self.trees_.append(tree)
         return self
 
@@ -319,6 +357,7 @@ class GradientBoostedTrees(_ClassifierBase):
         pos_rate = y.mean()
         self.base_score_ = float(np.log(pos_rate / (1.0 - pos_rate)))
         score = np.full(len(y), self.base_score_)
+        order = presort(X)  # every round fits the same rows
         self.trees_ = []
         for _ in range(self.n_trees):
             p = sigmoid(score)
@@ -331,7 +370,7 @@ class GradientBoostedTrees(_ClassifierBase):
             tree = CartTree(max_depth=self.max_depth,
                             min_samples_leaf=self.min_samples_leaf,
                             criterion="mse")
-            score += self.lr * tree.fit_values(X, residual, leaf_value_fn=newton_leaf)
+            score += self.lr * tree.fit_values(X, residual, order, newton_leaf)
             self.trees_.append(tree)
         return self
 

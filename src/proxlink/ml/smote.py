@@ -5,35 +5,7 @@ import numpy as np
 
 from .._base import ParamsMixin
 from .._validation import check_X_y, check_both_classes
-from .classifiers import _Standardizer
-
-# cap on the bytes of one block of pairwise differences in the neighbour search
-BLOCK_BYTES = 32 * 2 ** 20
-
-
-def k_nearest(Z: np.ndarray, k: int) -> np.ndarray:
-    """Ids of each row's ``k`` nearest other rows of ``Z``, ordered by
-    squared Euclidean distance, then by row index.
-
-    Distances are computed a block of rows at a time, so the temporaries
-    stay within a few times ``BLOCK_BYTES`` whatever the row count. Needs
-    ``k < len(Z)``.
-    """
-    n, n_features = Z.shape
-    rows_per_block = max(1, BLOCK_BYTES // (8 * n * n_features))
-    out = np.empty((n, k), dtype=np.intp)
-    for start in range(0, n, rows_per_block):
-        stop = min(n, start + rows_per_block)
-        d2 = ((Z[start:stop, None, :] - Z[None, :, :]) ** 2).sum(axis=-1)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        # every candidate tied with the k-th smallest distance is kept, so
-        # the (distance, index) order below matches a full stable sort
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        rows, cols = np.nonzero(d2 <= kth[:, None])  # cols ascend per row
-        order = np.lexsort((d2[rows, cols], rows))  # stable: index breaks ties
-        first = np.searchsorted(rows, np.arange(stop - start))
-        out[start:stop] = cols[order][first[:, None] + np.arange(k)]
-    return out
+from .classifiers import _Standardizer, k_nearest
 
 
 class Smote(ParamsMixin):

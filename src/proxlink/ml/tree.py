@@ -1,15 +1,17 @@
 """CART decision tree with exhaustive, deterministic split search.
 
-The sample is argsorted once per feature at the root. Each node carries
-its own F x n order matrix, row f listing the node's rows in ascending
-order of feature f; a split partitions every row stably into the two
-children's matrices, so no node rescans the full sample. A node's split
-search is one vectorized scan over all candidate features: cumulative
-sums along each sorted row give the impurity gain at every position
-whose adjacent values differ (midpoint threshold, or the lower value
-where the midpoint rounds onto the upper one), and one flat argmax picks
-the best. Equal gains resolve to the lower feature index, then the lower
-threshold, making every fit reproducible.
+The caller argsorts the sample once per feature (``presort``) and hands
+that order to the fit, so trees grown on the same rows, as in boosting,
+share one sort. Each node carries its own F x n order matrix, row f
+listing the node's rows in ascending order of feature f; a split
+partitions every row stably into the two children's matrices, so no
+node rescans the full sample. A node's split search is one vectorized
+scan over all candidate features: cumulative sums along each sorted row
+give the impurity gain at every position whose adjacent values differ
+(midpoint threshold, or the lower value where the midpoint rounds onto
+the upper one), and one flat argmax picks the best. Equal gains resolve
+to the lower feature index, then the lower threshold, making every fit
+reproducible.
 
 Supports variance-reduction splits for regression (used by gradient
 boosting, with pluggable leaf values) and Gini splits for classification
@@ -39,6 +41,14 @@ class _Node:
         return self.feature < 0
 
 
+def presort(X: np.ndarray) -> np.ndarray:
+    """Read-only F x n matrix whose row f lists the rows of ``X`` in
+    ascending order of feature f, ties by row index."""
+    order = np.argsort(X, axis=0, kind="mergesort").T.copy()
+    order.flags.writeable = False
+    return order
+
+
 class CartTree:
     """Binary decision tree; criterion "mse" or "gini".
 
@@ -62,20 +72,21 @@ class CartTree:
         self.rng = rng
         self.nodes: list[_Node] = []
 
-    def fit(self, X, y, leaf_value_fn: Optional[Callable] = None) -> "CartTree":
-        self.fit_values(X, y, leaf_value_fn)
+    def fit(self, X, y, order: np.ndarray,
+            leaf_value_fn: Optional[Callable] = None) -> "CartTree":
+        self.fit_values(X, y, order, leaf_value_fn)
         return self
 
-    def fit_values(self, X, y, leaf_value_fn: Optional[Callable] = None) -> np.ndarray:
-        """Fit the tree and return each training row's leaf value,
-        equal to ``predict(X)`` bit for bit."""
+    def fit_values(self, X, y, order: np.ndarray,
+                   leaf_value_fn: Optional[Callable] = None) -> np.ndarray:
+        """Fit the tree on ``X`` with its ``order = presort(X)`` and return
+        each training row's leaf value, equal to ``predict(X)`` bit for bit."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         self.n_features_ = X.shape[1]
         self.nodes = []
         if leaf_value_fn is None:
             leaf_value_fn = lambda idx: float(y[idx].mean())
-        order = np.argsort(X, axis=0, kind="mergesort").T.copy()
         out = np.empty(len(y))
         self._build(X, y, np.arange(len(y)), order, 0, leaf_value_fn, out)
         return out

@@ -344,24 +344,6 @@ class GibbsLda(ParamsMixin):
             self.doc_topic_[doc.pub_id] = theta / theta.sum()
         return self
 
-    def transform(self, docs: Sequence[TokenizedDoc], n_iter: int = 50) -> dict[str, np.ndarray]:
-        """Deterministic fold-in for unseen docs; unknown terms are skipped."""
-        check_fitted(self, "topic_term_")
-        out = {}
-        for doc in docs:
-            ids = [self.vocab_[t] for t in doc.tokens if t in self.vocab_]
-            if not ids:
-                continue
-            term_probs = self.topic_term_[:, ids]  # K x n
-            theta = np.full(self.n_topics, 1.0 / self.n_topics)
-            for _ in range(n_iter):
-                resp = term_probs * theta[:, None]
-                resp /= resp.sum(axis=0, keepdims=True)
-                theta = (resp.sum(axis=1) + self.alpha_)
-                theta /= theta.sum()
-            out[doc.pub_id] = theta
-        return out
-
     def top_words(self, top_m: int = 10) -> list[list[str]]:
         check_fitted(self, "topic_term_")
         terms = sorted(self.vocab_, key=self.vocab_.get)
@@ -382,16 +364,6 @@ class GibbsLda(ParamsMixin):
             "vocab": sorted(self.vocab_, key=self.vocab_.get),
             "topic_term": [[float(v) for v in row] for row in self.topic_term_],
         }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "GibbsLda":
-        model = cls(n_topics=payload["K"], alpha=payload["alpha"], beta=payload["beta"],
-                    iterations=payload["iterations"], seed=payload["seed"])
-        model.vocab_ = {t: i for i, t in enumerate(payload["vocab"])}
-        model.topic_term_ = np.array(payload["topic_term"], dtype=float)
-        model.doc_topic_ = {}
-        model.skipped_ = ()
-        return model
 
 
 # ---------------------------------------------------------------------------

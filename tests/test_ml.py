@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,8 +26,8 @@ from proxlink.ml import (
     stratified_split,
     tune,
 )
-from proxlink.ml import smote as smote_mod
-from proxlink.ml.tree import _MIN_GAIN, _Node
+from proxlink.ml import classifiers as classifiers_mod
+from proxlink.ml.tree import _MIN_GAIN, _Node, presort
 from proxlink.ml.tune import SmoteConfig
 from synth_data import synth_logit_data
 
@@ -132,19 +133,60 @@ class TestSmote:
         Z[10:15] = Z[3]
         d2 = ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
-        monkeypatch.setattr(smote_mod, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", block_bytes)
         for k in (1, 4, 9, 39):
             expected = np.argsort(d2, axis=1, kind="mergesort")[:, :k]
-            assert np.array_equal(smote_mod.k_nearest(Z, k), expected), k
+            assert np.array_equal(classifiers_mod.k_nearest(Z, k), expected), k
 
     def test_block_size_leaves_resample_unchanged(self, monkeypatch):
         rng = np.random.default_rng(7)
         X = np.round(rng.normal(size=(90, 3)), 1)
         y = np.array([1] * 30 + [0] * 60)
         a = Smote(k=5, seed=1).fit_resample(X, y)
-        monkeypatch.setattr(smote_mod, "BLOCK_BYTES", 8 * 30 * 3 * 7)
+        monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", 8 * 30 * 3 * 7)
         b = Smote(k=5, seed=1).fit_resample(X, y)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def reference_knn_ids(R, Q, k):
+    """The per-row search the blocked kernel replaced in the kNN
+    classifier: one full lexsort over every reference row per query."""
+    idx_key = np.arange(len(R))
+    return np.array([np.lexsort((idx_key, ((R - q) ** 2).sum(axis=1)))[:k] for q in Q])
+
+
+class TestNeighbourKernel:
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 30 * 2 * 4, 2 ** 40])
+    def test_queries_match_per_row_sort(self, monkeypatch, block_bytes):
+        # duplicate reference rows and queries on the same coarse grid give
+        # exact ties and zero distances; blocks of 1 row, 4 rows and all
+        rng = np.random.default_rng(12)
+        R = rng.integers(0, 3, size=(30, 2)).astype(float)
+        R[5:9] = R[0]
+        Q = np.vstack([rng.integers(0, 3, size=(17, 2)).astype(float), R[:3],
+                       [[0.5, 1.5], [9.0, -9.0]]])
+        R_cont = rng.normal(size=(300, 7))
+        Q_cont = np.vstack([rng.normal(size=(60, 7)), R_cont[::50]])
+        monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", block_bytes)
+        for R, Q, ks in ((R, Q, (1, 2, 7, 30)), (R_cont, Q_cont, (1, 5, 300))):
+            for k in ks:
+                expected = reference_knn_ids(R, Q, k)
+                assert np.array_equal(classifiers_mod.k_nearest(R, k, Q), expected), k
+
+    def test_temporaries_stay_within_two_blocks(self, monkeypatch):
+        # the dense difference tensor would take 168 MB here
+        rng = np.random.default_rng(15)
+        R = rng.normal(size=(2000, 7))
+        Q = rng.normal(size=(1500, 7))
+        monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", 2 ** 20)
+        for args in ((R, 5, Q), (R, 5)):
+            tracemalloc.start()
+            try:
+                out = classifiers_mod.k_nearest(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20 + out.nbytes, len(args)
 
 
 class TestSplits:
@@ -211,7 +253,7 @@ class TestCartTree:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        tree = CartTree(max_depth=1, criterion="mse").fit(X, y)
+        tree = CartTree(max_depth=1, criterion="mse").fit(X, y, presort(X))
 
         def sse(values):
             return float(((values - values.mean()) ** 2).sum()) if len(values) else 0.0
@@ -235,7 +277,7 @@ class TestCartTree:
         x = np.array([0.0, 1.0, 2.0, 3.0])
         X = np.column_stack([x, x])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        tree = CartTree(max_depth=1, criterion="mse").fit(X, y)
+        tree = CartTree(max_depth=1, criterion="mse").fit(X, y, presort(X))
         assert tree.root_split == (0, 1.5)
 
     @pytest.mark.parametrize("criterion", ["mse", "gini"])
@@ -248,7 +290,7 @@ class TestCartTree:
         y = np.array([0.0, 0.0, 1.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            tree = CartTree(max_depth=1, criterion=criterion).fit(X, y)
+            tree = CartTree(max_depth=1, criterion=criterion).fit(X, y, presort(X))
         feature, threshold = tree.root_split
         assert lo <= threshold < hi
         assert np.array_equal(tree.predict(X), y)
@@ -390,7 +432,7 @@ class TestCartTreeKernel:
             new_rng = np.random.default_rng(seed)
             ref = ReferenceCartTree(**params, rng=ref_rng).fit(X, y, leaf_value_fn)
             tree = CartTree(**params, rng=new_rng)
-            values = tree.fit_values(X, y, leaf_value_fn)
+            values = tree.fit_values(X, y, presort(X), leaf_value_fn)
             assert tree.to_dict() == ref.to_dict(), seed
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state, seed
             assert values.tobytes() == tree.predict(X).tobytes(), seed
@@ -408,7 +450,7 @@ class TestCartTreeKernel:
     def test_fit_returns_self_and_keeps_no_sort_state(self):
         X, y, params, _ = random_tree_case(0)
         tree = CartTree(**params, rng=np.random.default_rng(0))
-        assert tree.fit(X, y) is tree
+        assert tree.fit(X, y, presort(X)) is tree
         assert not any(isinstance(v, np.ndarray) for v in vars(tree).values())
 
 
@@ -444,7 +486,7 @@ class TestClassifiers:
         X, y = gaussian_blobs(n_per_class=50)
         forest = RandomForest(n_trees=1, max_depth=3, max_features=None,
                               bootstrap=False, seed=0).fit(X, y)
-        single = CartTree(max_depth=3, criterion="gini").fit(X, y.astype(float))
+        single = CartTree(max_depth=3, criterion="gini").fit(X, y.astype(float), presort(X))
         assert np.array_equal(forest.predict_proba(X)[:, 1], single.predict(X))
 
     @pytest.mark.parametrize("model, json_sha, proba_sha", [
@@ -473,6 +515,56 @@ class TestClassifiers:
         model = KNearestNeighbors(k=1).fit(X, y)
         # index 0 (label 1) must win the tie
         assert model.predict_proba(np.array([[1.0]]))[0, 1] == 1.0
+
+    @pytest.mark.parametrize("k", [1, 4, 60])
+    def test_knn_vote_matches_per_row_search(self, k):
+        rng = np.random.default_rng(14)
+        X = np.round(rng.normal(size=(60, 3)), 1)
+        X[10:14] = X[2]
+        y = (rng.uniform(size=60) < 0.4).astype(int)
+        Q = np.vstack([np.round(rng.normal(size=(25, 3)), 1), X[:5]])
+        model = KNearestNeighbors(k=k).fit(X, y)
+        ids = reference_knn_ids(model.X_, model._scaler.transform(Q), k)
+        expected = np.column_stack([1.0 - y[ids].mean(axis=1), y[ids].mean(axis=1)])
+        assert model.predict_proba(Q).tobytes() == expected.tobytes()
+
+    def test_knn_rejects_bad_queries(self):
+        X, y = gaussian_blobs(n_per_class=10, dim=2)
+        model = KNearestNeighbors(k=3).fit(X, y)
+        # a NaN row would match no candidate in its block and shift the
+        # other rows' neighbour lists
+        Q = X[:4].copy()
+        Q[1, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            model.predict_proba(Q)
+        Q[1, 0] = np.inf
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            model.predict_proba(Q)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            model.predict_proba(X[0])
+        with pytest.raises(ValueError, match="features"):
+            model.predict_proba(X[:, :1])
+
+    def test_boosting_sorts_once_per_fit(self, monkeypatch):
+        sorts, orders = [], []
+        argsort = np.argsort
+        fit_values = CartTree.fit_values
+
+        def counting_argsort(*args, **kwargs):
+            sorts.append(1)
+            return argsort(*args, **kwargs)
+
+        def recording_fit_values(self, X, y, order, *args):
+            orders.append(order)
+            return fit_values(self, X, y, order, *args)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        monkeypatch.setattr(CartTree, "fit_values", recording_fit_values)
+        X, y = synth_logit_data(n=120, seed=3)
+        GradientBoostedTrees(n_trees=6, max_depth=2).fit(X, y)
+        assert len(sorts) == 1
+        assert len(orders) == 6 and all(o is orders[0] for o in orders)
+        assert not orders[0].flags.writeable
 
     def test_all_kinds_deterministic_under_seed(self):
         X, y = separable_dataset(n=300, seed=4)
@@ -555,7 +647,7 @@ class TestCrossValAndTune:
             r2 = cross_val_auc(spec, X, y, folds=4, smote=SmoteConfig(k=3), seed=2)
             assert r1 == r2, kind
 
-    def test_cross_val_auc_values_pinned(self):
+    def test_cross_val_auc_values_pinned(self, monkeypatch):
         # overlapping, imbalanced blobs; values recorded before fold sets
         # were shared between candidates
         rng = np.random.default_rng(11)
@@ -570,10 +662,13 @@ class TestCrossValAndTune:
             "gradient-boosted-trees": (0.6916666666666667, 0.675, 0.819047619047619,
                                        0.6666666666666666),
         }
-        for kind, aucs in expected.items():
-            spec = ClassifierSpec.create(kind, seed=1)
-            assert cross_val_auc(spec, X, y, folds=4, smote=SmoteConfig(k=3),
-                                 seed=2) == aucs, kind
+        # one-row neighbour blocks give the same values
+        for block_bytes in (classifiers_mod.BLOCK_BYTES, 1):
+            monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", block_bytes)
+            for kind, aucs in expected.items():
+                spec = ClassifierSpec.create(kind, seed=1)
+                assert cross_val_auc(spec, X, y, folds=4, smote=SmoteConfig(k=3),
+                                     seed=2) == aucs, (kind, block_bytes)
 
     @pytest.mark.parametrize("n_random", [1, 6])
     def test_tune_resamples_each_fold_once(self, monkeypatch, n_random):

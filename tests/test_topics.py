@@ -182,22 +182,6 @@ class TestGibbsLda:
         assert model.skipped_ == ("EMPTY",)
         assert "EMPTY" not in model.doc_topic_
 
-    def test_transform_skips_unseen_terms(self):
-        docs, _, _ = synthetic_topic_docs(n_docs=30)
-        model = GibbsLda(n_topics=3, iterations=30, seed=0).fit(docs)
-        known = TokenizedDoc("new1", ("t0w0", "t0w1", "nonsense"))
-        unknown_only = TokenizedDoc("new2", ("nonsense", "gibberish"))
-        out = model.transform([known, unknown_only])
-        assert "new1" in out and "new2" not in out
-        assert abs(out["new1"].sum() - 1.0) < 1e-9
-
-    def test_json_round_trip(self):
-        docs, _, _ = synthetic_topic_docs(n_docs=30)
-        model = GibbsLda(n_topics=3, iterations=30, seed=0).fit(docs)
-        clone = GibbsLda.from_json(model.to_json())
-        assert np.array_equal(clone.topic_term_, model.topic_term_)
-        assert clone.vocab_ == model.vocab_
-
 
 class TestCoherence:
     def test_npmi_perfect_association_is_one(self):
