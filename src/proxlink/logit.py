@@ -34,13 +34,11 @@ class RankDeficiencyError(ValueError):
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so no exp overflows."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:

@@ -79,18 +79,117 @@ def k_nearest(R: np.ndarray, k: int, Q: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _step_rows(seed: int, n: int, epochs: int, block: int):
+    """One SGD lane's row ids, ``block`` steps at a time.
+
+    Each epoch is a fresh ``permutation(n)`` of ``default_rng(seed)``;
+    after the last epoch the blocks are padded with row 0.
+    """
+    rng = np.random.default_rng(seed)
+    rows = np.empty(0, dtype=np.intp)
+    for _ in range(epochs):
+        rows = np.concatenate([rows, rng.permutation(n)])
+        while len(rows) >= block:
+            yield rows[:block]
+            rows = rows[block:]
+    while True:
+        yield np.concatenate([rows, np.zeros(block - len(rows), dtype=np.intp)])
+        rows = rows[:0]
+
+
+def sgd_logistic_lanes(Z: list, y: list, lanes: list) -> tuple:
+    """Fit C SGD-logistic lanes in lockstep; returns weights (C, F) and intercepts (C,).
+
+    ``Z`` and ``y`` hold standardized training matrices and their 0/1
+    labels. Lane c is ``(set, lr, l2, epochs, seed)``: it trains on
+    ``Z[set]`` for ``epochs`` passes, each over a fresh permutation from
+    ``default_rng(seed)``, with the step size ``lr / (1 + lr * l2 * t)``
+    at its t-th step and an unpenalized intercept. All lanes take step t
+    together; a lane past its last step gets step size 0. Every operation
+    acts on each lane's row alone, and ``(x * W).sum(axis=1)`` adds a
+    row's F products in the same order whatever C is, so a lane's bits do
+    not depend on the other lanes. The gathered step rows are built ``block`` steps at a
+    time, so they stay within about ``BLOCK_BYTES`` (and at least one step);
+    besides them, each distinct (seed, set) holds one epoch's permutation.
+    """
+    sets, lr, l2, epochs, seeds = zip(*lanes)
+    lr, l2 = np.array(lr, dtype=float), np.array(l2, dtype=float)
+    n_rows = np.array([len(labels) for labels in y])
+    offsets = np.cumsum(n_rows) - n_rows
+    Z_all = np.concatenate(Z)
+    y_all = np.concatenate(y).astype(float)
+    n_lanes, n_features = len(lanes), Z_all.shape[1]
+    lane_offset, lane_rows = offsets[list(sets)], n_rows[list(sets)]
+    last_step = np.array(epochs) * lane_rows
+    n_steps = int(last_step.max())
+    block = max(1, BLOCK_BYTES // (8 * n_lanes * n_features))
+
+    # lanes with one seed and one row set walk one stream of row ids
+    streams: dict = {}
+    for seed, s, e in zip(seeds, sets, epochs):
+        streams[seed, s] = max(streams.get((seed, s), 0), e)
+    position = {key: i for i, key in enumerate(streams)}
+    stream_of = [position[key] for key in zip(seeds, sets)]
+    walks = [_step_rows(seed, n_rows[s], e, block) for (seed, s), e in streams.items()]
+
+    l2_col = l2[:, None]
+    lr_l2 = lr * l2
+    W = np.zeros((n_lanes, n_features))
+    b = np.zeros(n_lanes)
+    for start in range(0, n_steps, block):
+        stop = min(n_steps, start + block)
+        ids = np.stack([next(walk) for walk in walks])[stream_of, :stop - start].T
+        ids += lane_offset
+        t = np.arange(start + 1, stop + 1, dtype=float)[:, None]
+        eta = lr / (1.0 + lr_l2 * t)
+        eta[t > last_step] = 0.0
+        _sgd_steps(W, b, Z_all[ids], y_all[ids], eta, l2_col)
+    return W, b
+
+
+def _sgd_steps(W, b, X_steps, y_steps, eta, l2_col) -> None:
+    """Update ``W`` and ``b`` in place, one step per row of ``eta``.
+
+    A function of its own, so that the loop variables (views into this
+    block) are gone before the caller gathers the next block.
+    """
+    for x, target, step in zip(X_steps, y_steps, eta):
+        grad = sigmoid((x * W).sum(axis=1) + b) - target
+        W -= step[:, None] * (grad[:, None] * x + l2_col * W)
+        b -= step * grad
+
+
+def _fit_inputs(X, y):
+    X, y = check_X_y(X, y)
+    check_both_classes(y)
+    return X, y
+
+
 class _ClassifierBase(ParamsMixin):
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X)[:, 1] >= 0.5).astype(int)
 
     def _check_fit_inputs(self, X, y):
-        X, y = check_X_y(X, y)
-        check_both_classes(y)
+        X, y = _fit_inputs(X, y)
+        self.n_features_in_ = X.shape[1]
         return X, y
+
+    def _check_query(self, X) -> np.ndarray:
+        """A finite 2-D float matrix with the training feature count."""
+        X = check_array(X)
+        if X.shape[1] != self.n_features_in_:
+            raise ValueError(f"X has {X.shape[1]} features; the model was fitted "
+                             f"on {self.n_features_in_}")
+        return X
 
 
 class SgdLogistic(_ClassifierBase):
-    """Logistic regression by stochastic gradient descent on the log loss."""
+    """Logistic regression by stochastic gradient descent on the log loss.
+
+    ``fit`` is ``fit_grid`` with one model and one fold, i.e. the lockstep
+    kernel ``sgd_logistic_lanes`` with one lane, so a model fitted alone
+    gets the same bits as when it is fitted among a search's candidates.
+    """
 
     def __init__(self, lr: float = 0.1, epochs: int = 30, l2: float = 1e-4,
                  seed: int = 0):
@@ -103,29 +202,37 @@ class SgdLogistic(_ClassifierBase):
         self.coef_ = None
 
     def fit(self, X, y):
-        X, y = self._check_fit_inputs(X, y)
-        self._scaler = _Standardizer().fit(X)
-        Z = self._scaler.transform(X)
-        n, f = Z.shape
-        rng = np.random.default_rng(self.seed)
-        w = np.zeros(f)
-        b = 0.0
-        t = 0
-        for _ in range(self.epochs):
-            for i in rng.permutation(n):
-                t += 1
-                eta = self.lr / (1.0 + self.lr * self.l2 * t)
-                p = float(sigmoid(Z[i] @ w + b))
-                grad = p - y[i]
-                w -= eta * (grad * Z[i] + self.l2 * w)
-                b -= eta * grad
-        self.coef_ = w
-        self.intercept_ = b
-        return self
+        return SgdLogistic.fit_grid([self], [(X, y)])[0][0]
+
+    @staticmethod
+    def fit_grid(models: list, folds: list) -> list:
+        """Fit every model on every ``(X, y)`` fold in one lockstep call.
+
+        Returns ``out[m][f]``: ``models[m]`` itself where there is one
+        fold, else a fitted copy per fold. The models of a fold share one
+        standardizer, fitted on that fold's rows.
+        """
+        checked = [_fit_inputs(X, y) for X, y in folds]
+        scalers = [_Standardizer().fit(X) for X, _ in checked]
+        W, b = sgd_logistic_lanes(
+            [sc.transform(X) for sc, (X, _) in zip(scalers, checked)],
+            [y for _, y in checked],
+            [(f, m.lr, m.l2, m.epochs, m.seed) for m in models for f in range(len(folds))])
+        out = []
+        for m, model in enumerate(models):
+            row = []
+            for f, scaler in enumerate(scalers):
+                fitted = model if len(folds) == 1 else SgdLogistic(**model.get_params())
+                lane = m * len(folds) + f
+                fitted._scaler, fitted.n_features_in_ = scaler, W.shape[1]
+                fitted.coef_, fitted.intercept_ = W[lane], float(b[lane])
+                row.append(fitted)
+            out.append(row)
+        return out
 
     def predict_proba(self, X):
         check_fitted(self, "coef_")
-        Z = self._scaler.transform(np.asarray(X, dtype=float))
+        Z = self._scaler.transform(self._check_query(X))
         return _stack_proba(sigmoid(Z @ self.coef_ + self.intercept_))
 
     def to_json(self):
@@ -155,7 +262,7 @@ class GaussianNaiveBayes(_ClassifierBase):
         return self
 
     def _log_joint(self, X):
-        X = np.asarray(X, dtype=float)
+        X = self._check_query(X)
         out = np.empty((X.shape[0], 2))
         for c in (0, 1):
             diff = X - self.theta_[c]
@@ -205,11 +312,7 @@ class KNearestNeighbors(_ClassifierBase):
 
     def predict_proba(self, X):
         check_fitted(self, "X_")
-        X = check_array(X)
-        if X.shape[1] != self.X_.shape[1]:
-            raise ValueError(f"X has {X.shape[1]} features; the model was fitted "
-                             f"on {self.X_.shape[1]}")
-        Z = self._scaler.transform(X)
+        Z = self._scaler.transform(self._check_query(X))
         return _stack_proba(self.y_[k_nearest(self.X_, self.k, Z)].mean(axis=1))
 
     def to_json(self):
@@ -258,7 +361,7 @@ class LinearSvm(_ClassifierBase):
 
     def decision_function(self, X):
         check_fitted(self, "coef_")
-        Z = self._scaler.transform(np.asarray(X, dtype=float))
+        Z = self._scaler.transform(self._check_query(X))
         return Z @ self.coef_ + self.intercept_
 
     def predict_proba(self, X):
@@ -319,7 +422,7 @@ class RandomForest(_ClassifierBase):
 
     def predict_proba(self, X):
         check_fitted(self, "trees_")
-        X = np.asarray(X, dtype=float)
+        X = self._check_query(X)
         votes = np.zeros(X.shape[0])
         for tree in self.trees_:
             votes += tree.predict(X)
@@ -376,7 +479,7 @@ class GradientBoostedTrees(_ClassifierBase):
 
     def decision_function(self, X):
         check_fitted(self, "trees_")
-        X = np.asarray(X, dtype=float)
+        X = self._check_query(X)
         score = np.full(X.shape[0], self.base_score_)
         for tree in self.trees_:
             score += self.lr * tree.predict(X)

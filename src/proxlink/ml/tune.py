@@ -1,11 +1,12 @@
-"""Two-stage hyperparameter search: random exploration, then a grid
-around the winner.
+"""Two-stage hyperparameter search: random exploration, then a grid of
+the winner's neighbours.
 
 Every candidate is scored by mean AUC over stratified CV folds, with
 minority oversampling applied to each fold's training part only; the
 validation rows are always original rows. The folds are built and
-resampled once per search and shared by every candidate. Ties go to the
-smaller model, then the earlier candidate.
+resampled once per search and shared by every candidate, and each
+distinct candidate is scored once per search. Ties go to the smaller
+model, then the earlier candidate.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .._rng import stable_seed
-from .classifiers import ClassifierSpec, make_classifier, model_size
+from .classifiers import ClassifierSpec, SgdLogistic, make_classifier, model_size
 from .metrics import auc
 from .smote import Smote
 from .split import stratified_folds
@@ -54,7 +55,7 @@ class TunePlan:
     remain faithful to the two-stage structure."""
 
     n_random: int = 200
-    grid_span: float = 1.5  # neighbour multiplier per axis around the winner
+    grid_span: float = 1.5  # neighbour multiplier per axis (see _grid_axis)
     grid_points: int = 3    # values per axis, winner included
     max_grid_fits: int = 512
     folds: int = 5
@@ -117,17 +118,36 @@ def build_fold_sets(X, y, folds: int = 5, smote: Optional[SmoteConfig] = None,
     return out
 
 
+def _validation_auc(model, X_va, y_va) -> float:
+    return auc(model.predict_proba(X_va)[:, 1], y_va)
+
+
 def score_spec(spec: ClassifierSpec, fold_sets: list[tuple]) -> tuple:
     """Validation AUC per fold of a fresh ``spec`` model fit on each fold."""
-    return tuple(
-        auc(make_classifier(spec).fit(X_tr, y_tr).predict_proba(X_va)[:, 1], y_va)
-        for X_tr, y_tr, X_va, y_va in fold_sets)
+    # one model alive at a time: each is dropped before the next is fitted
+    return tuple(_validation_auc(make_classifier(spec).fit(X_tr, y_tr), X_va, y_va)
+                 for X_tr, y_tr, X_va, y_va in fold_sets)
+
+
+def score_specs(specs: list[ClassifierSpec], fold_sets: list[tuple]) -> list[tuple]:
+    """``score_spec`` of each spec. The logistic-sgd specs are fitted on
+    every fold in one lockstep call, which gives the same models as
+    fitting them one at a time."""
+    sgd = [spec for spec in specs if spec.kind == "logistic-sgd"]
+    fitted = {}
+    if sgd:
+        folds = [(X_tr, y_tr) for X_tr, y_tr, _, _ in fold_sets]
+        fitted = dict(zip(sgd, SgdLogistic.fit_grid(
+            [make_classifier(spec) for spec in sgd], folds)))
+    return [tuple(_validation_auc(model, X_va, y_va)
+                  for model, (_, _, X_va, y_va) in zip(fitted[spec], fold_sets))
+            if spec in fitted else score_spec(spec, fold_sets) for spec in specs]
 
 
 def cross_val_auc(spec: ClassifierSpec, X, y, folds: int = 5,
                   smote: Optional[SmoteConfig] = None, seed: int = 0) -> tuple:
     """Per-fold validation AUCs; oversampling never touches validation rows."""
-    return score_spec(spec, build_fold_sets(X, y, folds, smote, seed))
+    return score_specs([spec], build_fold_sets(X, y, folds, smote, seed))[0]
 
 
 def _sample_params(kind: str, rng: np.random.Generator) -> dict:
@@ -145,7 +165,15 @@ def _sample_params(kind: str, rng: np.random.Generator) -> dict:
 
 
 def _grid_axis(name: str, sampler: str, lo, hi, winner, span: float, points: int) -> list:
-    """Neighbour values around the winner, winner always included."""
+    """Grid values on one axis: the ``max(points, 3)`` smallest of the
+    winner and its neighbours ``winner * span**±j``, j = 1 ..
+    ``(points - 1) // 2 + 1`` (rounded on integer axes, clipped to
+    ``[lo, hi]``), plus the winner if the cut dropped it.
+
+    The values are cut from below, so the axis is not centred on the
+    winner: with 3 points and ``winner / span**2 >= lo`` it is
+    ``[winner / span**2, winner / span, winner]`` and never goes above it.
+    """
     values = {winner}
     steps = (points - 1) // 2 + 1
     for step in range(1, steps + 1):
@@ -176,11 +204,14 @@ def tune(kind: str, X, y, plan: Optional[TunePlan] = None, seed: int = 0,
             kind, seed=stable_seed(seed, kind, "spec"), **params))
 
     fold_sets = build_fold_sets(X, y, plan.folds, plan.smote, stable_seed(seed, "cv"))
+    scores: dict[ClassifierSpec, tuple] = {}  # fold AUCs of every spec scored so far
 
     def evaluate(stage: str, specs: list[ClassifierSpec]):
+        unscored = list(dict.fromkeys(spec for spec in specs if spec not in scores))
+        scores.update(zip(unscored, score_specs(unscored, fold_sets)))
         results = []
         for i, spec in enumerate(specs):
-            fold_aucs = score_spec(spec, fold_sets)
+            fold_aucs = scores[spec]
             mean = float(np.mean(fold_aucs))
             results.append((spec, fold_aucs, mean))
             if log is not None:

@@ -22,6 +22,26 @@ from proxlink.logit import (
 from synth_data import LOGIT_FEATURES, TRUE_LOGIT_BETA, synth_logit_data
 
 
+def masked_sigmoid(z):
+    """The two-exp form ``sigmoid`` replaced: each branch over its own mask."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bits_match_masked_form():
+    rng = np.random.default_rng(5)
+    z = np.concatenate([rng.normal(0, 1, 5000), rng.normal(0, 40, 5000),
+                        [0.0, -0.0, 5e-324, -5e-324, 709.8, -745.2, 1e308, -1e308,
+                         np.inf, -np.inf, np.nan]])
+    assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+    assert float(sigmoid(-3.5)) == float(masked_sigmoid(-3.5))
+
+
 class TestIRLSRecovery:
     def test_recovers_known_coefficients(self):
         X, y = synth_logit_data(n=10_000, seed=0)

@@ -27,6 +27,7 @@ from proxlink.ml import (
     tune,
 )
 from proxlink.ml import classifiers as classifiers_mod
+from proxlink.logit import sigmoid
 from proxlink.ml.tree import _MIN_GAIN, _Node, presort
 from proxlink.ml.tune import SmoteConfig
 from synth_data import synth_logit_data
@@ -50,6 +51,14 @@ def separable_dataset(n=2000, seed=0, margin=0.5):
         rows.append(x)
         labels.append(1 if score > 0 else 0)
     return np.array(rows), np.array(labels)
+
+
+def overlapping_blobs():
+    """Overlapping, imbalanced 3-feature blobs: 120 negatives, 30 positives."""
+    rng = np.random.default_rng(11)
+    X = np.vstack([rng.normal(0.0, 1.0, size=(120, 3)),
+                   rng.normal(0.8, 1.0, size=(30, 3))])
+    return X, np.array([0] * 120 + [1] * 30)
 
 
 def gaussian_blobs(n_per_class=200, dim=4, gap=5.0, seed=0):
@@ -648,13 +657,14 @@ class TestCrossValAndTune:
             assert r1 == r2, kind
 
     def test_cross_val_auc_values_pinned(self, monkeypatch):
-        # overlapping, imbalanced blobs; values recorded before fold sets
-        # were shared between candidates
-        rng = np.random.default_rng(11)
-        X = np.vstack([rng.normal(0.0, 1.0, size=(120, 3)),
-                       rng.normal(0.8, 1.0, size=(30, 3))])
-        y = np.array([0] * 120 + [1] * 30)
+        # naive Bayes, kNN and boosting values recorded before fold sets were
+        # shared between candidates; the SGD and SVM values with the
+        # per-sample SGD fits, before the lockstep kernel
+        X, y = overlapping_blobs()
         expected = {
+            "logistic-sgd": (0.7916666666666666, 0.8625, 0.8, 0.9142857142857143),
+            "linear-svm": (0.7666666666666667, 0.775, 0.780952380952381,
+                           0.8809523809523809),
             "gaussian-naive-bayes": (0.8, 0.8333333333333334, 0.819047619047619,
                                      0.7857142857142857),
             "k-nearest-neighbors": (0.5479166666666667, 0.7791666666666667, 0.75,
@@ -662,7 +672,7 @@ class TestCrossValAndTune:
             "gradient-boosted-trees": (0.6916666666666667, 0.675, 0.819047619047619,
                                        0.6666666666666666),
         }
-        # one-row neighbour blocks give the same values
+        # one-row neighbour blocks and one-step SGD blocks give the same values
         for block_bytes in (classifiers_mod.BLOCK_BYTES, 1):
             monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", block_bytes)
             for kind, aucs in expected.items():
@@ -739,3 +749,234 @@ class TestCrossValAndTune:
         best_random = max(random_rows, key=lambda r: r["mean_auc"])
         assert any(r["hyperparameters"] == best_random["hyperparameters"]
                    for r in grid_rows)
+
+    def test_score_spec_keeps_one_model_alive(self, monkeypatch):
+        import sys
+        import weakref
+
+        tune_mod = sys.modules["proxlink.ml.tune"]
+        alive, seen = weakref.WeakSet(), []
+
+        class Probe(GaussianNaiveBayes):
+            def fit(self, X, y):
+                seen.append(len(alive))
+                alive.add(self)
+                return super().fit(X, y)
+
+        monkeypatch.setattr(tune_mod, "make_classifier", lambda spec: Probe())
+        X, y = separable_dataset(n=120, seed=5)
+        fold_sets = tune_mod.build_fold_sets(X, y, folds=4)
+        tune_mod.score_spec(ClassifierSpec.create("gaussian-naive-bayes"), fold_sets)
+        assert seen == [0, 0, 0, 0]
+
+    def test_tune_fits_each_distinct_spec_once_per_fold(self, monkeypatch):
+        # 40 draws of k in 1..25 repeat, and the random winner comes back
+        # as a grid row
+        fits = []
+        original = KNearestNeighbors.fit
+
+        def counting(self, X, y):
+            fits.append(self.k)
+            return original(self, X, y)
+
+        monkeypatch.setattr(KNearestNeighbors, "fit", counting)
+        X, y = separable_dataset(n=150, seed=9)
+        log = []
+        tune("k-nearest-neighbors", X, y, plan=TunePlan(n_random=40, folds=3, smote=None),
+             seed=5, log=log)
+        distinct = {json.loads(r["hyperparameters"])["k"] for r in log}
+        assert len(distinct) < 40 < len(log)
+        assert sorted(fits) == sorted(list(distinct) * 3)
+
+    def test_tune_scores_random_winner_once(self, monkeypatch):
+        fits = []
+        original = GradientBoostedTrees.fit
+
+        def counting(self, X, y):
+            fits.append(self.get_params())
+            return original(self, X, y)
+
+        monkeypatch.setattr(GradientBoostedTrees, "fit", counting)
+        X, y = separable_dataset(n=120, seed=2)
+        log = []
+        tune("gradient-boosted-trees", X, y,
+             plan=TunePlan(n_random=1, max_grid_fits=1, folds=3, smote=None), seed=0, log=log)
+        assert [r["stage"] for r in log] == ["random", "grid", "grid"]
+        assert log[0]["hyperparameters"] == log[1]["hyperparameters"]
+        assert log[0]["fold_aucs"] == log[1]["fold_aucs"]
+        assert len(fits) == 2 * 3
+
+    def test_tune_fits_sgd_candidates_in_one_call_per_stage(self, monkeypatch):
+        calls = []
+        original = classifiers_mod.sgd_logistic_lanes
+
+        def counting(Z, y, lanes):
+            calls.append(len(lanes))
+            return original(Z, y, lanes)
+
+        monkeypatch.setattr(classifiers_mod, "sgd_logistic_lanes", counting)
+        X, y = overlapping_blobs()
+        log = []
+        tune("logistic-sgd", X, y, plan=TunePlan(n_random=6, max_grid_fits=4, folds=3,
+                                                 smote=SmoteConfig(k=3)), seed=5, log=log)
+        random = {r["hyperparameters"] for r in log if r["stage"] == "random"}
+        grid = {r["hyperparameters"] for r in log if r["stage"] == "grid"}
+        assert calls == [3 * len(random), 3 * len(grid - random)]
+
+    @pytest.mark.parametrize("kind, n_random, max_grid_fits, digest", [
+        ("k-nearest-neighbors", 40, 512,
+         "087f35325e14a5cb702d121fc5a6b34abd550ff09e874e4b5b6b3b34dced45ee"),
+        ("gradient-boosted-trees", 3, 4,
+         "8f7203df6e369605f6610703a00789144f0a6bff9cb2041993191025bfbcabfd"),
+        ("logistic-sgd", 4, 6,
+         "5b55c5c2f00321a41d2f7a7758b146402cd4d4649b25a846d5f0c8b7240bedaa"),
+        ("linear-svm", 4, 6,
+         "7c7385ee0fc36eafb41bcdd3960de5184cc88056c63adc52d530fdb8b40094d8"),
+        ("gaussian-naive-bayes", 5, 3,
+         "ba73a40733b99b547ab9c4660907d91f225a37f1e4636a09bbb9f79db95d211d"),
+    ])
+    def test_tune_log_rows_pinned(self, kind, n_random, max_grid_fits, digest):
+        # digests taken when every log row was scored afresh with
+        # per-sample SGD fits
+        X, y = overlapping_blobs()
+        log = []
+        tune(kind, X, y, plan=TunePlan(n_random=n_random, max_grid_fits=max_grid_fits,
+                                       folds=3, smote=SmoteConfig(k=3)), seed=5, log=log)
+        dump = json.dumps(log, sort_keys=True).encode()
+        assert hashlib.sha256(dump).hexdigest() == digest
+
+
+def reference_sgd_fit(model, X, y):
+    """The per-sample fit the lockstep kernel replaced in ``SgdLogistic.fit``:
+    one dot product and one scalar sigmoid per step."""
+    Z = classifiers_mod._Standardizer().fit(X).transform(X)
+    n, f = Z.shape
+    rng = np.random.default_rng(model.seed)
+    w = np.zeros(f)
+    b = 0.0
+    t = 0
+    for _ in range(model.epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = model.lr / (1.0 + model.lr * model.l2 * t)
+            p = float(sigmoid(Z[i] @ w + b))
+            grad = p - y[i]
+            w -= eta * (grad * Z[i] + model.l2 * w)
+            b -= eta * grad
+    return w, b
+
+
+def random_lanes(n_lanes, seed=21):
+    """Row sets of 40, 55 and 70 rows and lanes that differ in rows, lr,
+    l2, epochs and seed (seeds repeat, so some lanes share a row stream)."""
+    rng = np.random.default_rng(seed)
+    Z = [rng.normal(size=(n, 4)) for n in (40, 55, 70)]
+    y = [(z[:, 0] + rng.normal(size=len(z)) > 0).astype(float) for z in Z]
+    lanes = [(int(rng.integers(3)), float(np.exp(rng.uniform(np.log(0.01), 0.0))),
+              float(rng.choice([0.0, 1e-4, 1e-2])), int(rng.integers(1, 4)),
+              int(rng.integers(3))) for _ in range(n_lanes)]
+    return Z, y, lanes
+
+
+class TestSgdLockstep:
+    @pytest.mark.parametrize("params", [
+        dict(lr=0.1, epochs=30, l2=1e-4, seed=0),
+        dict(lr=0.9, epochs=12, l2=1e-2, seed=3),
+        dict(lr=0.01, epochs=5, l2=0.0, seed=7),
+    ])
+    def test_fit_matches_per_sample_reference(self, params):
+        X, y = synth_logit_data(n=300, seed=2)
+        model = SgdLogistic(**params).fit(X, y)
+        w, b = reference_sgd_fit(SgdLogistic(**params), X, y)
+        ref = np.append(w, b)
+        gap = np.abs(np.append(model.coef_, model.intercept_) - ref).max()
+        assert gap <= 1e-9 * np.abs(ref).max()
+
+    def test_lane_results_do_not_depend_on_other_lanes(self):
+        Z, y, lanes = random_lanes(300)
+        probes = (0, 1, 2, 49, 299)
+        alone = {c: classifiers_mod.sgd_logistic_lanes(Z, y, [lanes[c]]) for c in probes}
+        for n_lanes in (2, 3, 50, 300):
+            W, b = classifiers_mod.sgd_logistic_lanes(Z, y, lanes[:n_lanes])
+            for c in probes:
+                if c < n_lanes:
+                    assert W[c].tobytes() == alone[c][0][0].tobytes(), (n_lanes, c)
+                    assert b[c] == alone[c][1][0], (n_lanes, c)
+
+    def test_one_step_blocks_give_the_same_bits(self, monkeypatch):
+        Z, y, lanes = random_lanes(50, seed=22)
+        W, b = classifiers_mod.sgd_logistic_lanes(Z, y, lanes)
+        monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", 1)
+        W1, b1 = classifiers_mod.sgd_logistic_lanes(Z, y, lanes)
+        assert W.tobytes() == W1.tobytes() and b.tobytes() == b1.tobytes()
+
+    def test_fit_grid_matches_one_fit_per_fold(self):
+        X, y = separable_dataset(n=200, seed=8)
+        folds = [(X[:120], y[:120]), (X[60:], y[60:]), (X[::2], y[::2])]
+        models = [SgdLogistic(lr=lr, epochs=epochs, l2=1e-3, seed=4)
+                  for lr, epochs in ((0.05, 3), (0.5, 6))]
+        grid = SgdLogistic.fit_grid(models, folds)
+        for model, row in zip(models, grid):
+            for (X_f, y_f), fitted in zip(folds, row):
+                single = SgdLogistic(**model.get_params()).fit(X_f, y_f)
+                assert fitted.coef_.tobytes() == single.coef_.tobytes()
+                assert fitted.intercept_ == single.intercept_
+                assert fitted.predict_proba(X).tobytes() == single.predict_proba(X).tobytes()
+
+    def test_gathered_rows_stay_within_blocks(self, monkeypatch):
+        # gathering every step at once would take 24 MB here; five seeds,
+        # as in a search, so five row streams
+        rng = np.random.default_rng(23)
+        Z = [rng.normal(size=(1500, 4))]
+        y = [(Z[0][:, 0] > 0).astype(float)]
+        lanes = [(0, lr, 1e-4, 2, i % 5) for i, lr in enumerate(np.geomspace(0.01, 1, 250))]
+        monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", 2 ** 18)
+        tracemalloc.start()
+        try:
+            classifiers_mod.sgd_logistic_lanes(Z, y, lanes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 18 + 2 * Z[0].nbytes
+
+
+@pytest.fixture(scope="module")
+def four_feature_models():
+    X, y = synth_logit_data(n=200, seed=4)
+    specs = {"random-forest": dict(n_trees=3, max_depth=3),
+             "gradient-boosted-trees": dict(n_trees=3),
+             "logistic-sgd": dict(epochs=2), "linear-svm": dict(epochs=2)}
+    return X, {kind: make_classifier(ClassifierSpec.create(kind, **specs.get(kind, {})))
+               .fit(X, y) for kind in CLASSIFIER_KINDS}
+
+
+class TestQueryValidation:
+    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+    @pytest.mark.parametrize("case, match", [
+        ("one_column", "features"),
+        ("six_columns", "features"),
+        ("nan_row", "NaN or infinite"),
+        ("inf_row", "NaN or infinite"),
+        ("one_row_1d", "2-dimensional"),
+    ])
+    def test_bad_query_rejected(self, four_feature_models, kind, case, match):
+        X, models = four_feature_models
+        Q = X[:5].copy()
+        if case == "one_column":
+            Q = Q[:, :1]
+        elif case == "six_columns":
+            Q = np.hstack([Q, Q[:, :2]])
+        elif case == "nan_row":
+            Q[2, 1] = np.nan
+        elif case == "inf_row":
+            Q[2, 1] = -np.inf
+        else:
+            Q = Q[0]
+        with pytest.raises(ValueError, match=match):
+            models[kind].predict_proba(Q)
+
+    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+    def test_good_query_accepted(self, four_feature_models, kind):
+        X, models = four_feature_models
+        proba = models[kind].predict_proba(X[:5].tolist())
+        assert proba.shape == (5, 2) and np.isfinite(proba).all()
