@@ -30,7 +30,6 @@ from .network import (  # noqa: F401
     build_graph,
     candidate_pairs,
     make_windows,
-    outcome_label,
     tenb,
 )
 from .topics import (  # noqa: F401
@@ -46,7 +45,6 @@ from .topics import (  # noqa: F401
 from .features import (  # noqa: F401
     Dataset,
     GeoContext,
-    PairObservation,
     assemble,
     correlation_screen,
     describe,

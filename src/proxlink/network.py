@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ._rng import stable_seed
 from .corpus import Corpus
 
@@ -158,19 +160,6 @@ class SamplingPolicy:
         return self.kind
 
 
-@dataclass(frozen=True)
-class CandidatePair:
-    """An unordered eligible author pair (i < j) within one window."""
-
-    i: str
-    j: str
-    window: WindowPair
-
-    def __post_init__(self):
-        if self.i >= self.j:
-            raise ValueError("pair must be ordered i < j and distinct")
-
-
 def _authors_in_span(corpus: Corpus, start: int, end: int) -> set[str]:
     authors: set[str] = set()
     for pub_id in corpus.pub_ids_in_years(start, end):
@@ -184,57 +173,48 @@ def eligible_authors(corpus: Corpus, window: WindowPair) -> set[str]:
             & _authors_in_span(corpus, *window.outcome_span))
 
 
-def outcome_label(corpus: Corpus, pair: CandidatePair) -> int:
-    """1 iff some outcome-window publication lists both authors."""
-    start, end = pair.window.outcome_span
-    pubs_i = corpus.authors.get(pair.i, frozenset())
-    pubs_j = corpus.authors.get(pair.j, frozenset())
-    for pub_id in pubs_i & pubs_j:
-        if start <= corpus.record(pub_id).year <= end:
-            return 1
-    return 0
+def outcome_positives(corpus: Corpus, window: WindowPair,
+                      index: dict[str, int]) -> set[tuple[int, int]]:
+    """Index pairs (a < b) of authors co-listed on an outcome-span publication.
+
+    ``index`` maps each eligible author to its position among the sorted
+    eligible authors; authors outside it are ignored.
+    """
+    positives: set[tuple[int, int]] = set()
+    o_start, o_end = window.outcome_span
+    for pub_id in corpus.pub_ids_in_years(o_start, o_end):
+        keys = [index[k] for k in corpus.record(pub_id).author_keys if k in index]
+        for n, a in enumerate(keys):
+            for b in keys[n + 1:]:
+                positives.add((a, b) if a < b else (b, a))
+    return positives
 
 
 def candidate_pairs(corpus: Corpus, window: WindowPair,
                     sampling: Optional[SamplingPolicy] = None,
-                    seed: int = 0) -> list[CandidatePair]:
+                    seed: int = 0) -> np.ndarray:
     """Eligible pairs for one window, with deterministic negative sampling.
 
     An author is eligible with >= 1 publication in the feature span and
     >= 1 in the outcome span. Positive pairs (co-publication in the
-    outcome span) are always kept; negatives follow the policy.
+    outcome span) are always kept; negatives follow the policy. Returns an
+    (n, 2) array of indices a < b into the sorted eligible authors: every
+    pair in row-major order for "all"; for "ratio" the sorted positives,
+    then the sorted sampled negatives.
     """
     sampling = sampling or SamplingPolicy()
     eligible = eligible_authors(corpus, window)
     if not eligible:
         raise ValueError(f"no eligible authors in window {window.window_id}")
-    ordered = sorted(eligible)
+    m = len(eligible)
+    if sampling.resolved_kind(m) == "all":
+        return np.column_stack(np.triu_indices(m, 1))
 
-    # positives straight from the outcome-span publications
-    positives: set[tuple[str, str]] = set()
-    o_start, o_end = window.outcome_span
-    for pub_id in corpus.pub_ids_in_years(o_start, o_end):
-        keys = [k for k in corpus.record(pub_id).author_keys if k in eligible]
-        for idx, i in enumerate(keys):
-            for j in keys[idx + 1:]:
-                positives.add((i, j) if i < j else (j, i))
-
-    kind = sampling.resolved_kind(len(ordered))
-    pairs: list[tuple[str, str]] = []
-    if kind == "all":
-        for idx, i in enumerate(ordered):
-            for j in ordered[idx + 1:]:
-                pairs.append((i, j))
-    else:
-        negatives = []
-        for idx, i in enumerate(ordered):
-            for j in ordered[idx + 1:]:
-                if (i, j) not in positives:
-                    negatives.append((i, j))
-        n_keep = min(len(negatives), int(round(sampling.ratio * max(1, len(positives)))))
-        rng = random.Random(stable_seed(seed, window.window_id))
-        sampled = rng.sample(negatives, n_keep) if n_keep else []
-        pairs = sorted(positives) + sorted(sampled)
-
-    return [CandidatePair(i=i, j=j, window=window) for i, j in pairs]
-
+    positives = outcome_positives(corpus, window,
+                                  {a: n for n, a in enumerate(sorted(eligible))})
+    negatives = [(a, b) for a in range(m) for b in range(a + 1, m)
+                 if (a, b) not in positives]
+    n_keep = min(len(negatives), int(round(sampling.ratio * max(1, len(positives)))))
+    rng = random.Random(stable_seed(seed, window.window_id))
+    sampled = rng.sample(negatives, n_keep) if n_keep else []
+    return np.array(sorted(positives) + sorted(sampled), dtype=np.intp).reshape(-1, 2)

@@ -265,7 +265,7 @@ def _stage_features(state: RunState) -> None:
                              state.graphs, state.topic_vectors,
                              sampling=sampling, seed=cfg.seed,
                              keep_continent=cfg.keep_continent)
-    if not state.dataset.rows:
+    if not len(state.dataset):
         raise ValueError("feature assembly produced zero rows")
     out = state.config.out
     state.dataset.write_csv(os.path.join(out, "dataset.csv"),
@@ -302,7 +302,7 @@ def _stage_fit(state: RunState) -> None:
     with open(os.path.join(out, "logit_table.txt"), "w", encoding="utf-8") as fh:
         fh.write(format_table([fit], labels=[f"Scenario {cfg.scenario}"]) + "\n")
 
-    max_d = float(max(r.geo_distance_km for r in state.dataset.rows))
+    max_d = float(state.dataset.column("geo_distance_km").max())
     grid = [0.0] + list(np.geomspace(1.0, max(max_d, 10.0), 60))
     curve = elasticity_from_fit(fit, grid)
     state.elasticity = curve

@@ -609,6 +609,22 @@ def has_zero_variance(vec: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.ptp(vec) <= tol)
 
 
+def centre(vec: np.ndarray) -> tuple[np.ndarray, float]:
+    """``vec`` minus its mean, and that difference's sum of squares."""
+    d = vec - vec.mean()
+    return d, d @ d
+
+
+def centred_distance(d_i: np.ndarray, ss_i: float, d_j: np.ndarray, ss_j: float) -> float:
+    """1 - Pearson correlation of two centred vectors, clipped to [0, 2].
+
+    Takes :func:`centre`'s outputs, so a caller scoring many pairs centres
+    each vector once; both vectors must have non-zero variance.
+    """
+    corr = float(d_i @ d_j / math.sqrt(ss_i * ss_j))
+    return min(2.0, max(0.0, 1.0 - corr))
+
+
 def cognitive_distance(s_i: np.ndarray, s_j: np.ndarray) -> float:
     """1 - Pearson correlation, in [0, 2].
 
@@ -624,7 +640,4 @@ def cognitive_distance(s_i: np.ndarray, s_j: np.ndarray) -> float:
     if np.array_equal(s_i, s_j):
         # correlation of a non-constant vector with itself is exactly 1
         return 0.0
-    di = s_i - s_i.mean()
-    dj = s_j - s_j.mean()
-    corr = float(di @ dj / math.sqrt((di @ di) * (dj @ dj)))
-    return min(2.0, max(0.0, 1.0 - corr))
+    return centred_distance(*centre(s_i), *centre(s_j))

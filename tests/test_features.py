@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import proxlink
+
 from proxlink.features import (
     CONTIGUITY_LEVEL,
+    CSV_COLUMNS,
     Dataset,
     GeoContext,
-    PairObservation,
     assemble,
     canonical_affiliation_in_window,
     correlation_screen,
@@ -53,14 +58,15 @@ class TestAssemble:
         ds = assemble(corpus, 1, windows, GeoContext(client=GazetteerGeocoder()),
                       graphs, uniform_topic_vectors(corpus), seed=0)
         assert len(ds) == 1
-        row = ds.rows[0]
-        assert row.co_publication == 1
-        assert row.geo_distance_km == 0.0
-        assert row.ln_geo == 0.0
-        assert row.tenb == 0.0
-        assert row.cog_distance == pytest.approx(0.0, abs=1e-12)
-        assert row.different_province == 0
-        assert row.not_contiguous == 0
+        row = {name: values[0] for name, values in ds.columns.items() if values is not None}
+        assert row["co_publication"] == 1
+        assert row["geo_distance_km"] == 0.0
+        assert row["ln_geo"] == 0.0
+        assert row["tenb"] == 0.0
+        assert row["cog_distance"] == pytest.approx(0.0, abs=1e-12)
+        assert row["different_province"] == 0
+        assert row["not_contiguous"] == 0
+        assert ds.columns["different_country"] is None
 
     def test_author_without_feature_window_pubs_absent(self):
         records = [
@@ -71,7 +77,7 @@ class TestAssemble:
         corpus, windows, graphs = toy_setup(records)
         ds = assemble(corpus, 1, windows, GeoContext(client=GazetteerGeocoder()),
                       graphs, uniform_topic_vectors(corpus), seed=0)
-        involved = {a for r in ds.rows for a in (r.i, r.j)}
+        involved = set(ds.columns["i"]) | set(ds.columns["j"])
         assert "A9" not in involved
 
     def test_unresolvable_geocode_excluded_and_counted(self):
@@ -112,10 +118,13 @@ class TestAssemble:
         ds = assemble(corpus, 1, windows, GeoContext(client=GazetteerGeocoder()),
                       graphs, uniform_topic_vectors(corpus), seed=0)
         assert len(ds) == 3
-        for row in ds.rows:
-            assert math.expm1(row.ln_geo) == pytest.approx(row.geo_distance_km, rel=1e-9)
-            assert math.expm1(row.ln_tenb) == pytest.approx(row.tenb, rel=1e-9)
-            assert row.interaction == row.ln_geo * row.ln_tenb
+        cols = ds.columns
+        for d, ln_geo, t, ln_tenb, interaction in zip(
+                cols["geo_distance_km"], cols["ln_geo"], cols["tenb"], cols["ln_tenb"],
+                cols["interaction"]):
+            assert math.expm1(ln_geo) == pytest.approx(d, rel=1e-9)
+            assert math.expm1(ln_tenb) == pytest.approx(t, rel=1e-9)
+            assert interaction == ln_geo * ln_tenb
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         records = [
@@ -177,14 +186,20 @@ class TestAssemble:
 
 
 def dataset_from_rows(rows, scenario=2):
-    return Dataset(scenario=scenario, rows=rows)
+    """Stack make_row() dicts into columns; an all-None column stays None."""
+    columns = {}
+    for name in CSV_COLUMNS:
+        values = [r[name] for r in rows]
+        columns[name] = (None if rows and all(v is None for v in values)
+                         else np.array(values))
+    return Dataset(scenario=scenario, columns=columns)
 
 
 def make_row(i="a", j="b", y=0, d=10.0, t=0.5, cog=1.0, dp=0, dc=0, nc=0,
              dcont=None, window="w"):
     ln_geo = math.log1p(d)
     ln_tenb = math.log1p(t)
-    return PairObservation(
+    return dict(
         i=i, j=j, window_id=window, co_publication=y, geo_distance_km=d,
         ln_geo=ln_geo, tenb=t, ln_tenb=ln_tenb, interaction=ln_geo * ln_tenb,
         cog_distance=cog, not_contiguous=nc, different_province=dp,
@@ -280,7 +295,7 @@ class TestCorrelationScreen:
                                  cog=float(rng.uniform(0, 2)),
                                  dp=None, dc=far, nc=int(rng.integers(0, 2)),
                                  dcont=far))
-        ds = Dataset(scenario=3, rows=rows)
+        ds = dataset_from_rows(rows, scenario=3)
         screen = correlation_screen(ds)
         assert "different_continent" in screen.names
         assert "different_continent" in screen.excluded
@@ -309,6 +324,38 @@ class TestCorrelationScreen:
         screen = correlation_screen(dataset_from_rows(rows))
         assert np.array_equal(screen.matrix, screen.matrix.T)
         assert np.all(np.diag(screen.matrix) == 1.0)
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # columns above 10,000 rows are where a threaded BLAS dot splits work
+        script = (
+            "import math, sys\n"
+            "import numpy as np\n"
+            "from proxlink.features import CSV_COLUMNS, Dataset, correlation_screen\n"
+            "rng = np.random.default_rng(5)\n"
+            "n = 12_000\n"
+            "d = rng.uniform(0, 5000, n)\n"
+            "t = rng.exponential(1.0, n)\n"
+            "cols = dict.fromkeys(CSV_COLUMNS)\n"
+            "cols.update(co_publication=rng.integers(0, 2, n), geo_distance_km=d,\n"
+            "            ln_geo=np.log1p(d), tenb=t, ln_tenb=np.log1p(t),\n"
+            "            cog_distance=rng.uniform(0, 2, n),\n"
+            "            different_country=rng.integers(0, 2, n),\n"
+            "            not_contiguous=rng.integers(0, 2, n))\n"
+            "cols['interaction'] = cols['ln_geo'] * cols['ln_tenb']\n"
+            "correlation_screen(Dataset(scenario=4, columns=cols)).to_csv(sys.argv[1])\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(proxlink.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [
+                           package_root, os.environ.get("PYTHONPATH")])))
+            path = tmp_path / f"corr{threads}.csv"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True,
+                           timeout=120)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
+from proxlink.features import GeoContext, assemble
 from proxlink.network import (
-    CandidatePair,
     CoPubGraph,
     SamplingPolicy,
     WindowPair,
     build_graph,
     candidate_pairs,
+    eligible_authors,
     make_windows,
-    outcome_label,
+    outcome_positives,
     tenb,
 )
 
@@ -198,19 +200,25 @@ class TestCandidatePairs:
             2001: [["a", "b"], ["e"]],   # e publishes only in the feature span
             2003: [["a", "b"]],
         })
-        pairs = candidate_pairs(corpus, self._window(), SamplingPolicy(kind="all"), 0)
-        names = {x for p in pairs for x in (p.i, p.j)}
-        assert names == {"a", "b"}
+        window = self._window()
+        pairs = candidate_pairs(corpus, window, SamplingPolicy(kind="all"), 0)
+        authors = sorted(eligible_authors(corpus, window))
+        assert {authors[a] for a in pairs.ravel()} == {"a", "b"}
 
     def test_ratio_policy_counts(self):
         corpus = corpus_from_rosters({
             2001: [["a", "b", "c", "d", "e"]],
             2003: [["a", "b"], ["c"], ["d"], ["e"]],
         })
-        pairs = candidate_pairs(corpus, self._window(),
+        window = self._window()
+        pairs = candidate_pairs(corpus, window,
                                 SamplingPolicy(kind="ratio", ratio=3.0), seed=5)
-        labels = [outcome_label(corpus, p) for p in pairs]
-        assert sum(labels) == 1
+        authors = sorted(eligible_authors(corpus, window))
+        positives = outcome_positives(corpus, window,
+                                      {a: n for n, a in enumerate(authors)})
+        labels = [tuple(p) in positives for p in pairs.tolist()]
+        assert labels == [True, False, False, False]  # positives lead
+        assert positives == {(0, 1)}  # a-b
         assert len(pairs) == 1 + 3
 
     def test_same_seed_identical(self):
@@ -218,7 +226,7 @@ class TestCandidatePairs:
         policy = SamplingPolicy(kind="ratio", ratio=2.0)
         p1 = candidate_pairs(corpus, self._window(), policy, seed=11)
         p2 = candidate_pairs(corpus, self._window(), policy, seed=11)
-        assert p1 == p2
+        assert np.array_equal(p1, p2)
 
     def test_no_eligible_authors_errors(self):
         corpus = corpus_from_rosters({2001: [["a"]]})
@@ -226,22 +234,42 @@ class TestCandidatePairs:
             candidate_pairs(corpus, self._window(), SamplingPolicy(kind="all"), 0)
 
     def test_pair_ordering_invariant(self):
-        with pytest.raises(ValueError):
-            CandidatePair(i="b", j="a", window=self._window())
+        # every pair indexes two distinct authors, lower index first, once
+        corpus = corpus_from_rosters({
+            2001: [["a", "b", "c"], ["d", "e"], ["f"]],
+            2003: [["a", "c"], ["b", "e"], ["d"], ["f"]],
+        })
+        for policy in (SamplingPolicy(kind="all"), SamplingPolicy(kind="ratio", ratio=2.0)):
+            pairs = candidate_pairs(corpus, self._window(), policy, seed=1)
+            assert pairs.shape == (len(pairs), 2)
+            assert np.all(pairs[:, 0] < pairs[:, 1])
+            assert np.all((pairs >= 0) & (pairs < 6))
+            assert len({tuple(p) for p in pairs.tolist()}) == len(pairs)
+        assert len(candidate_pairs(corpus, self._window(), SamplingPolicy(kind="all"))) == 15
+
+
+def outcome_label(corpus, a, b):
+    """co_publication of the (a, b) row that assemble builds for 2000-2002/2003-2004."""
+    window = WindowPair(2000, 2002, 2003, 2004)
+    graphs = {window.window_id: build_graph(corpus, *window.feature_span)}
+    vectors = {rec.pub_id: np.array([0.5, 0.3, 0.2]) for rec in corpus.records}
+    ds = assemble(corpus, 1, [window], GeoContext(), graphs, vectors,
+                  sampling=SamplingPolicy(kind="all"))
+    rows = [n for n, (i, j) in enumerate(zip(ds.columns["i"], ds.columns["j"]))
+            if (i, j) == (a, b)]
+    assert len(rows) == 1
+    return int(ds.columns["co_publication"][rows[0]])
 
 
 class TestOutcomeLabel:
     def test_shared_outcome_pub(self):
         corpus = corpus_from_rosters({2001: [["a"], ["b"]], 2003: [["a", "b"]]})
-        pair = CandidatePair("a", "b", WindowPair(2000, 2002, 2003, 2004))
-        assert outcome_label(corpus, pair) == 1
+        assert outcome_label(corpus, "a", "b") == 1
 
     def test_feature_window_pub_does_not_count(self):
         corpus = corpus_from_rosters({2001: [["a", "b"]], 2003: [["a"], ["b"]]})
-        pair = CandidatePair("a", "b", WindowPair(2000, 2002, 2003, 2004))
-        assert outcome_label(corpus, pair) == 0
+        assert outcome_label(corpus, "a", "b") == 0
 
     def test_no_shared_pubs(self):
         corpus = corpus_from_rosters({2001: [["a"], ["b"]], 2003: [["a"], ["b"]]})
-        pair = CandidatePair("a", "b", WindowPair(2000, 2002, 2003, 2004))
-        assert outcome_label(corpus, pair) == 0
+        assert outcome_label(corpus, "a", "b") == 0

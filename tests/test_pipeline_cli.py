@@ -14,6 +14,7 @@ from proxlink.pipeline import (
     run_pipeline,
     write_canonical_dump,
 )
+from proxlink.synthetic import make_synthetic_corpus
 
 
 # sha256 of every bundle file but manifest.json for demo_config(seed=7) on
@@ -21,7 +22,7 @@ from proxlink.pipeline import (
 # digests and say why; a refactor must leave them alone.
 GOLDEN_BUNDLE = {
     "beeswarm.svg": "d937b790452b8837ac417bdb3c5610eed7768e16616230603ac0cdc1247d491a",
-    "corr.csv": "a9075a6304c4a5188527018f5fe3db48a5601ec41ee39c61645fe0aff74cf535",
+    "corr.csv": "3844ae9e5f761e9ae1506232729b5b5bbbdf3a848fcf8f4601e6f8eacd500109",
     "dataset.csv": "1c847d22c640e2ac6fc59d9837204102eb80d67663a642df53651d40bd083c95",
     "describe.csv": "da63b2e527f6d6d5f2ca4ddb521decd8206fb3ad212600a8f1d6fe7a1f78c438",
     "elasticity.csv": "ffb9206877b7e9018290b34de064146312c801683206aa8a59db2876791d0070",
@@ -35,11 +36,37 @@ GOLDEN_BUNDLE = {
 # digest varies by directory; its "stages" field is pinned instead, as the
 # sha256 of its sort_keys JSON.
 GOLDEN_STAGES = "3ebe1d184e684df5b31e67ef6f4671661a16c9fec41db9b64212980a1b5240a3"
+# sha256 of the feature-stage files for gazetteer_config() on the seed-7
+# synthetic corpus without coordinates: scenario 4, every eligible pair,
+# every point from the bundled gazetteer. The demo digests above cover only
+# scenario 1, ratio sampling and explicit coordinates.
+GOLDEN_GAZETTEER = {
+    "dataset.csv": "b53b5b332c2895c178d69d343b7eedb0fe7b1711df6fc752f7e4eb849444142e",
+    "dataset.manifest.json": "2cc09d57a8652dcb8fa75049f847b2a0f3c6f9f08ad8b3a8e19b34a28c8a41a2",
+    "describe.csv": "5adaf77dc835b7762589e3175c08957973999f73e89afb0246b5da4870ae6246",
+}
 
 
 def _file_sha256(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def gazetteer_config(tmp_path) -> RunConfig:
+    """Scenario 4 over all pairs of a small corpus geocoded by gazetteer only."""
+    records = make_synthetic_corpus(seed=7, n_authors=30, pubs_per_year=30)
+    for rec in records:
+        for author in rec["authors"]:
+            for aff in author["affiliations"]:
+                aff.pop("lat", None)
+                aff.pop("lon", None)
+    corpus = tmp_path / "gazetteer.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    return RunConfig(corpus=str(corpus), out=str(tmp_path / "out"), scenario=4,
+                     seed=3, year_min=2000, year_max=2009, sampling_kind="all",
+                     lda_k_grid=[4], lda_iterations=20, lda_alpha=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +150,13 @@ class TestPipelineStages:
             assert result.wall_time_s > 0
             assert "wall_time_s" in result.to_json(include_wall_time=True)
             assert "wall_time_s" not in eval_json["results"][kind]
+
+    def test_gazetteer_all_pairs_features_pinned(self, tmp_path):
+        config = gazetteer_config(tmp_path)
+        run_pipeline(config, through_stage="describe")
+        digests = {name: _file_sha256(os.path.join(config.out, name))
+                   for name in GOLDEN_GAZETTEER}
+        assert digests == GOLDEN_GAZETTEER
 
     def test_unknown_stage_rejected(self, tmp_path, demo_corpus):
         config = demo_config(demo_corpus, out=str(tmp_path / "out"))
