@@ -22,6 +22,7 @@ from .tune import (
     apply_smote_train_only,
     cross_val_auc,
     tune,
+    tune_kinds,
 )
 
 __all__ = [
@@ -30,5 +31,5 @@ __all__ = [
     "SgdLogistic", "make_classifier", "model_size", "auc", "Smote",
     "stratified_folds", "stratified_split", "CartTree",
     "EvalResult", "SmoteConfig", "TunePlan", "apply_smote_train_only",
-    "cross_val_auc", "tune",
+    "cross_val_auc", "tune", "tune_kinds",
 ]

@@ -20,14 +20,12 @@ def auc(scores, labels) -> float:
 
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
+    # tie runs [i, j] of equal sorted scores; `!=` rather than a difference,
+    # so that equal infinities tie and each NaN is a run of its own
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(scores)] - 1
     ranks = np.empty(len(scores), dtype=float)
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)  # midrank, 1-based
 
     n_pos = int((labels == 1).sum())
     n_neg = len(labels) - n_pos

@@ -6,17 +6,20 @@ minority oversampling applied to each fold's training part only; the
 validation rows are always original rows. The folds are built and
 resampled once per search and shared by every candidate, and each
 distinct candidate is scored once per search. Ties go to the smaller
-model, then the earlier candidate.
+model, then the earlier candidate. The fits of a stage run in forked
+workers, one per usable CPU, for every kind searched together.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .._fork import fork_map
 from .._rng import stable_seed
 from .classifiers import ClassifierSpec, SgdLogistic, make_classifier, model_size
 from .metrics import auc
@@ -64,6 +67,12 @@ class TunePlan:
 
 @dataclass
 class EvalResult:
+    """A kind's winning spec and its CV fold AUCs, plus its test AUC once
+    the pipeline has refitted it. ``wall_time_s`` is the seconds spent on
+    the kind: its candidates and fold sets, its units wherever they ran
+    (units of several kinds overlap in time) and, in a pipeline run, its
+    refit and test AUC."""
+
     spec: ClassifierSpec
     fold_aucs: tuple
     mean_auc: float
@@ -188,64 +197,134 @@ def _grid_axis(name: str, sampler: str, lo, hi, winner, span: float, points: int
     return sorted(set(out))
 
 
-def tune(kind: str, X, y, plan: Optional[TunePlan] = None, seed: int = 0,
-         log: Optional[list] = None) -> tuple[ClassifierSpec, EvalResult]:
-    """Run both stages over the training data; returns the winning spec and
-    its CV result. ``log`` (if given) collects one dict per evaluation."""
-    plan = plan or TunePlan()
-    if plan.n_random < 1:
-        raise ValueError("random stage needs at least one fit")
-    rng = np.random.default_rng(stable_seed(seed, "random-stage", kind))
+@dataclass
+class _Search:
+    """One kind's search: its random candidates, its fold sets, the fold
+    AUCs of every spec scored so far and the seconds spent on it."""
 
-    candidates: list[ClassifierSpec] = []
-    for i in range(plan.n_random):
-        params = _sample_params(kind, rng)
-        candidates.append(ClassifierSpec.create(
-            kind, seed=stable_seed(seed, kind, "spec"), **params))
+    kind: str
+    candidates: list
+    fold_sets: list
+    scores: dict = field(default_factory=dict)
+    seconds: float = 0.0
 
-    fold_sets = build_fold_sets(X, y, plan.folds, plan.smote, stable_seed(seed, "cv"))
-    scores: dict[ClassifierSpec, tuple] = {}  # fold AUCs of every spec scored so far
+    def results(self, specs: list) -> list[tuple]:
+        return [(spec, self.scores[spec], float(np.mean(self.scores[spec]))) for spec in specs]
 
-    def evaluate(stage: str, specs: list[ClassifierSpec]):
-        unscored = list(dict.fromkeys(spec for spec in specs if spec not in scores))
-        scores.update(zip(unscored, score_specs(unscored, fold_sets)))
-        results = []
-        for i, spec in enumerate(specs):
-            fold_aucs = scores[spec]
-            mean = float(np.mean(fold_aucs))
-            results.append((spec, fold_aucs, mean))
-            if log is not None:
-                log.append({
-                    "stage": stage, "index": i, "kind": kind,
-                    "hyperparameters": json.dumps(spec.params, sort_keys=True),
-                    "fold_aucs": list(fold_aucs), "mean_auc": mean,
-                })
-        return results
+    def log(self, stage: str, specs: list, log: list) -> None:
+        for i, (spec, fold_aucs, mean) in enumerate(self.results(specs)):
+            log.append({
+                "stage": stage, "index": i, "kind": self.kind,
+                "hyperparameters": json.dumps(spec.params, sort_keys=True),
+                "fold_aucs": list(fold_aucs), "mean_auc": mean,
+            })
 
-    def best_of(results):
-        return min(
-            range(len(results)),
-            key=lambda i: (-results[i][2], model_size(results[i][0]), i),
-        )
 
-    random_results = evaluate("random", candidates)
-    winner_spec = random_results[best_of(random_results)][0]
+def _best(results: list) -> tuple:
+    return results[min(range(len(results)),
+                       key=lambda i: (-results[i][2], model_size(results[i][0]), i))]
 
+
+def _grid_specs(kind: str, winner: ClassifierSpec, plan: TunePlan) -> list[ClassifierSpec]:
     axes = []
     for name, sampler, lo, hi in PARAM_SPACES[kind]:
         axes.append([(name, v) for v in _grid_axis(
-            name, sampler, lo, hi, winner_spec.params[name],
-            plan.grid_span, plan.grid_points)])
-    grid_specs = []
+            name, sampler, lo, hi, winner.params[name], plan.grid_span, plan.grid_points)])
+    specs = []
     for combo in itertools.product(*axes):
-        grid_specs.append(ClassifierSpec.create(
-            kind, seed=winner_spec.seed, **dict(combo)))
-        if len(grid_specs) >= plan.max_grid_fits:
+        specs.append(ClassifierSpec.create(kind, seed=winner.seed, **dict(combo)))
+        if len(specs) >= plan.max_grid_fits:
             break
-    if winner_spec not in grid_specs:
-        grid_specs.insert(0, winner_spec)
+    if winner not in specs:
+        specs.insert(0, winner)
+    return specs
 
-    grid_results = evaluate("grid", grid_specs)
-    best_spec, best_folds, best_mean = grid_results[best_of(grid_results)]
-    return best_spec, EvalResult(spec=best_spec, fold_aucs=best_folds, mean_auc=best_mean)
 
+def _score_stage(searches: list[_Search], stage_specs: list[list]) -> None:
+    """Score every unscored spec of one stage of every search, in forked
+    workers (``fork_map``).
+
+    A unit is one fit and validation AUC of one (spec, fold), except for
+    logistic-sgd, whose unscored specs are fitted on every fold in one
+    lockstep unit. Units reach the workers through ``fork`` and only their
+    AUCs and seconds come back, so no fold set or model is pickled.
+    """
+    units = []
+    for s, specs in zip(searches, stage_specs):
+        unscored = list(dict.fromkeys(spec for spec in specs if spec not in s.scores))
+        if s.kind != "logistic-sgd":
+            units.extend((s, spec, f) for spec in unscored for f in range(len(s.fold_sets)))
+        elif unscored:
+            units.append((s, tuple(unscored), None))
+
+    def run(unit):
+        s, spec, f = unit
+        t0 = time.perf_counter()
+        if f is None:
+            aucs = score_specs(list(spec), s.fold_sets)
+        else:
+            aucs = score_spec(spec, s.fold_sets[f:f + 1])[0]
+        return aucs, time.perf_counter() - t0
+
+    def label(unit):
+        s, spec, f = unit
+        what = f"{len(spec)} specs" if f is None else f"{spec.params}, fold {f}"
+        return f"tune child for {s.kind} ({what})"
+
+    # a spec's fold units are adjacent and in fold order
+    for (s, spec, f), (aucs, seconds) in zip(units, fork_map(run, units, label)):
+        s.seconds += seconds
+        if f is None:
+            s.scores.update(zip(spec, aucs))
+        else:
+            s.scores[spec] = s.scores.get(spec, ()) + (aucs,)
+
+
+def tune_kinds(kinds: Sequence[str], X, y, seeds: Sequence[int],
+               plan: Optional[TunePlan] = None, log: Optional[list] = None
+               ) -> list[tuple[ClassifierSpec, EvalResult]]:
+    """Run both stages for each kind, with one seed per kind, over the
+    training data; returns the winning spec and its CV result per kind.
+    ``log`` (if given) collects one dict per evaluation, kind by kind,
+    random stage first.
+
+    The candidates, fold sets and winners are drawn in this process, and
+    each stage scores the units of every kind in one ``fork_map`` call
+    (``_score_stage``), so the results do not depend on the number of
+    usable CPUs.
+    """
+    plan = plan or TunePlan()
+    if plan.n_random < 1:
+        raise ValueError("random stage needs at least one fit")
+    if len(seeds) != len(kinds):
+        raise ValueError("seeds must hold one seed per kind")
+    searches = []
+    for kind, seed in zip(kinds, seeds):
+        t0 = time.perf_counter()
+        rng = np.random.default_rng(stable_seed(seed, "random-stage", kind))
+        candidates = [ClassifierSpec.create(kind, seed=stable_seed(seed, kind, "spec"),
+                                            **_sample_params(kind, rng))
+                      for _ in range(plan.n_random)]
+        fold_sets = build_fold_sets(X, y, plan.folds, plan.smote, stable_seed(seed, "cv"))
+        searches.append(_Search(kind, candidates, fold_sets,
+                                seconds=time.perf_counter() - t0))
+
+    _score_stage(searches, [s.candidates for s in searches])
+    grids = [_grid_specs(s.kind, _best(s.results(s.candidates))[0], plan) for s in searches]
+    _score_stage(searches, grids)
+
+    out = []
+    for s, grid in zip(searches, grids):
+        if log is not None:
+            s.log("random", s.candidates, log)
+            s.log("grid", grid, log)
+        best_spec, best_folds, best_mean = _best(s.results(grid))
+        out.append((best_spec, EvalResult(spec=best_spec, fold_aucs=best_folds,
+                                          mean_auc=best_mean, wall_time_s=s.seconds)))
+    return out
+
+
+def tune(kind: str, X, y, plan: Optional[TunePlan] = None, seed: int = 0,
+         log: Optional[list] = None) -> tuple[ClassifierSpec, EvalResult]:
+    """``tune_kinds`` for one kind: its winning spec and CV result."""
+    return tune_kinds([kind], X, y, [seed], plan=plan, log=log)[0]

@@ -40,7 +40,7 @@ from .ml import (
     make_classifier,
     auc,
     stratified_split,
-    tune,
+    tune_kinds,
 )
 from .network import SamplingPolicy, build_graph, make_windows
 from .report import render_beeswarm_svg, render_line_svg
@@ -328,19 +328,21 @@ def _stage_ml(state: RunState) -> None:
     train_idx, test_idx = stratified_split(y, train_fraction=0.9,
                                            seed=stable_seed(cfg.seed, "split"))
     log_rows: list = []
+    tuned = tune_kinds(cfg.classifiers, X[train_idx], y[train_idx], plan=plan,
+                       seeds=[stable_seed(cfg.seed, "tune", kind) for kind in cfg.classifiers],
+                       log=log_rows)
     results = {}
     best_kind, best_cv = None, -1.0
-    for kind in cfg.classifiers:
+    # the kept models are fitted here, in this process
+    for kind, (spec, cv_result) in zip(cfg.classifiers, tuned):
         t0 = time.perf_counter()
-        spec, cv_result = tune(kind, X[train_idx], y[train_idx], plan=plan,
-                               seed=stable_seed(cfg.seed, "tune", kind), log=log_rows)
         X_tr, y_tr = apply_smote_train_only(
             X[train_idx], y[train_idx], plan.smote,
             seed=stable_seed(cfg.seed, "smote-final", kind))
         model = make_classifier(spec).fit(X_tr, y_tr)
         test_auc = float(auc(model.predict_proba(X[test_idx])[:, 1], y[test_idx]))
         cv_result.test_auc = test_auc
-        cv_result.wall_time_s = time.perf_counter() - t0
+        cv_result.wall_time_s += time.perf_counter() - t0
         results[kind] = cv_result
         if cv_result.mean_auc > best_cv:
             best_cv = cv_result.mean_auc

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
 import random
 import re
 from dataclasses import dataclass
@@ -25,6 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from ._base import ParamsMixin, check_fitted
+from ._fork import fork_map
 from ._rng import stable_seed
 from .corpus import PublicationRecord
 
@@ -465,126 +464,23 @@ def _score_k(docs: Sequence[TokenizedDoc], k: int, seed: int, alpha: Optional[fl
     return mean_score
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_score(docs: Sequence[TokenizedDoc], k: int, fit_args: tuple
-                ) -> tuple[int, int]:
-    """Start a child that scores ``k`` and writes back one pickled reply,
-    ``(True, score, None)`` or ``(False, exception, formatted traceback)``;
-    returns (pid, read fd)."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                reply = (True, _score_k(docs, k, *fit_args), None)
-            except BaseException as exc:  # interrupts too: the parent re-raises it
-                import traceback
-                reply = (False, exc, traceback.format_exc())
-            # pickled before writing, so a reply that cannot be pickled
-            # arrives as no reply at all
-            payload = pickle.dumps(reply)
-            with os.fdopen(write_fd, "wb") as out:
-                out.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _read_reply(k: int, pid: int, read_fd: int) -> tuple[bool, object, Optional[str]]:
-    """Read a child's reply to the end, reap the child, then unpickle."""
-    try:
-        with os.fdopen(read_fd, "rb") as src:
-            payload = src.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if not payload:
-        return False, RuntimeError(
-            f"select_k child for K={k} exited without a reply "
-            f"(exit status {os.waitstatus_to_exitcode(status)})"), None
-    return pickle.loads(payload)
-
-
-def _score_grid_forked(docs: Sequence[TokenizedDoc], grid: Sequence[int],
-                       fit_args: tuple, n_workers: int
-                       ) -> dict[int, tuple[bool, object, Optional[str]]]:
-    """Replies per K from forked children, at most ``n_workers`` at a time,
-    the largest K started first. A K whose fork fails (no process or memory
-    to spare) is scored in-process instead."""
-    # imported here so that runs which never fork load neither module
-    import select
-    import signal
-
-    pending = sorted(grid, reverse=True)
-    running: dict[int, tuple[int, int]] = {}  # read fd -> (k, pid)
-    replies: dict[int, tuple[bool, object, Optional[str]]] = {}
-    try:
-        while pending or running:
-            while pending and len(running) < n_workers:
-                k = pending.pop(0)
-                try:
-                    pid, read_fd = _fork_score(docs, k, fit_args)
-                except OSError:
-                    replies[k] = (True, _score_k(docs, k, *fit_args), None)
-                    continue
-                running[read_fd] = (k, pid)
-            if not running:
-                continue
-            ready, _, _ = select.select(list(running), [], [])
-            for read_fd in ready:
-                k, pid = running.pop(read_fd)
-                replies[k] = _read_reply(k, pid, read_fd)
-    finally:
-        # children are left here only when the parent itself fails
-        for read_fd, (_, pid) in running.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_fd)
-    return replies
-
-
 def select_k(docs: Sequence[TokenizedDoc], k_grid: Sequence[int], seed: int = 0,
              alpha: Optional[float] = None, beta: float = 0.01,
              iterations: int = 1000, top_m: int = 10, window: int = 10
              ) -> tuple[int, dict[int, float]]:
     """Fit one model per K; best mean coherence wins, ties to the smallest K.
 
-    The fits are independent, so each K is fitted in a forked child, one
-    per usable CPU at a time; the scores are the same as in-process. A
-    child's exception is re-raised with the same type and message, chained
-    from a ``RuntimeError`` that carries the child's traceback.
+    The fits are independent, so each K is fitted in a forked child
+    (``fork_map``), one per usable CPU at a time and the largest K first;
+    the scores are the same as in-process.
     """
     if not k_grid:
         raise ValueError("k_grid is empty")
-    scores: dict[int, float] = dict.fromkeys(k_grid)
+    grid = list(dict.fromkeys(k_grid))
     fit_args = (seed, alpha, beta, iterations, top_m, window)
-    n_workers = min(len(scores), _usable_cpus())
-    if n_workers < 2 or not hasattr(os, "fork"):
-        for k in scores:
-            scores[k] = _score_k(docs, k, *fit_args)
-    else:
-        replies = _score_grid_forked(docs, list(scores), fit_args, n_workers)
-        for k in scores:
-            ok, value, child_tb = replies[k]
-            if not ok:
-                if child_tb is None:
-                    raise value
-                raise value from RuntimeError(
-                    f"in the select_k child for K={k}:\n{child_tb}")
-            scores[k] = value
+    values = fork_map(lambda k: _score_k(docs, k, *fit_args), grid,
+                      label=lambda k: f"select_k child for K={k}", cost=lambda k: k)
+    scores = dict(zip(grid, values))
     best = min(sorted(scores), key=lambda k: (-scores[k], k))
     return best, scores
 

@@ -53,3 +53,24 @@ def toy_corpus_file(tmp_path):
         make_record_dict("P3", 2007, authors=[author_dict("A4")]),
     ]
     return write_jsonl(tmp_path / "corpus.jsonl", records)
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Sets the number of CPUs that ``fork_map`` may use; no forked child
+    may outlive the test."""
+    import os
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    yield set_cpus
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def one_cpu(usable_cpus):
+    """Everything runs in-process, so a spy in the tested code sees every call."""
+    usable_cpus(1)

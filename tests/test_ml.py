@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import sys
 import tracemalloc
 import warnings
 
@@ -25,6 +27,7 @@ from proxlink.ml import (
     stratified_folds,
     stratified_split,
     tune,
+    tune_kinds,
 )
 from proxlink.ml import classifiers as classifiers_mod
 from proxlink.logit import sigmoid
@@ -255,6 +258,47 @@ class TestAuc:
         base = auc(scores, labels)
         assert auc(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
         assert auc(3.0 * scores + 7.0, labels) == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["many ties", "all tied", "one positive", "one negative",
+                                      "infinities", "continuous"])
+    def test_matches_midrank_loop_bit_for_bit(self, case):
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 17, 400):
+            scores = rng.normal(size=n)
+            labels = rng.integers(0, 2, n)
+            labels[:2] = (0, 1)
+            if case == "many ties":
+                scores = rng.integers(0, 4, n) / 3.0
+            elif case == "all tied":
+                scores = np.full(n, 0.25)
+            elif case == "one positive":
+                labels = np.eye(n, dtype=int)[n // 2]
+            elif case == "one negative":
+                labels = 1 - np.eye(n, dtype=int)[n - 1]
+            elif case == "infinities":
+                scores[rng.integers(0, n, n // 2 + 1)] = np.inf
+                scores[0] = -np.inf
+            assert auc(scores, labels) == reference_auc(scores, labels), (case, n)
+
+
+def reference_auc(scores, labels) -> float:
+    """The per-run midrank loop that ``auc`` replaced."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    ranks = np.empty(len(scores), dtype=float)
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = int((labels == 1).sum())
+    n_neg = len(labels) - n_pos
+    rank_sum = float(ranks[labels == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 class TestCartTree:
@@ -620,7 +664,36 @@ class TestClassifiers:
             json.dumps(payload)  # serializable as-is
 
 
+# The digests of all but random-forest were taken when every log row was
+# scored afresh with per-sample SGD fits; random-forest's with serial tuning.
+TUNE_LOG_CASES = [
+    ("k-nearest-neighbors", 40, 512,
+     "087f35325e14a5cb702d121fc5a6b34abd550ff09e874e4b5b6b3b34dced45ee"),
+    ("gradient-boosted-trees", 3, 4,
+     "8f7203df6e369605f6610703a00789144f0a6bff9cb2041993191025bfbcabfd"),
+    ("logistic-sgd", 4, 6,
+     "5b55c5c2f00321a41d2f7a7758b146402cd4d4649b25a846d5f0c8b7240bedaa"),
+    ("linear-svm", 4, 6,
+     "7c7385ee0fc36eafb41bcdd3960de5184cc88056c63adc52d530fdb8b40094d8"),
+    ("gaussian-naive-bayes", 5, 3,
+     "ba73a40733b99b547ab9c4660907d91f225a37f1e4636a09bbb9f79db95d211d"),
+    ("random-forest", 2, 2,
+     "775c1d27fcda73d98addc4f294aa3b08bc8c408f128b5fb802245afae5b957fb"),
+]
+
+
+def pinned_tune(kind, n_random, max_grid_fits):
+    """Digest of the log rows and the result of one pinned tuning case."""
+    X, y = overlapping_blobs()
+    log = []
+    _, result = tune(kind, X, y, plan=TunePlan(n_random=n_random, max_grid_fits=max_grid_fits,
+                                               folds=3, smote=SmoteConfig(k=3)),
+                     seed=5, log=log)
+    return hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest(), result
+
+
 class TestCrossValAndTune:
+    @pytest.mark.usefixtures("one_cpu")
     def test_smote_applied_to_training_folds_only(self, monkeypatch):
         """Validation rows must always be original rows, never synthetic."""
         X, y = separable_dataset(n=200, seed=2)
@@ -750,6 +823,7 @@ class TestCrossValAndTune:
         assert any(r["hyperparameters"] == best_random["hyperparameters"]
                    for r in grid_rows)
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_score_spec_keeps_one_model_alive(self, monkeypatch):
         import sys
         import weakref
@@ -769,6 +843,7 @@ class TestCrossValAndTune:
         tune_mod.score_spec(ClassifierSpec.create("gaussian-naive-bayes"), fold_sets)
         assert seen == [0, 0, 0, 0]
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_tune_fits_each_distinct_spec_once_per_fold(self, monkeypatch):
         # 40 draws of k in 1..25 repeat, and the random winner comes back
         # as a grid row
@@ -788,6 +863,7 @@ class TestCrossValAndTune:
         assert len(distinct) < 40 < len(log)
         assert sorted(fits) == sorted(list(distinct) * 3)
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_tune_scores_random_winner_once(self, monkeypatch):
         fits = []
         original = GradientBoostedTrees.fit
@@ -806,6 +882,7 @@ class TestCrossValAndTune:
         assert log[0]["fold_aucs"] == log[1]["fold_aucs"]
         assert len(fits) == 2 * 3
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_tune_fits_sgd_candidates_in_one_call_per_stage(self, monkeypatch):
         calls = []
         original = classifiers_mod.sgd_logistic_lanes
@@ -823,27 +900,75 @@ class TestCrossValAndTune:
         grid = {r["hyperparameters"] for r in log if r["stage"] == "grid"}
         assert calls == [3 * len(random), 3 * len(grid - random)]
 
-    @pytest.mark.parametrize("kind, n_random, max_grid_fits, digest", [
-        ("k-nearest-neighbors", 40, 512,
-         "087f35325e14a5cb702d121fc5a6b34abd550ff09e874e4b5b6b3b34dced45ee"),
-        ("gradient-boosted-trees", 3, 4,
-         "8f7203df6e369605f6610703a00789144f0a6bff9cb2041993191025bfbcabfd"),
-        ("logistic-sgd", 4, 6,
-         "5b55c5c2f00321a41d2f7a7758b146402cd4d4649b25a846d5f0c8b7240bedaa"),
-        ("linear-svm", 4, 6,
-         "7c7385ee0fc36eafb41bcdd3960de5184cc88056c63adc52d530fdb8b40094d8"),
-        ("gaussian-naive-bayes", 5, 3,
-         "ba73a40733b99b547ab9c4660907d91f225a37f1e4636a09bbb9f79db95d211d"),
-    ])
+    @pytest.mark.parametrize("kind, n_random, max_grid_fits, digest", TUNE_LOG_CASES)
     def test_tune_log_rows_pinned(self, kind, n_random, max_grid_fits, digest):
-        # digests taken when every log row was scored afresh with
-        # per-sample SGD fits
+        assert pinned_tune(kind, n_random, max_grid_fits)[0] == digest
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedTuning:
+    @pytest.mark.parametrize("kind, n_random, max_grid_fits, digest", TUNE_LOG_CASES)
+    def test_results_do_not_depend_on_cpu_count(self, usable_cpus, kind, n_random,
+                                                max_grid_fits, digest):
+        runs = []
+        for n_cpus in (1, 2, 3):
+            usable_cpus(n_cpus)
+            runs.append(pinned_tune(kind, n_random, max_grid_fits))
+        assert [log_digest for log_digest, _ in runs] == [digest] * 3
+        assert all(result.to_json() == runs[0][1].to_json() for _, result in runs)
+        assert all(result.wall_time_s > 0 for _, result in runs)
+
+    def test_all_kinds_in_one_search_match_one_kind_searches(self, usable_cpus):
+        X, y = overlapping_blobs()
+        plan = TunePlan(n_random=1, max_grid_fits=1, folds=3, smote=SmoteConfig(k=3))
+        seeds = list(range(len(CLASSIFIER_KINDS)))
+        runs = []
+        for n_cpus in (1, 3):
+            usable_cpus(n_cpus)
+            log = []
+            results = tune_kinds(CLASSIFIER_KINDS, X, y, plan=plan, seeds=seeds, log=log)
+            runs.append((log, [(spec, r.to_json()) for spec, r in results]))
+        single_log, single = [], []
+        for kind, seed in zip(CLASSIFIER_KINDS, seeds):
+            spec, r = tune(kind, X, y, plan=plan, seed=seed, log=single_log)
+            single.append((spec, r.to_json()))
+        assert runs[0] == runs[1] == (single_log, single)
+
+    def test_each_distinct_spec_and_fold_is_one_unit(self, usable_cpus, monkeypatch):
+        usable_cpus(2)
+        units = []
+        tune_mod = sys.modules["proxlink.ml.tune"]
+        real_fork_map = tune_mod.fork_map
+
+        def recording_fork_map(fn, items, label):
+            units.extend(label(item) for item in items)
+            return real_fork_map(fn, items, label)
+
+        monkeypatch.setattr(tune_mod, "fork_map", recording_fork_map)
         X, y = overlapping_blobs()
         log = []
-        tune(kind, X, y, plan=TunePlan(n_random=n_random, max_grid_fits=max_grid_fits,
-                                       folds=3, smote=SmoteConfig(k=3)), seed=5, log=log)
-        dump = json.dumps(log, sort_keys=True).encode()
-        assert hashlib.sha256(dump).hexdigest() == digest
+        tune_kinds(["logistic-sgd", "k-nearest-neighbors"], X, y,
+                   plan=TunePlan(n_random=40, max_grid_fits=4, folds=3, smote=None),
+                   seeds=[5, 5], log=log)
+        knn = {r["hyperparameters"] for r in log if r["kind"] == "k-nearest-neighbors"}
+        assert len(knn) < 40
+        assert len(units) == len(set(units)) == 2 + 3 * len(knn)
+        # logistic-sgd: one lockstep unit per stage
+        assert sum(u.startswith("tune child for logistic-sgd") for u in units) == 2
+
+    def test_fold_fit_error_in_a_worker_reaches_the_caller(self, usable_cpus, monkeypatch):
+        usable_cpus(2)
+
+        def failing_fit(self, X, y):
+            raise ValueError(f"cannot fit k={self.k}")
+
+        monkeypatch.setattr(KNearestNeighbors, "fit", failing_fit)
+        X, y = overlapping_blobs()
+        with pytest.raises(ValueError, match=r"^cannot fit k=\d+$") as info:
+            tune("k-nearest-neighbors", X, y, plan=TunePlan(n_random=3, folds=3, smote=None))
+        cause = str(info.value.__cause__)
+        assert "in the tune child for k-nearest-neighbors ({'k': " in cause
+        assert ", fold 0)" in cause and "in failing_fit" in cause
 
 
 def reference_sgd_fit(model, X, y):
