@@ -10,11 +10,12 @@ main reproducibility hazard here.
 
 The dataset is held as columns, one array per CSV column. Assembly
 computes each author's attributes once per window and turns them into
-per-pair columns with index arrays; only the values that need a
-per-pair computation (great-circle distance per distinct pair of points,
-bridging paths, the cognitive-distance dot product) loop in Python, with
-the same expressions a single pair would use, so the bytes written do
-not depend on how many pairs are built together.
+per-pair columns with index arrays. Two per-pair values loop in Python
+here: great-circle distance, once per distinct pair of points, and
+bridging paths. The cognitive-distance column comes whole from
+:func:`proxlink.topics.cognitive_distances`. Each value uses the same
+expressions a single pair would, so the bytes written do not depend on
+how many pairs are built together.
 
 Distance and network proximity enter as ln(1 + x): both are frequently
 zero (co-located pairs, no bridging path), so a plain log is undefined.
@@ -50,7 +51,7 @@ from .network import (
     outcome_positives,
     tenb,
 )
-from .topics import centre, centred_distance, has_zero_variance, knowledge_vector
+from .topics import cognitive_distances, knowledge_vector
 
 CONTIGUITY_LEVEL = {1: "province", 2: "province", 3: "country", 4: "country"}
 
@@ -241,24 +242,17 @@ def _window_columns(corpus: Corpus, window: WindowPair, graph: CoPubGraph,
     located = np.array([p is not None for p in points], dtype=bool)
     exclude("unresolved-geocode", located[I] & located[J])
 
-    # knowledge vectors of the authors still in play: zero-variance flag,
-    # an id shared by equal vectors, the centred vector and its sum of squares
-    zero_var = np.zeros(m, dtype=bool)
-    vector_id = np.full(m, -1, dtype=np.intp)
-    centred: list = [None] * m
-    sumsq: list = [None] * m
-    distinct_vectors: dict[tuple, int] = {}
+    # knowledge vectors of the authors still in play
+    vectors: list = [None] * m
     for a in np.unique(pairs[keep]).tolist():
         pubs = [p for p in corpus.authors.get(authors[a], frozenset())
                 if span[0] <= corpus.record(p).year <= span[1]]
         try:
-            vec = knowledge_vector(authors[a], sorted(pubs), topic_vectors)
+            vectors[a] = knowledge_vector(authors[a], sorted(pubs), topic_vectors)
         except ValueError:
-            continue
-        zero_var[a] = has_zero_variance(vec)
-        vector_id[a] = distinct_vectors.setdefault(tuple(vec.tolist()), len(distinct_vectors))
-        centred[a], sumsq[a] = centre(vec)
-    exclude("missing-knowledge-vector", (vector_id[I] >= 0) & (vector_id[J] >= 0))
+            pass
+    has_vector = np.array([v is not None for v in vectors], dtype=bool)
+    exclude("missing-knowledge-vector", has_vector[I] & has_vector[J])
 
     province, provinces = _codes([t and t.province for t in tags])
     country, countries = _codes([t and t.country for t in tags])
@@ -294,11 +288,7 @@ def _window_columns(corpus: Corpus, window: WindowPair, graph: CoPubGraph,
     bridging = [tenb(graph, authors[a], authors[b]) for a, b in pair_list]
     ln_tenb = np.array([math.log1p(x) for x in bridging], dtype=float)
 
-    degenerate = zero_var[I] | zero_var[J]
-    cog = np.where(degenerate, 1.0, 0.0)
-    scored = np.flatnonzero(~degenerate & (vector_id[I] != vector_id[J]))
-    cog[scored] = [centred_distance(centred[a], sumsq[a], centred[b], sumsq[b])
-                   for a, b in zip(I[scored].tolist(), J[scored].tolist())]
+    cog, degenerate = cognitive_distances(vectors, I, J)
 
     positives = outcome_positives(corpus, window, {a: k for k, a in enumerate(authors)})
     label = np.array([p in positives for p in pair_list], dtype=np.int64)

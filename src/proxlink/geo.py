@@ -269,7 +269,9 @@ class GazetteerGeocoder:
 class GeocodeCache:
     """Persistent address -> point cache, JSON-lines on disk.
 
-    Entries round-trip bit-exactly (coordinates serialized via repr).
+    Entries round-trip bit-exactly: each line stores the point's radians,
+    which JSON writes with ``repr``, so a reload rebuilds the same floats.
+    Lines that hold degrees (``lat``/``lon``, the older format) still load.
     Reads are lock-free on the in-memory dict; writes append under a lock,
     so a writer sees its own writes immediately.
     """
@@ -286,7 +288,8 @@ class GeocodeCache:
                         if not line:
                             continue
                         raw = json.loads(line)
-                        point = GeoPoint.from_degrees(raw["lat"], raw["lon"])
+                        point = (GeoPoint(raw["lat_rad"], raw["lon_rad"]) if "lat_rad" in raw
+                                 else GeoPoint.from_degrees(raw["lat"], raw["lon"]))
                         self._entries[raw["address"]] = (point, raw["source"], raw["ts"])
             except FileNotFoundError:
                 pass
@@ -307,8 +310,8 @@ class GeocodeCache:
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps({
                         "address": key,
-                        "lat": float(repr(point.lat_deg)),
-                        "lon": float(repr(point.lon_deg)),
+                        "lat_rad": point.lat_rad,
+                        "lon_rad": point.lon_rad,
                         "source": source,
                         "ts": entry[2],
                     }) + "\n")

@@ -249,20 +249,21 @@ def tenb_elasticity_curve(beta_tenb: float, beta_interaction: float,
     return out
 
 
-def elasticity_from_fit(fit: LogitFit, distance_grid: Sequence[float],
-                        at_p: Optional[float] = None,
-                        tenb_name: str = "ln_tenb",
-                        interaction_name: str = "interaction") -> list[tuple[float, float]]:
-    for required in (tenb_name, interaction_name):
+def elasticity_from_fit(fit: LogitFit, distance_grid: Sequence[float]
+                        ) -> list[tuple[float, float]]:
+    """Odds elasticity curve from a fit's ``ln_tenb`` and ``interaction``
+    coefficients."""
+    for required in ("ln_tenb", "interaction"):
         if required not in fit.names:
             raise ValueError(f"fit has no coefficient named {required!r}")
-    return tenb_elasticity_curve(fit.coefficient(tenb_name),
-                                 fit.coefficient(interaction_name),
-                                 distance_grid, at_p=at_p)
+    return tenb_elasticity_curve(fit.coefficient("ln_tenb"), fit.coefficient("interaction"),
+                                 distance_grid)
 
 
-def format_table(fits: Sequence[LogitFit], labels: Optional[Sequence[str]] = None,
-                 star_level: float = 0.01) -> str:
+STAR_LEVEL = 0.01
+
+
+def format_table(fits: Sequence[LogitFit], labels: Optional[Sequence[str]] = None) -> str:
     """Regression table: coefficient with stars, SE in parentheses, then N,
     pseudo R-squared, and BIC per column."""
     labels = list(labels) if labels else [f"fit {i + 1}" for i in range(len(fits))]
@@ -276,7 +277,7 @@ def format_table(fits: Sequence[LogitFit], labels: Optional[Sequence[str]] = Non
         if name not in fit.names:
             return "-"
         i = fit.names.index(name)
-        stars = "***" if fit.p[i] < star_level else ""
+        stars = "***" if fit.p[i] < STAR_LEVEL else ""
         return f"{fit.beta[i]:.4f}{stars} ({fit.se[i]:.4f})"
 
     width = max(24, max(len(n) for n in all_names) + 2)
@@ -295,5 +296,5 @@ def format_table(fits: Sequence[LogitFit], labels: Optional[Sequence[str]] = Non
                  + "".join(f"{f.bic:.2f}".ljust(col) for f in fits))
     lines.append("")
     lines.append(f"Standard errors in parentheses. "
-                 f"*** significant at the {star_level:.0%} level.")
+                 f"*** significant at the {STAR_LEVEL:.0%} level.")
     return "\n".join(lines)

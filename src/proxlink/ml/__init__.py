@@ -20,8 +20,6 @@ from .tune import (
     SmoteConfig,
     TunePlan,
     apply_smote_train_only,
-    cross_val_auc,
-    tune,
     tune_kinds,
 )
 
@@ -31,5 +29,5 @@ __all__ = [
     "SgdLogistic", "make_classifier", "model_size", "auc", "Smote",
     "stratified_folds", "stratified_split", "CartTree",
     "EvalResult", "SmoteConfig", "TunePlan", "apply_smote_train_only",
-    "cross_val_auc", "tune", "tune_kinds",
+    "tune_kinds",
 ]

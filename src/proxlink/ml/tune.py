@@ -1,13 +1,17 @@
 """Two-stage hyperparameter search: random exploration, then a grid of
 the winner's neighbours.
 
-Every candidate is scored by mean AUC over stratified CV folds, with
-minority oversampling applied to each fold's training part only; the
-validation rows are always original rows. The folds are built and
-resampled once per search and shared by every candidate, and each
+``tune_kinds`` is the entry point; it searches one or more classifier
+kinds together. Every candidate is scored by mean AUC over stratified CV
+folds, with minority oversampling applied to each fold's training part
+only; the validation rows are always original rows. The folds are built
+and resampled once per search and shared by every candidate, and each
 distinct candidate is scored once per search. Ties go to the smaller
-model, then the earlier candidate. The fits of a stage run in forked
-workers, one per usable CPU, for every kind searched together.
+model, then the earlier candidate.
+
+Candidates are scored in one place, ``_score_stage``: the fits of a
+stage run in forked workers, one per usable CPU, for every kind searched
+together. ``score_spec`` scores one spec on given fold sets.
 """
 from __future__ import annotations
 
@@ -138,27 +142,6 @@ def score_spec(spec: ClassifierSpec, fold_sets: list[tuple]) -> tuple:
                  for X_tr, y_tr, X_va, y_va in fold_sets)
 
 
-def score_specs(specs: list[ClassifierSpec], fold_sets: list[tuple]) -> list[tuple]:
-    """``score_spec`` of each spec. The logistic-sgd specs are fitted on
-    every fold in one lockstep call, which gives the same models as
-    fitting them one at a time."""
-    sgd = [spec for spec in specs if spec.kind == "logistic-sgd"]
-    fitted = {}
-    if sgd:
-        folds = [(X_tr, y_tr) for X_tr, y_tr, _, _ in fold_sets]
-        fitted = dict(zip(sgd, SgdLogistic.fit_grid(
-            [make_classifier(spec) for spec in sgd], folds)))
-    return [tuple(_validation_auc(model, X_va, y_va)
-                  for model, (_, _, X_va, y_va) in zip(fitted[spec], fold_sets))
-            if spec in fitted else score_spec(spec, fold_sets) for spec in specs]
-
-
-def cross_val_auc(spec: ClassifierSpec, X, y, folds: int = 5,
-                  smote: Optional[SmoteConfig] = None, seed: int = 0) -> tuple:
-    """Per-fold validation AUCs; oversampling never touches validation rows."""
-    return score_specs([spec], build_fold_sets(X, y, folds, smote, seed))[0]
-
-
 def _sample_params(kind: str, rng: np.random.Generator) -> dict:
     params = {}
     for name, sampler, lo, hi in PARAM_SPACES[kind]:
@@ -261,7 +244,11 @@ def _score_stage(searches: list[_Search], stage_specs: list[list]) -> None:
         s, spec, f = unit
         t0 = time.perf_counter()
         if f is None:
-            aucs = score_specs(list(spec), s.fold_sets)
+            fits = SgdLogistic.fit_grid([make_classifier(sp) for sp in spec],
+                                        [(X_tr, y_tr) for X_tr, y_tr, _, _ in s.fold_sets])
+            aucs = [tuple(_validation_auc(model, X_va, y_va)
+                          for model, (_, _, X_va, y_va) in zip(models, s.fold_sets))
+                    for models in fits]
         else:
             aucs = score_spec(spec, s.fold_sets[f:f + 1])[0]
         return aucs, time.perf_counter() - t0
@@ -323,8 +310,3 @@ def tune_kinds(kinds: Sequence[str], X, y, seeds: Sequence[int],
                                           mean_auc=best_mean, wall_time_s=s.seconds)))
     return out
 
-
-def tune(kind: str, X, y, plan: Optional[TunePlan] = None, seed: int = 0,
-         log: Optional[list] = None) -> tuple[ClassifierSpec, EvalResult]:
-    """``tune_kinds`` for one kind: its winning spec and CV result."""
-    return tune_kinds([kind], X, y, [seed], plan=plan, log=log)[0]

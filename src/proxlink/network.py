@@ -23,6 +23,10 @@ from ._rng import stable_seed
 from .corpus import Corpus
 
 
+FEATURE_YEARS = 3
+OUTCOME_YEARS = 2
+
+
 @dataclass(frozen=True)
 class WindowPair:
     """A 3-year feature span followed immediately by a 2-year outcome span."""
@@ -33,10 +37,10 @@ class WindowPair:
     outcome_end: int
 
     def __post_init__(self):
-        if self.feature_end - self.feature_start != 2:
-            raise ValueError("feature window must span exactly 3 calendar years")
-        if self.outcome_end - self.outcome_start != 1:
-            raise ValueError("outcome window must span exactly 2 calendar years")
+        if self.feature_end - self.feature_start != FEATURE_YEARS - 1:
+            raise ValueError(f"feature window must span exactly {FEATURE_YEARS} calendar years")
+        if self.outcome_end - self.outcome_start != OUTCOME_YEARS - 1:
+            raise ValueError(f"outcome window must span exactly {OUTCOME_YEARS} calendar years")
         if self.outcome_start != self.feature_end + 1:
             raise ValueError("outcome window must start the year after the feature window ends")
 
@@ -54,24 +58,23 @@ class WindowPair:
         return (self.outcome_start, self.outcome_end)
 
 
-def make_windows(first_year: int, last_year: int, stride: int = 1,
-                 feature_years: int = 3, outcome_years: int = 2) -> list[WindowPair]:
+def make_windows(first_year: int, last_year: int, stride: int = 1) -> list[WindowPair]:
     """All window pairs fitting inside [first_year, last_year], offset by stride."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    span = feature_years + outcome_years
+    span = FEATURE_YEARS + OUTCOME_YEARS
     if last_year - first_year + 1 < span:
         raise ValueError(
             f"year range {first_year}-{last_year} too short for a "
-            f"{feature_years}+{outcome_years} year window pair"
+            f"{FEATURE_YEARS}+{OUTCOME_YEARS} year window pair"
         )
     windows = []
     start = first_year
     while start + span - 1 <= last_year:
         windows.append(WindowPair(
             feature_start=start,
-            feature_end=start + feature_years - 1,
-            outcome_start=start + feature_years,
+            feature_end=start + FEATURE_YEARS - 1,
+            outcome_start=start + FEATURE_YEARS,
             outcome_end=start + span - 1,
         ))
         start += stride

@@ -68,10 +68,8 @@ def render_beeswarm_svg(export: BeeswarmExport, title: str = "Shapley beeswarm")
     return "\n".join(parts) + "\n"
 
 
-def render_line_svg(points: Sequence[tuple[float, float]],
-                    title: str = "Network-proximity elasticity vs distance",
-                    x_label: str = "distance (km)",
-                    y_label: str = "elasticity") -> str:
+def render_line_svg(points: Sequence[tuple[float, float]]) -> str:
+    """The network-proximity elasticity curve as an SVG line chart."""
     if not points:
         raise ValueError("no points to plot")
     xs = [p[0] for p in points]
@@ -91,7 +89,7 @@ def render_line_svg(points: Sequence[tuple[float, float]],
     def sy(y: float) -> float:
         return _H - _MARGIN_B - (y - y_lo) / (y_hi - y_lo) * plot_h
 
-    parts = _header(title)
+    parts = _header("Network-proximity elasticity vs distance")
     parts.append(f'<line x1="{_MARGIN_L}" y1="{_H - _MARGIN_B}" x2="{_W - _MARGIN_R}" '
                  f'y2="{_H - _MARGIN_B}" stroke="#333"/>')
     parts.append(f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
@@ -106,9 +104,9 @@ def render_line_svg(points: Sequence[tuple[float, float]],
         parts.append(f'<text x="{_MARGIN_L - 6}" y="{_f(y + 4)}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{_f(value)}</text>')
     parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_H - 8}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="11">{x_label}</text>')
+                 f'font-family="sans-serif" font-size="11">distance (km)</text>')
     parts.append(f'<text x="16" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="11" '
-                 f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.0f})">{y_label}</text>')
+                 f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.0f})">elasticity</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -500,40 +500,50 @@ def knowledge_vector(author_key: str, pub_ids: Iterable[str],
     return np.mean(np.stack(vecs), axis=0)
 
 
-def has_zero_variance(vec: np.ndarray, tol: float = 1e-12) -> bool:
-    vec = np.asarray(vec, dtype=float)
-    return bool(np.ptp(vec) <= tol)
+ZERO_VARIANCE_TOL = 1e-12
 
 
-def centre(vec: np.ndarray) -> tuple[np.ndarray, float]:
-    """``vec`` minus its mean, and that difference's sum of squares."""
-    d = vec - vec.mean()
-    return d, d @ d
+def has_zero_variance(vec: np.ndarray) -> bool:
+    """True when ``vec``'s entries span at most ``ZERO_VARIANCE_TOL``."""
+    return bool(np.ptp(np.asarray(vec, dtype=float)) <= ZERO_VARIANCE_TOL)
 
 
-def centred_distance(d_i: np.ndarray, ss_i: float, d_j: np.ndarray, ss_j: float) -> float:
-    """1 - Pearson correlation of two centred vectors, clipped to [0, 2].
+def cognitive_distances(vectors: Sequence[np.ndarray], I: np.ndarray, J: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """1 - Pearson correlation of ``vectors[I[p]]`` and ``vectors[J[p]]``,
+    clipped to [0, 2], for each pair p; and which pairs are degenerate.
 
-    Takes :func:`centre`'s outputs, so a caller scoring many pairs centres
-    each vector once; both vectors must have non-zero variance.
+    A constant vector has undefined correlation: a pair with one on either
+    side scores the neutral 1.0 and is flagged degenerate. Equal vectors
+    score exactly 0.0. Each vector named in ``I`` or ``J`` is centred once,
+    and each other pair takes one dot product of two centred vectors, so a
+    pair's value does not depend on the pairs scored with it.
     """
-    corr = float(d_i @ d_j / math.sqrt(ss_i * ss_j))
-    return min(2.0, max(0.0, 1.0 - corr))
+    I = np.asarray(I, dtype=np.intp)
+    J = np.asarray(J, dtype=np.intp)
+    zero_var = np.zeros(len(vectors), dtype=bool)
+    vector_id = np.zeros(len(vectors), dtype=np.intp)  # equal vectors share an id
+    distinct: dict[tuple, int] = {}
+    centred: dict[int, np.ndarray] = {}
+    sumsq: dict[int, float] = {}
+    for a in np.unique(np.concatenate([I, J])).tolist():
+        vec = np.asarray(vectors[a], dtype=float)
+        zero_var[a] = has_zero_variance(vec)
+        vector_id[a] = distinct.setdefault(tuple(vec.tolist()), len(distinct))
+        d = vec - vec.mean()
+        centred[a], sumsq[a] = d, d @ d
+    degenerate = zero_var[I] | zero_var[J]
+    distances = np.where(degenerate, 1.0, 0.0)
+    scored = np.flatnonzero(~degenerate & (vector_id[I] != vector_id[J]))
+    distances[scored] = [
+        min(2.0, max(0.0, 1.0 - float(centred[a] @ centred[b] / math.sqrt(sumsq[a] * sumsq[b]))))
+        for a, b in zip(I[scored].tolist(), J[scored].tolist())]
+    return distances, degenerate
 
 
 def cognitive_distance(s_i: np.ndarray, s_j: np.ndarray) -> float:
-    """1 - Pearson correlation, in [0, 2].
-
-    A constant vector has undefined correlation; such pairs score the
-    neutral 1.0 (callers flag them via :func:`has_zero_variance`).
-    """
-    s_i = np.asarray(s_i, dtype=float)
-    s_j = np.asarray(s_j, dtype=float)
-    if s_i.shape != s_j.shape:
-        raise ValueError(f"dimension mismatch: {s_i.shape} vs {s_j.shape}")
-    if has_zero_variance(s_i) or has_zero_variance(s_j):
-        return 1.0
-    if np.array_equal(s_i, s_j):
-        # correlation of a non-constant vector with itself is exactly 1
-        return 0.0
-    return centred_distance(*centre(s_i), *centre(s_j))
+    """:func:`cognitive_distances` of one pair: 1 - Pearson correlation, in
+    [0, 2], and the neutral 1.0 when either vector is constant."""
+    if np.shape(s_i) != np.shape(s_j):
+        raise ValueError(f"dimension mismatch: {np.shape(s_i)} vs {np.shape(s_j)}")
+    return float(cognitive_distances([s_i, s_j], [0], [1])[0][0])

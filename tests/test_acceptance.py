@@ -21,11 +21,10 @@ from proxlink.ml import (
     ClassifierSpec,
     GradientBoostedTrees,
     Smote,
-    cross_val_auc,
     stratified_folds,
     stratified_split,
 )
-from proxlink.ml.tune import SmoteConfig, apply_smote_train_only
+from proxlink.ml.tune import SmoteConfig, apply_smote_train_only, build_fold_sets, score_spec
 from proxlink.network import build_graph, tenb
 from proxlink.pipeline import BUNDLE_FILES, demo_config, make_demo_corpus, run_pipeline
 from proxlink.topics import cognitive_distance
@@ -193,7 +192,7 @@ def test_criterion_8_ml_pattern():
     X, y = separable_dataset(n=2000, seed=0)
     for kind in CLASSIFIER_KINDS:
         spec = ClassifierSpec.create(kind, seed=0)
-        folds = cross_val_auc(spec, X, y, folds=5, smote=SmoteConfig(), seed=0)
+        folds = score_spec(spec, build_fold_sets(X, y, folds=5, smote=SmoteConfig(), seed=0))
         mean_auc = float(np.mean(folds))
         floor = 0.99 if kind == "gradient-boosted-trees" else 0.95
         assert mean_auc >= floor, f"{kind}: {mean_auc:.4f} < {floor}"

@@ -1,5 +1,9 @@
+import csv
+import json
 import math
+from importlib import resources
 
+import numpy as np
 import pytest
 
 from proxlink.geo import (
@@ -200,14 +204,35 @@ class TestGeocode:
         assert "nowhere at all" in str(err.value)
 
     def test_cache_round_trips_bit_exactly(self, tmp_path):
+        text = resources.files("proxlink.data").joinpath("gazetteer.csv").read_text()
+        gazetteer = [(float(row["lat"]), float(row["lon"]))
+                     for row in csv.DictReader(text.splitlines())]
+        rng = np.random.default_rng(0)
+        random_points = zip(np.round(rng.uniform(-90, 90, 10_000), 4).tolist(),
+                            np.round(rng.uniform(-180, 180, 10_000), 4).tolist())
+        points = [GeoPoint.from_degrees(lat, lon) for lat, lon in
+                  [(45.50190000000001, -73.56740000000002), *gazetteer, *random_points]]
+        assert len(points) > 10_100
         path = tmp_path / "cache.jsonl"
         cache = GeocodeCache(path)
-        point = GeoPoint.from_degrees(45.50190000000001, -73.56740000000002)
-        cache.put("addr one", point, "test")
+        for n, point in enumerate(points):
+            cache.put(f"addr {n}", point, "test")
         reloaded = GeocodeCache(path)
-        got = reloaded.get("addr one")
-        assert got.lat_rad == point.lat_rad
-        assert got.lon_rad == point.lon_rad
+        assert [p for n, p in enumerate(points) if reloaded.get(f"addr {n}") != p] == []
+
+    def test_warm_cache_gives_the_cold_point(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        client = StubGeocoder(point=(51.0447, -114.0719))  # Calgary
+        cold = geocode("University of Calgary, Calgary, AB, CA", client, GeocodeCache(path))
+        warm = geocode("University of Calgary, Calgary, AB, CA", client, GeocodeCache(path))
+        assert client.calls == 1
+        assert (warm.lat_rad, warm.lon_rad) == (cold.lat_rad, cold.lon_rad)
+
+    def test_cache_file_in_degrees_still_loads(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps({"address": "addr one", "lat": 45.5019, "lon": -73.5674,
+                                    "source": "test", "ts": 0.0}) + "\n")
+        assert GeocodeCache(path).get("addr one") == GeoPoint.from_degrees(45.5019, -73.5674)
 
     def test_gazetteer_lookup(self):
         gaz = GazetteerGeocoder()

@@ -21,18 +21,16 @@ from proxlink.ml import (
     Smote,
     TunePlan,
     auc,
-    cross_val_auc,
     make_classifier,
     model_size,
     stratified_folds,
     stratified_split,
-    tune,
     tune_kinds,
 )
 from proxlink.ml import classifiers as classifiers_mod
 from proxlink.logit import sigmoid
 from proxlink.ml.tree import _MIN_GAIN, _Node, presort
-from proxlink.ml.tune import SmoteConfig
+from proxlink.ml.tune import SmoteConfig, build_fold_sets, score_spec
 from synth_data import synth_logit_data
 
 
@@ -71,6 +69,12 @@ def gaussian_blobs(n_per_class=200, dim=4, gap=5.0, seed=0):
     X = np.vstack([X0, X1])
     y = np.concatenate([np.zeros(n_per_class, int), np.ones(n_per_class, int)])
     return X, y
+
+
+def test_every_exported_name_resolves():
+    import proxlink.ml as ml
+    assert [name for name in ml.__all__ if not hasattr(ml, name)] == []
+    assert len(set(ml.__all__)) == len(ml.__all__)
 
 
 class TestSmote:
@@ -686,9 +690,10 @@ def pinned_tune(kind, n_random, max_grid_fits):
     """Digest of the log rows and the result of one pinned tuning case."""
     X, y = overlapping_blobs()
     log = []
-    _, result = tune(kind, X, y, plan=TunePlan(n_random=n_random, max_grid_fits=max_grid_fits,
-                                               folds=3, smote=SmoteConfig(k=3)),
-                     seed=5, log=log)
+    _, result = tune_kinds([kind], X, y, [5],
+                           plan=TunePlan(n_random=n_random, max_grid_fits=max_grid_fits,
+                                         folds=3, smote=SmoteConfig(k=3)),
+                           log=log)[0]
     return hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest(), result
 
 
@@ -716,8 +721,8 @@ class TestCrossValAndTune:
         import sys
         tune_mod = sys.modules["proxlink.ml.tune"]
         monkeypatch.setattr(tune_mod, "make_classifier", lambda spec: Spy())
-        cross_val_auc(ClassifierSpec.create("gaussian-naive-bayes"), X, y,
-                      folds=5, smote=SmoteConfig(k=3), seed=0)
+        score_spec(ClassifierSpec.create("gaussian-naive-bayes"),
+                   build_fold_sets(X, y, folds=5, smote=SmoteConfig(k=3), seed=0))
         assert seen["val_ok"], "a synthetic row leaked into a validation fold"
         assert seen["train_grew"], "SMOTE never augmented a training fold"
 
@@ -725,8 +730,8 @@ class TestCrossValAndTune:
         X, y = separable_dataset(n=240, seed=6)
         for kind in CLASSIFIER_KINDS:
             spec = ClassifierSpec.create(kind, seed=1)
-            r1 = cross_val_auc(spec, X, y, folds=4, smote=SmoteConfig(k=3), seed=2)
-            r2 = cross_val_auc(spec, X, y, folds=4, smote=SmoteConfig(k=3), seed=2)
+            r1 = score_spec(spec, build_fold_sets(X, y, folds=4, smote=SmoteConfig(k=3), seed=2))
+            r2 = score_spec(spec, build_fold_sets(X, y, folds=4, smote=SmoteConfig(k=3), seed=2))
             assert r1 == r2, kind
 
     def test_cross_val_auc_values_pinned(self, monkeypatch):
@@ -750,8 +755,8 @@ class TestCrossValAndTune:
             monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", block_bytes)
             for kind, aucs in expected.items():
                 spec = ClassifierSpec.create(kind, seed=1)
-                assert cross_val_auc(spec, X, y, folds=4, smote=SmoteConfig(k=3),
-                                     seed=2) == aucs, (kind, block_bytes)
+                fold_sets = build_fold_sets(X, y, folds=4, smote=SmoteConfig(k=3), seed=2)
+                assert score_spec(spec, fold_sets) == aucs, (kind, block_bytes)
 
     @pytest.mark.parametrize("n_random", [1, 6])
     def test_tune_resamples_each_fold_once(self, monkeypatch, n_random):
@@ -765,7 +770,7 @@ class TestCrossValAndTune:
         monkeypatch.setattr(Smote, "fit_resample", counting)
         X, y = separable_dataset(n=150, seed=4)
         plan = TunePlan(n_random=n_random, folds=4, smote=SmoteConfig(k=3))
-        tune("gaussian-naive-bayes", X, y, plan=plan, seed=0)
+        tune_kinds(["gaussian-naive-bayes"], X, y, [0], plan=plan)
         assert len(calls) == plan.folds
         assert len(set(calls)) == plan.folds
 
@@ -781,8 +786,8 @@ class TestCrossValAndTune:
                 y.append(p % 2)
         X, y = np.array(X), np.array(y)
         log = []
-        spec, result = tune("k-nearest-neighbors", X, y,
-                            plan=TunePlan(n_random=40, smote=None), seed=3, log=log)
+        spec, result = tune_kinds(["k-nearest-neighbors"], X, y, [3],
+                                  plan=TunePlan(n_random=40, smote=None), log=log)[0]
         evaluated_ks = {json.loads(r["hyperparameters"])["k"] for r in log}
         assert 1 in evaluated_ks
         assert spec.params["k"] == 1
@@ -790,9 +795,8 @@ class TestCrossValAndTune:
     def test_single_random_fit_wins_by_default(self):
         X, y = separable_dataset(n=150, seed=3)
         log = []
-        spec, _ = tune("gaussian-naive-bayes", X, y,
-                       plan=TunePlan(n_random=1, smote=None, folds=3),
-                       seed=0, log=log)
+        spec, _ = tune_kinds(["gaussian-naive-bayes"], X, y, [0],
+                             plan=TunePlan(n_random=1, smote=None, folds=3), log=log)[0]
         random_rows = [r for r in log if r["stage"] == "random"]
         assert len(random_rows) == 1
         assert json.loads(random_rows[0]["hyperparameters"]) == spec.params or \
@@ -805,8 +809,8 @@ class TestCrossValAndTune:
                             lambda spec, fold_sets: (0.7,) * len(fold_sets))
         X, y = separable_dataset(n=60, seed=0)
         log = []
-        spec, result = tune("k-nearest-neighbors", X, y,
-                            plan=TunePlan(n_random=10, smote=None), seed=1, log=log)
+        spec, result = tune_kinds(["k-nearest-neighbors"], X, y, [1],
+                                  plan=TunePlan(n_random=10, smote=None), log=log)[0]
         sizes = [model_size(ClassifierSpec.create(
             "k-nearest-neighbors", **json.loads(r["hyperparameters"]))) for r in log]
         assert model_size(spec) == min(sizes)
@@ -815,8 +819,8 @@ class TestCrossValAndTune:
     def test_grid_stage_covers_random_winner(self):
         X, y = separable_dataset(n=150, seed=9)
         log = []
-        tune("k-nearest-neighbors", X, y, plan=TunePlan(n_random=5, smote=None, folds=3),
-             seed=5, log=log)
+        tune_kinds(["k-nearest-neighbors"], X, y, [5],
+                   plan=TunePlan(n_random=5, smote=None, folds=3), log=log)
         random_rows = [r for r in log if r["stage"] == "random"]
         grid_rows = [r for r in log if r["stage"] == "grid"]
         best_random = max(random_rows, key=lambda r: r["mean_auc"])
@@ -857,8 +861,8 @@ class TestCrossValAndTune:
         monkeypatch.setattr(KNearestNeighbors, "fit", counting)
         X, y = separable_dataset(n=150, seed=9)
         log = []
-        tune("k-nearest-neighbors", X, y, plan=TunePlan(n_random=40, folds=3, smote=None),
-             seed=5, log=log)
+        tune_kinds(["k-nearest-neighbors"], X, y, [5],
+                   plan=TunePlan(n_random=40, folds=3, smote=None), log=log)
         distinct = {json.loads(r["hyperparameters"])["k"] for r in log}
         assert len(distinct) < 40 < len(log)
         assert sorted(fits) == sorted(list(distinct) * 3)
@@ -875,8 +879,8 @@ class TestCrossValAndTune:
         monkeypatch.setattr(GradientBoostedTrees, "fit", counting)
         X, y = separable_dataset(n=120, seed=2)
         log = []
-        tune("gradient-boosted-trees", X, y,
-             plan=TunePlan(n_random=1, max_grid_fits=1, folds=3, smote=None), seed=0, log=log)
+        tune_kinds(["gradient-boosted-trees"], X, y, [0],
+                   plan=TunePlan(n_random=1, max_grid_fits=1, folds=3, smote=None), log=log)
         assert [r["stage"] for r in log] == ["random", "grid", "grid"]
         assert log[0]["hyperparameters"] == log[1]["hyperparameters"]
         assert log[0]["fold_aucs"] == log[1]["fold_aucs"]
@@ -894,8 +898,9 @@ class TestCrossValAndTune:
         monkeypatch.setattr(classifiers_mod, "sgd_logistic_lanes", counting)
         X, y = overlapping_blobs()
         log = []
-        tune("logistic-sgd", X, y, plan=TunePlan(n_random=6, max_grid_fits=4, folds=3,
-                                                 smote=SmoteConfig(k=3)), seed=5, log=log)
+        tune_kinds(["logistic-sgd"], X, y, [5],
+                   plan=TunePlan(n_random=6, max_grid_fits=4, folds=3, smote=SmoteConfig(k=3)),
+                   log=log)
         random = {r["hyperparameters"] for r in log if r["stage"] == "random"}
         grid = {r["hyperparameters"] for r in log if r["stage"] == "grid"}
         assert calls == [3 * len(random), 3 * len(grid - random)]
@@ -930,7 +935,7 @@ class TestForkedTuning:
             runs.append((log, [(spec, r.to_json()) for spec, r in results]))
         single_log, single = [], []
         for kind, seed in zip(CLASSIFIER_KINDS, seeds):
-            spec, r = tune(kind, X, y, plan=plan, seed=seed, log=single_log)
+            spec, r = tune_kinds([kind], X, y, [seed], plan=plan, log=single_log)[0]
             single.append((spec, r.to_json()))
         assert runs[0] == runs[1] == (single_log, single)
 
@@ -965,7 +970,8 @@ class TestForkedTuning:
         monkeypatch.setattr(KNearestNeighbors, "fit", failing_fit)
         X, y = overlapping_blobs()
         with pytest.raises(ValueError, match=r"^cannot fit k=\d+$") as info:
-            tune("k-nearest-neighbors", X, y, plan=TunePlan(n_random=3, folds=3, smote=None))
+            tune_kinds(["k-nearest-neighbors"], X, y, [0],
+                       plan=TunePlan(n_random=3, folds=3, smote=None))
         cause = str(info.value.__cause__)
         assert "in the tune child for k-nearest-neighbors ({'k': " in cause
         assert ", fold 0)" in cause and "in failing_fit" in cause

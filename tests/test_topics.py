@@ -13,6 +13,7 @@ from proxlink.topics import (
     _window_counts,
     coherence,
     cognitive_distance,
+    cognitive_distances,
     has_zero_variance,
     knowledge_vector,
     npmi,
@@ -22,6 +23,7 @@ from proxlink.topics import (
     tokenize_corpus,
 )
 
+import assemble_oracle
 from conftest import make_record_dict, corpus_from_dicts
 
 
@@ -458,3 +460,33 @@ class TestCognitiveDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             cognitive_distance(np.ones(3) / 3, np.ones(4) / 4)
+
+    def test_batch_matches_one_pair_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        spread = rng.dirichlet(np.ones(6), size=4)
+        flat = np.full(6, 1 / 6)
+        # zero-variance, repeated and all-distinct vectors, every ordered pair
+        vectors = [flat, spread[0], spread[1], spread[0].copy(), flat.copy(),
+                   spread[2], spread[3], spread[1][::-1].copy()]
+        n = len(vectors)
+        I, J = np.divmod(np.arange(n * n), n)
+        distances, degenerate = cognitive_distances(vectors, I, J)
+        one_pair = np.array([cognitive_distance(vectors[a], vectors[b])
+                             for a, b in zip(I, J)])
+        oracle = np.array([assemble_oracle.cognitive_distance(vectors[a], vectors[b])
+                           for a, b in zip(I, J)])
+        assert distances.tobytes() == one_pair.tobytes() == oracle.tobytes()
+        assert degenerate.tolist() == [has_zero_variance(vectors[a]) or
+                                       has_zero_variance(vectors[b]) for a, b in zip(I, J)]
+        assert set(distances[degenerate].tolist()) == {1.0}
+        assert distances[~degenerate & (I == 3) & (J == 1)].tolist() == [0.0]
+        assert len(set(distances[~degenerate].tolist())) > 10
+        # a pair's value does not depend on the pairs batched with it
+        for p in range(len(I)):
+            alone, flag = cognitive_distances(vectors, I[p:p + 1], J[p:p + 1])
+            assert alone.tobytes() == distances[p:p + 1].tobytes()
+            assert flag[0] == degenerate[p]
+        rows = np.array([0, 5, 6, 7])
+        sub, _ = cognitive_distances([vectors[r] for r in rows], [1, 2, 3], [3, 1, 0])
+        assert sub.tobytes() == cognitive_distances(
+            vectors, rows[[1, 2, 3]], rows[[3, 1, 0]])[0].tobytes()
