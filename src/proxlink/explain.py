@@ -50,13 +50,9 @@ def coalition_values(predict_fn, x: np.ndarray, background: np.ndarray) -> np.nd
 
     masks_per_chunk = max(1, _CHUNK_ROWS // n_bg)
     for start in range(0, n_masks, masks_per_chunk):
-        masks = range(start, min(start + masks_per_chunk, n_masks))
-        block = np.tile(background, (len(masks), 1))
-        for offset, mask in enumerate(masks):
-            rows = slice(offset * n_bg, (offset + 1) * n_bg)
-            for f in range(n_features):
-                if mask >> f & 1:
-                    block[rows, f] = x[f]
+        masks = np.arange(start, min(start + masks_per_chunk, n_masks))
+        bits = (masks[:, None] >> np.arange(n_features) & 1).astype(bool)
+        block = np.where(bits[:, None, :], x, background).reshape(-1, n_features)
         preds = np.asarray(predict_fn(block), dtype=float)
         preds = preds.reshape(len(masks), n_bg)
         values[start:start + len(masks)] = preds.mean(axis=1)
