@@ -21,29 +21,29 @@ from proxlink.synthetic import make_synthetic_corpus
 # the seed-7 demo corpus. A change that moves these bytes must update the
 # digests and say why; a refactor must leave them alone.
 GOLDEN_BUNDLE = {
-    "beeswarm.svg": "d937b790452b8837ac417bdb3c5610eed7768e16616230603ac0cdc1247d491a",
-    "corr.csv": "3844ae9e5f761e9ae1506232729b5b5bbbdf3a848fcf8f4601e6f8eacd500109",
-    "dataset.csv": "1c847d22c640e2ac6fc59d9837204102eb80d67663a642df53651d40bd083c95",
-    "describe.csv": "da63b2e527f6d6d5f2ca4ddb521decd8206fb3ad212600a8f1d6fe7a1f78c438",
-    "elasticity.csv": "ffb9206877b7e9018290b34de064146312c801683206aa8a59db2876791d0070",
-    "elasticity.svg": "9a6f33365fe1350a278ec16844d52250b430dfa5eb033318856ebdbad1379cd2",
-    "eval.json": "d012e69e5fce3ed59a2ad52a9e3184cb5b02cbc5ffeee014e7d9a9e9b6c5db25",
-    "logit_table.txt": "9684cb281341fd4c35cc448ec917601015fcf6e239ea6ca035fc336e58058cad",
-    "ml_tuning.csv": "f4dc8ad0ad2fd949af2720c3e27671df72c04247b65915437c62ad0adcfb97eb",
-    "shap.csv": "a0e673c7cd7d5db4d8fd5683dd01c32ea5244955f437f475a007a5cbb389ae41",
+    "beeswarm.svg": "deed858cb03969574f66aa5231c2b217aee6013378cab59aca76029d47a426ee",
+    "corr.csv": "df543c029e757cce2d9fae2c10d11376b76ffe4a1c9291a43c8637ddf5fd733a",
+    "dataset.csv": "3f16cf0df6c12d18b8e1a1de30de8e4b359f988d25a743dd35d58e517ce840b1",
+    "describe.csv": "d8496e989b90bb3e363bac9c9f6a09533edc5ddfb1af8439c5338e8e69ff730a",
+    "elasticity.csv": "d6b40c08921d2aa0b497fee866a90b0e5b4a662d003fd8e3ececad5aa0e7df53",
+    "elasticity.svg": "a73cecdfc9da63bfbe69ec4056be2ba31fa67ea6d5aa18ee3f897c621fff0c30",
+    "eval.json": "7c9067db08dc8a5fc57c5ec48ee1d6e3fbf8b392c2eea80e9faee3bb744ec02b",
+    "logit_table.txt": "17ce0108a37084f952382ce1d8ea044c6faf431ec1cdbf7bd6f8fdea18dc1430",
+    "ml_tuning.csv": "fcecc134c35b9138eaf5e6e203b872832364c56ada262742d4b193cb657dfcaf",
+    "shap.csv": "5c78a8010435083ae4ef8a83e2476169963e77af081c54e40f8d89093a1220fc",
 }
 # manifest.json embeds the absolute corpus and output paths, so its own
 # digest varies by directory; its "stages" field is pinned instead, as the
 # sha256 of its sort_keys JSON.
-GOLDEN_STAGES = "3ebe1d184e684df5b31e67ef6f4671661a16c9fec41db9b64212980a1b5240a3"
+GOLDEN_STAGES = "00adc28069a68de65ad8373e5ca19a864043826347d6db3214d7dc9fc6fde323"
 # sha256 of the feature-stage files for gazetteer_config() on the seed-7
 # synthetic corpus without coordinates: scenario 4, every eligible pair,
 # every point from the bundled gazetteer. The demo digests above cover only
 # scenario 1, ratio sampling and explicit coordinates.
 GOLDEN_GAZETTEER = {
-    "dataset.csv": "b53b5b332c2895c178d69d343b7eedb0fe7b1711df6fc752f7e4eb849444142e",
+    "dataset.csv": "d5ab8a0b6d82145c3574ccfead3994d05a56bdf7b44a99165190e140ee8a72df",
     "dataset.manifest.json": "2cc09d57a8652dcb8fa75049f847b2a0f3c6f9f08ad8b3a8e19b34a28c8a41a2",
-    "describe.csv": "5adaf77dc835b7762589e3175c08957973999f73e89afb0246b5da4870ae6246",
+    "describe.csv": "776ebb283596d7699596104a7f27428a56a27d419f1a15e475d6aaf80c0b055b",
 }
 
 
