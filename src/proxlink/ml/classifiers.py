@@ -15,7 +15,7 @@ import numpy as np
 from .._base import ParamsMixin, check_fitted
 from .._validation import check_array, check_X_y, check_both_classes
 from ..logit import sigmoid
-from .tree import CartTree, presort
+from .tree import CartTree, grow_gini, presort
 
 CLASSIFIER_KINDS = (
     "logistic-sgd",
@@ -405,19 +405,26 @@ class RandomForest(_ClassifierBase):
 
     def fit(self, X, y):
         X, y = self._check_fit_inputs(X, y)
-        n = len(y)
-        mf = self._resolve_max_features(X.shape[1])
+        n, n_features = X.shape
+        mf = self._resolve_max_features(n_features)
+        y = y.astype(float)
+        order = presort(X)
+        # a group's row buffer holds trees x rows entries, and a scan chunk's
+        # eight arrays of 8-byte entries stay within BLOCK_BYTES
+        per_group = max(1, BLOCK_BYTES // (8 * n))
+        block = BLOCK_BYTES // 64
         root = np.random.default_rng(self.seed)
         self.trees_ = []
-        for _ in range(self.n_trees):
-            rng = np.random.default_rng(root.integers(0, 2 ** 63 - 1))
-            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = CartTree(max_depth=self.max_depth,
-                            min_samples_leaf=self.min_samples_leaf,
-                            criterion="gini", max_features=mf, rng=rng)
-            X_tree = X[idx]
-            tree.fit(X_tree, y[idx].astype(float), presort(X_tree))
-            self.trees_.append(tree)
+        for first in range(0, self.n_trees, per_group):
+            trees, samples = [], []
+            for _ in range(min(per_group, self.n_trees - first)):
+                rng = np.random.default_rng(root.integers(0, 2 ** 63 - 1))
+                samples.append(rng.integers(0, n, size=n) if self.bootstrap else np.arange(n))
+                trees.append(CartTree(max_depth=self.max_depth,
+                                      min_samples_leaf=self.min_samples_leaf,
+                                      criterion="gini", max_features=mf, rng=rng))
+            grow_gini(trees, X, y, order, samples, block)
+            self.trees_.extend(trees)
         return self
 
     def predict_proba(self, X):

@@ -1,22 +1,28 @@
-"""CART decision tree with exhaustive, deterministic split search.
+"""CART decision trees with exhaustive, deterministic split search.
 
 The caller argsorts the sample once per feature (``presort``) and hands
-that order to the fit, so trees grown on the same rows, as in boosting,
-share one sort. Each node carries its own F x n order matrix, row f
-listing the node's rows in ascending order of feature f; a split
-partitions every row stably into the two children's matrices, so no
-node rescans the full sample. A node's split search is one vectorized
-scan over all candidate features: cumulative sums along each sorted row
-give the impurity gain at every position whose adjacent values differ
-(midpoint threshold, or the lower value where the midpoint rounds onto
-the upper one), and one flat argmax picks the best. Equal gains resolve
-to the lower feature index, then the lower threshold, making every fit
-reproducible.
+that order to the fit, so trees grown on the same rows share one sort.
+Every split search keeps the positions whose adjacent sorted values
+differ and that leave ``min_samples_leaf`` rows on each side, scores
+them from cumulative sums along each candidate feature's sorted rows,
+and splits at the midpoint (or the lower value where the midpoint rounds
+onto the upper one). Equal gains resolve to the lower feature index,
+then the lower threshold, making every fit reproducible.
 
-Supports variance-reduction splits for regression (used by gradient
-boosting, with pluggable leaf values) and Gini splits for classification
-(used by the random forest). ``fit_values`` also returns each training
-row's leaf value, which boosting adds to its score without a predict.
+Two growers share these rules:
+
+- Variance-reduction (mse) trees, used by gradient boosting with
+  pluggable leaf values, grow node by node. Each node carries its own
+  F x n order matrix, row f listing the node's rows in ascending order of
+  feature f, which a split partitions stably into the two children's
+  matrices; the node's search is one vectorized scan over its candidate
+  features and one flat argmax. ``fit_values`` also returns each
+  training row's leaf value, which boosting adds to its score without a
+  predict.
+- Gini trees, used by the random forest, grow in lockstep
+  (``grow_gini``): one step scans the next depth-first node of every
+  tree of a group in one flat search. A single gini ``CartTree`` is the
+  one-tree case.
 """
 from __future__ import annotations
 
@@ -80,14 +86,21 @@ class CartTree:
     def fit_values(self, X, y, order: np.ndarray,
                    leaf_value_fn: Optional[Callable] = None) -> np.ndarray:
         """Fit the tree on ``X`` with its ``order = presort(X)`` and return
-        each training row's leaf value, equal to ``predict(X)`` bit for bit."""
+        each training row's leaf value, equal to ``predict(X)`` bit for bit.
+        A gini tree is ``grow_gini`` with one tree; it takes 0/1 labels and
+        no ``leaf_value_fn``."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
+        out = np.empty(len(y))
+        if self.criterion == "gini":
+            if leaf_value_fn is not None:
+                raise ValueError("leaf_value_fn applies to mse trees only")
+            grow_gini([self], X, y, order, [np.arange(len(y))], out=out)
+            return out
         self.n_features_ = X.shape[1]
         self.nodes = []
         if leaf_value_fn is None:
             leaf_value_fn = lambda idx: float(y[idx].mean())
-        out = np.empty(len(y))
         self._build(X, y, np.arange(len(y)), order, 0, leaf_value_fn, out)
         return out
 
@@ -100,9 +113,7 @@ class CartTree:
     def _build(self, X, y, idx, order, depth, leaf_value_fn, out) -> int:
         """Grow the subtree over rows ``idx`` (ascending) whose per-feature
         sorted orders are the rows of ``order``."""
-        n = len(idx)
-        if (depth >= self.max_depth or n < self.min_samples_split
-                or n < 2 * self.min_samples_leaf):
+        if self._stops(depth, len(idx)):
             return self._leaf(idx, leaf_value_fn, out)
 
         best = self._best_split(X, y, idx, order)
@@ -125,6 +136,11 @@ class CartTree:
             X, y, right_idx, right_order, depth + 1, leaf_value_fn, out)
         return node_id
 
+    def _stops(self, depth: int, n: int) -> bool:
+        """Whether a node of ``n`` rows at ``depth`` is a leaf without a scan."""
+        return (depth >= self.max_depth or n < self.min_samples_split
+                or n < 2 * self.min_samples_leaf)
+
     def _candidate_features(self) -> np.ndarray:
         if self.max_features is None or self.max_features >= self.n_features_:
             return np.arange(self.n_features_)
@@ -139,16 +155,10 @@ class CartTree:
 
         y_node = y[idx]
         total_sum = float(y_node.sum())
-        total_pos = total_sum
-        if self.criterion == "mse":
-            total_sq = float((y_node ** 2).sum())
-            parent_impurity = total_sq - total_sum * total_sum / n
-        else:
-            parent_impurity = self._gini_ss(total_pos, n)
+        total_sq = float((y_node ** 2).sum())
+        parent_impurity = total_sq - total_sum * total_sum / n
 
         lo, hi = min_leaf - 1, n - min_leaf  # candidate split positions
-        if hi <= lo:
-            return None
         feats = self._candidate_features()
         rows = order[feats]
         values = X[rows, feats[:, None]]
@@ -158,17 +168,11 @@ class CartTree:
         boundary = values[:, lo:hi] != values[:, lo + 1:hi + 1]
         n_l = np.arange(lo + 1.0, hi + 1.0)
         n_r = n - n_l
-        if self.criterion == "mse":
-            s_l = ys.cumsum(axis=1)[:, lo:hi]
-            sq_l = (ys ** 2).cumsum(axis=1)[:, lo:hi]
-            imp_l = sq_l - s_l * s_l / n_l
-            s_r = total_sum - s_l
-            imp_r = (total_sq - sq_l) - s_r * s_r / n_r
-        else:
-            pos_l = ys.cumsum(axis=1)[:, lo:hi]
-            imp_l = n_l - (pos_l ** 2 + (n_l - pos_l) ** 2) / n_l
-            pos_r = total_pos - pos_l
-            imp_r = n_r - (pos_r ** 2 + (n_r - pos_r) ** 2) / n_r
+        s_l = ys.cumsum(axis=1)[:, lo:hi]
+        sq_l = (ys ** 2).cumsum(axis=1)[:, lo:hi]
+        imp_l = sq_l - s_l * s_l / n_l
+        s_r = total_sum - s_l
+        imp_r = (total_sq - sq_l) - s_r * s_r / n_r
         gains = np.where(boundary, parent_impurity - imp_l - imp_r, -np.inf)
         # the flat argmax is row-major: first the lower feature, then
         # the lower threshold
@@ -176,12 +180,7 @@ class CartTree:
         if not gains[f, i] > _MIN_GAIN:
             return None
         i += lo
-        threshold = (values[f, i] + values[f, i + 1]) / 2.0
-        # the midpoint of adjacent floats can round up onto the upper
-        # value, which would leave the right child empty
-        if not threshold < values[f, i + 1]:
-            threshold = values[f, i]
-        return int(feats[f]), float(threshold)
+        return int(feats[f]), float(_threshold(values[f, i], values[f, i + 1]))
 
     @staticmethod
     def _gini_ss(pos: float, n: int) -> float:
@@ -222,3 +221,176 @@ class CartTree:
                 for n in self.nodes
             ],
         }
+
+
+def _threshold(lower, upper):
+    """Split threshold between adjacent sorted values ``lower < upper``:
+    their midpoint, or ``lower`` where the midpoint of adjacent floats
+    rounds up onto ``upper`` and would leave the right child empty."""
+    mid = (lower + upper) / 2.0
+    return np.where(mid < upper, mid, lower)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``starts[j] .. starts[j] + lengths[j] - 1``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+
+
+def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
+              samples: list, block: Optional[int] = None,
+              out: Optional[np.ndarray] = None) -> None:
+    """Grow the gini ``trees`` in lockstep, tree t on the rows
+    ``samples[t]`` of ``X`` (repeats allowed) and 0/1 labels ``y``, with
+    ``order = presort(X)``. ``out``, if given, receives each sample row's
+    leaf value.
+
+    Each step pops the next depth-first node of every tree, making leaves
+    of those too small or too deep to split, until one per tree needs a
+    scan. A node is a range of its tree's row buffer. The step scans its
+    nodes together, in chunks of about ``block`` (rows x candidate
+    features) entries, or all at once without ``block``; a node larger
+    than ``block`` is a chunk of its own. A chunk sorts each node's rows
+    on each of its candidate features with one sort of (segment, rank)
+    keys, takes the positive counts of every split position from one
+    flat cumsum, and keeps the positions whose adjacent values differ and
+    which leave ``min_samples_leaf`` rows on each side; a node's first
+    best gain in (feature, position) order wins, as in the mse scan. The
+    winning feature's sorted rows become the node's range, left child
+    first.
+
+    Tie order within a sorted segment differs from the per-node scan's,
+    but at a position between distinct values the left count is the
+    number of positives up to that value whatever the tie order; counts
+    of 0/1 labels are exact, and every gain, threshold and leaf value
+    (positives / rows) has the bits of the per-node scan. Each tree draws
+    its candidate features from its own rng in its own preorder and
+    appends its nodes in preorder, so its draws and ``to_dict()`` are
+    those of growing it alone.
+    """
+    n_rows, n_features = X.shape
+    size = n_rows * n_features
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("gini trees need 0/1 labels")
+    # feature-major tables indexed by f * n_rows + rank: the rows of X in
+    # ascending order of each feature, their values and labels; ``code``
+    # maps f * n_rows + row to its entry
+    at = (np.arange(0, size, n_rows)[:, None] + order).ravel()
+    code = np.empty(size, dtype=np.intp)
+    code[at] = np.arange(size)
+    sorted_rows = order.ravel()
+    sorted_x = X.T.ravel()[at]
+    sorted_y = y[sorted_rows]
+    del at
+
+    buf = np.concatenate(samples)
+    stacks = []  # per tree: (start, stop, depth, positives, parent, is_left)
+    start = 0
+    for tree, rows in zip(trees, samples):
+        tree.n_features_ = n_features
+        tree.nodes = []
+        stop = start + len(rows)
+        stacks.append([(start, stop, 0, int(np.count_nonzero(y[rows])), -1, False)])
+        start = stop
+
+    def best_splits(chunk) -> dict:
+        """Split of each node of ``chunk`` that has one, by position in
+        ``chunk``: (feature, threshold, last left position, left positives);
+        rewrites the split nodes' ranges of ``buf``."""
+        _, _, starts, stops, _, positives, feats = zip(*chunk)
+        starts, positives = np.array(starts), np.array(positives)
+        counts = np.array(stops) - starts
+        min_leaf = np.array([trees[t].min_samples_leaf for t, *_ in chunk])
+
+        # one segment per (node, candidate feature), node-major, features
+        # ascending, holding the node's rows sorted on that feature
+        seg_feat = np.concatenate(feats)
+        seg_node = np.repeat(np.arange(len(chunk)), [len(f) for f in feats])
+        seg_len = counts[seg_node]
+        seg_off = np.cumsum(seg_len) - seg_len
+        seg_of = np.repeat(np.arange(len(seg_feat)), seg_len)
+        rows = buf[_ranges(starts[seg_node], seg_len)]
+        entry = code[rows + (seg_feat * n_rows)[seg_of]]
+        del rows
+        entry += seg_of * size
+        entry.sort()
+        entry %= size
+        x = sorted_x[entry]
+        pos_cum = np.cumsum(sorted_y[entry])
+
+        # split positions: between distinct values, min_leaf rows each side
+        pos_in_seg = np.arange(len(entry) - 1) - seg_off[seg_of[:-1]]
+        ok = x[:-1] != x[1:]
+        ok &= pos_in_seg >= (min_leaf - 1)[seg_node][seg_of[:-1]]
+        ok &= pos_in_seg < (counts - min_leaf)[seg_node][seg_of[:-1]]
+        i = np.flatnonzero(ok)
+        del ok
+        seg = seg_of[i]
+        node = seg_node[seg]
+        n_l = pos_in_seg[i] + 1.0
+        pos_l = pos_cum[i] - np.concatenate(([0.0], pos_cum))[seg_off[seg]]
+        n = counts[node]
+        total_pos = positives[node]
+        gains = (CartTree._gini_ss(total_pos, n) - CartTree._gini_ss(pos_l, n_l)
+                 - CartTree._gini_ss(total_pos - pos_l, n - n_l))
+
+        # each node's first best gain in (feature, position) order
+        firsts = np.flatnonzero(np.diff(node, prepend=-1))
+        best = np.maximum.reduceat(gains, firsts)
+        hits = np.flatnonzero(gains == np.repeat(best, np.diff(firsts, append=len(i))))
+        win = hits[np.diff(node[hits], prepend=-1) != 0]
+        win = win[gains[win] > _MIN_GAIN]
+        split_of, w, w_off = node[win], i[win], seg_off[seg[win]]
+        # the winning segment's sorted rows become the node's range, left
+        # child first
+        src = _ranges(w_off, counts[split_of])
+        buf[src + np.repeat(starts[split_of] - w_off, counts[split_of])] = sorted_rows[entry[src]]
+        return dict(zip(split_of.tolist(), zip(
+            seg_feat[seg[win]].tolist(), _threshold(x[w], x[w + 1]).tolist(),
+            (n_l[win] - 1).astype(np.intp).tolist(), pos_l[win].astype(np.intp).tolist())))
+
+    def make_leaf(node, start, stop, positives):
+        node.value = positives / (stop - start)
+        if out is not None:
+            out[buf[start:stop]] = node.value
+
+    live = list(range(len(trees)))
+    while live:
+        chunks = [[]]  # (tree, node id, start, stop, depth, positives, features)
+        entries = 0
+        for t in live:
+            tree, stack = trees[t], stacks[t]
+            nodes = tree.nodes
+            while stack:
+                start, stop, depth, positives, parent, is_left = stack.pop()
+                node_id = len(nodes)
+                nodes.append(_Node())
+                if parent >= 0:
+                    if is_left:
+                        nodes[parent].left = node_id
+                    else:
+                        nodes[parent].right = node_id
+                if tree._stops(depth, stop - start):
+                    make_leaf(nodes[node_id], start, stop, positives)
+                    continue
+                feats = tree._candidate_features()
+                entries += len(feats) * (stop - start)
+                if block is not None and entries > block and chunks[-1]:
+                    chunks.append([])
+                    entries = len(feats) * (stop - start)
+                chunks[-1].append((t, node_id, start, stop, depth, positives, feats))
+                break
+        for chunk in chunks:
+            if not chunk:
+                continue
+            splits = best_splits(chunk)
+            for j, (t, node_id, start, stop, depth, pos, _) in enumerate(chunk):
+                scanned = trees[t].nodes[node_id]
+                if j not in splits:
+                    make_leaf(scanned, start, stop, pos)
+                    continue
+                scanned.feature, scanned.threshold, last_left, left_pos = splits[j]
+                mid = start + last_left + 1
+                stacks[t].append((mid, stop, depth + 1, pos - left_pos, node_id, False))
+                stacks[t].append((start, mid, depth + 1, left_pos, node_id, True))
+        live = [t for t in live if stacks[t]]

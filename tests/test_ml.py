@@ -353,6 +353,15 @@ class TestCartTree:
         assert np.array_equal(tree.predict(X), y)
 
 
+    def test_gini_needs_labels_and_default_leaves(self):
+        X = np.arange(4.0)[:, None]
+        with pytest.raises(ValueError, match="0/1 labels"):
+            CartTree(criterion="gini").fit(X, np.array([0.0, 2.0, 1.0, 0.0]), presort(X))
+        with pytest.raises(ValueError, match="mse trees only"):
+            CartTree(criterion="gini").fit(X, np.array([0.0, 1.0, 1.0, 0.0]), presort(X),
+                                           lambda idx: 0.0)
+
+
 class ReferenceCartTree(CartTree):
     """The per-feature split search the vectorized kernel replaced: one
     full-sample argsort filtered by a membership mask at every node, and
@@ -511,7 +520,119 @@ class TestCartTreeKernel:
         assert not any(isinstance(v, np.ndarray) for v in vars(tree).values())
 
 
+def reference_forest(forest, X, y):
+    """The forest's trees grown one at a time by ``ReferenceCartTree``,
+    each on its own bootstrap and with its own rng drawn as the forest
+    draws them; returns (tree, rng) pairs."""
+    n, n_features = X.shape
+    root = np.random.default_rng(forest.seed)
+    out = []
+    for _ in range(forest.n_trees):
+        rng = np.random.default_rng(root.integers(0, 2 ** 63 - 1))
+        idx = rng.integers(0, n, size=n) if forest.bootstrap else np.arange(n)
+        tree = ReferenceCartTree(max_depth=forest.max_depth,
+                                 min_samples_leaf=forest.min_samples_leaf, criterion="gini",
+                                 max_features=forest._resolve_max_features(n_features),
+                                 rng=rng)
+        out.append((tree.fit(X[idx], y[idx].astype(float)), rng))
+    return out
+
+
+def random_forest_case(seed):
+    """Columns as in ``random_tree_case``, 0/1 labels with both classes
+    (sometimes a single positive, so some bootstraps hold one class) and
+    random forest hyperparameters."""
+    X, _, _, _ = random_tree_case(2 * seed + 1)
+    rng = np.random.default_rng(1000 + seed)
+    n, n_features = X.shape
+    if n < 2:
+        X = np.vstack([X, X + 1.0])
+        n = 2
+    if rng.uniform() < 0.25:
+        y = np.zeros(n, dtype=int)
+    else:
+        y = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(int)
+    y[rng.choice(n, size=2, replace=False)] = [0, 1]
+    params = dict(n_trees=int(rng.integers(1, 41)), max_depth=int(rng.integers(1, 13)),
+                  min_samples_leaf=int(rng.integers(1, 9)),
+                  max_features=[None, 1, "sqrt", n_features][seed % 4],
+                  bootstrap=bool(rng.uniform() < 0.75), seed=seed)
+    return X, y, params
+
+
+class TestForestLockstep:
+    @pytest.mark.parametrize("block", range(4))
+    def test_matches_trees_grown_one_at_a_time(self, block):
+        for seed in range(block * 12, block * 12 + 12):
+            X, y, params = random_forest_case(seed)
+            forest = RandomForest(**params).fit(X, y)
+            reference = reference_forest(forest, X, y)
+            assert len(forest.trees_) == len(reference) == params["n_trees"]
+            for tree, (ref, ref_rng) in zip(forest.trees_, reference):
+                assert tree.to_dict() == ref.to_dict(), seed
+                assert tree.rng.bit_generator.state == ref_rng.bit_generator.state, seed
+
+    def test_forest_cases_cover_the_grid(self):
+        cases = [random_forest_case(seed) for seed in range(48)]
+        params = [p for _, _, p in cases]
+        assert {None, 1, "sqrt"} <= {p["max_features"] for p in params}
+        assert sum(p["max_features"] == X.shape[1] for X, _, p in cases) >= 10
+        assert {p["min_samples_leaf"] for p in params} == set(range(1, 9))
+        assert {p["bootstrap"] for p in params} == {True, False}
+        assert {1, 40} <= {p["n_trees"] for p in params}
+        assert sum(int(y.sum()) == 1 for _, y, _ in cases) >= 5
+        assert sum(bool(np.isin(X, [np.nextafter(2.0, 0.0)]).any()) for X, _, _ in cases) >= 10
+        assert sum(bool((X == X[0]).all(axis=0).any()) for X, _, _ in cases) >= 10
+
+    def test_one_class_bootstrap_is_a_root_leaf(self):
+        X = np.arange(6.0)[:, None]
+        y = np.array([0, 0, 0, 0, 0, 1])
+        forest = RandomForest(n_trees=20, max_depth=4, max_features=None, seed=3).fit(X, y)
+        roots = [tree.nodes[0] for tree in forest.trees_]
+        assert any(root.is_leaf and root.value == 0.0 for root in roots)
+        assert any(not root.is_leaf for root in roots)
+        for tree, (ref, _) in zip(forest.trees_, reference_forest(forest, X, y)):
+            assert tree.to_dict() == ref.to_dict()
+
+    def test_tree_groups_do_not_change_the_bytes(self, monkeypatch):
+        X, y = synth_logit_data(n=150, seed=4)
+        groups = []
+        grow_gini = classifiers_mod.grow_gini
+
+        def recording(trees, *args):
+            groups.append(len(trees))
+            return grow_gini(trees, *args)
+
+        monkeypatch.setattr(classifiers_mod, "grow_gini", recording)
+        dumps = {}
+        for block_bytes in (1, 8 * 150 * 5, 2 ** 40):
+            monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", block_bytes)
+            groups.clear()
+            model = RandomForest(n_trees=13, max_depth=6, seed=2).fit(X, y)
+            dumps[block_bytes] = (json.dumps(model.to_json(), sort_keys=True),
+                                  model.predict_proba(X).tobytes(), tuple(groups))
+        # one-node chunks in one-tree groups, then 5-tree groups of 150 rows
+        assert dumps[1][2] == (1,) * 13
+        assert dumps[8 * 150 * 5][2] == (5, 5, 3)
+        assert dumps[2 ** 40][2] == (13,)
+        assert len({d[:2] for d in dumps.values()}) == 1
+
+
 class TestTreeEnsembleMemory:
+    def test_forest_temporaries_stay_within_a_few_blocks(self, monkeypatch):
+        # scanning all 40 roots at once would hold eight arrays of
+        # 40 trees x 2 candidates x 3000 rows, 15 MB
+        X, y = synth_logit_data(n=3000, seed=3)
+        monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", 2 ** 18)
+        tracemalloc.start()
+        try:
+            model = RandomForest(n_trees=40, max_depth=10, seed=1).fit(X, y)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.trees_) == 40
+        assert peak < size + 8 * 2 ** 18
+
     @pytest.mark.parametrize("model", [
         RandomForest(n_trees=4, max_depth=5, seed=2),
         GradientBoostedTrees(n_trees=4, max_depth=3, seed=2),
