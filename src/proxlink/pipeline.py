@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from ._fork import fork_map
 from ._rng import stable_seed
 from .corpus import Corpus, CorpusConfig, dump_corpus, load_corpus, scenario_filter
 from .explain import beeswarm_export, explain_rows, sample_background
@@ -331,23 +332,33 @@ def _stage_ml(state: RunState) -> None:
     tuned = tune_kinds(cfg.classifiers, X[train_idx], y[train_idx], plan=plan,
                        seeds=[stable_seed(cfg.seed, "tune", kind) for kind in cfg.classifiers],
                        log=log_rows)
-    results = {}
-    best_kind, best_cv = None, -1.0
-    # the kept models are fitted here, in this process
-    for kind, (spec, cv_result) in zip(cfg.classifiers, tuned):
+    # the best kind is the first with the highest CV mean AUC, so it is
+    # known before any refit, and only its refit sends the model back
+    best, best_cv = None, -1.0
+    for j, (_, cv_result) in enumerate(tuned):
+        if cv_result.mean_auc > best_cv:
+            best, best_cv = j, cv_result.mean_auc
+
+    def refit(j):
+        kind, spec = cfg.classifiers[j], tuned[j][0]
         t0 = time.perf_counter()
         X_tr, y_tr = apply_smote_train_only(
             X[train_idx], y[train_idx], plan.smote,
             seed=stable_seed(cfg.seed, "smote-final", kind))
         model = make_classifier(spec).fit(X_tr, y_tr)
         test_auc = float(auc(model.predict_proba(X[test_idx])[:, 1], y[test_idx]))
+        return test_auc, time.perf_counter() - t0, model if j == best else None
+
+    refits = fork_map(refit, range(len(tuned)),
+                      label=lambda j: f"refit child for {cfg.classifiers[j]}")
+    results = {}
+    for kind, (_, cv_result), (test_auc, seconds, model) in zip(cfg.classifiers, tuned, refits):
         cv_result.test_auc = test_auc
-        cv_result.wall_time_s += time.perf_counter() - t0
+        cv_result.wall_time_s += seconds
         results[kind] = cv_result
-        if cv_result.mean_auc > best_cv:
-            best_cv = cv_result.mean_auc
-            best_kind = kind
+        if model is not None:
             state.best_model = model
+    best_kind = None if best is None else cfg.classifiers[best]
     state.best_kind = best_kind
     state.ml_results = results
     state._split = (train_idx, test_idx)

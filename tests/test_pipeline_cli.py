@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import os
 import pytest
 
 from proxlink.cli import main
+from proxlink.ml import CLASSIFIER_KINDS
 from proxlink.pipeline import (
     BUNDLE_FILES,
     RunConfig,
@@ -75,6 +77,49 @@ def demo_corpus(tmp_path_factory):
     n = make_demo_corpus(path)
     assert n == 300
     return str(path)
+
+
+def six_kind_config(demo_corpus, out) -> RunConfig:
+    """The demo run with every classifier kind and a one-fit search."""
+    return dataclasses.replace(
+        demo_config(demo_corpus, out=out), classifiers=list(CLASSIFIER_KINDS),
+        lda_k_grid=[3], lda_iterations=20, n_random=1, max_grid_fits=1, folds=3)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedRefits:
+    def test_refit_path_does_not_change_the_bytes(self, tmp_path, demo_corpus, usable_cpus):
+        runs = []
+        for n_cpus in (1, 2):
+            usable_cpus(n_cpus)
+            config = six_kind_config(demo_corpus, str(tmp_path / f"cpus{n_cpus}"))
+            state = run_pipeline(config, through_stage="ml")
+            X, _ = state.dataset.to_matrix()
+            assert state.best_model.to_json()["kind"] == state.best_kind
+            assert all(r.wall_time_s > 0 for r in state.ml_results.values())
+            runs.append([_file_sha256(os.path.join(config.out, name))
+                         for name in ("eval.json", "ml_tuning.csv")]
+                        + [state.best_model.predict_proba(X).tobytes()])
+        assert runs[0] == runs[1]
+
+    def test_refit_error_names_its_kind(self, tmp_path, demo_corpus, usable_cpus,
+                                        monkeypatch):
+        import proxlink.pipeline as pipeline_mod
+
+        make_classifier = pipeline_mod.make_classifier
+
+        def failing(spec):
+            if spec.kind == "linear-svm":
+                raise ValueError("cannot refit")
+            return make_classifier(spec)
+
+        usable_cpus(2)
+        monkeypatch.setattr(pipeline_mod, "make_classifier", failing)
+        config = six_kind_config(demo_corpus, str(tmp_path / "out"))
+        with pytest.raises(StageError, match="'ml' failed: cannot refit") as info:
+            run_pipeline(config, through_stage="ml")
+        child = str(info.value.__cause__.__cause__)
+        assert "in the refit child for linear-svm:" in child and "in failing" in child
 
 
 class TestRunConfig:
