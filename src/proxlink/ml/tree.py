@@ -59,9 +59,9 @@ class CartTree:
     """Binary decision tree; criterion "mse" or "gini".
 
     ``max_features`` subsamples split candidates per node (random forest
-    style) using the supplied rng; None considers every feature.
-    ``leaf_value_fn(indices) -> float`` overrides the default leaf value
-    (mean target for mse, positive-class fraction for gini).
+    style) using the supplied rng; None considers every feature. A leaf
+    holds the mean target (for gini, the positive-class fraction);
+    ``leaf_value_fn(indices) -> float`` overrides it for mse.
     """
 
     def __init__(self, max_depth: int = 3, min_samples_leaf: int = 1,
@@ -180,7 +180,12 @@ class CartTree:
         if not gains[f, i] > _MIN_GAIN:
             return None
         i += lo
-        return int(feats[f]), float(_threshold(values[f, i], values[f, i + 1]))
+        threshold = (values[f, i] + values[f, i + 1]) / 2.0
+        # the midpoint of adjacent floats can round up onto the upper
+        # value, which would leave the right child empty
+        if not threshold < values[f, i + 1]:
+            threshold = values[f, i]
+        return int(feats[f]), float(threshold)
 
     @staticmethod
     def _gini_ss(pos: float, n: int) -> float:
@@ -221,14 +226,6 @@ class CartTree:
                 for n in self.nodes
             ],
         }
-
-
-def _threshold(lower, upper):
-    """Split threshold between adjacent sorted values ``lower < upper``:
-    their midpoint, or ``lower`` where the midpoint of adjacent floats
-    rounds up onto ``upper`` and would leave the right child empty."""
-    mid = (lower + upper) / 2.0
-    return np.where(mid < upper, mid, lower)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -341,12 +338,16 @@ def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
         win = hits[np.diff(node[hits], prepend=-1) != 0]
         win = win[gains[win] > _MIN_GAIN]
         split_of, w, w_off = node[win], i[win], seg_off[seg[win]]
+        # midpoint thresholds, or the lower value where the midpoint of
+        # adjacent floats rounds up onto the upper one (as in the mse scan)
+        mid = (x[w] + x[w + 1]) / 2.0
+        thresholds = np.where(mid < x[w + 1], mid, x[w])
         # the winning segment's sorted rows become the node's range, left
         # child first
         src = _ranges(w_off, counts[split_of])
         buf[src + np.repeat(starts[split_of] - w_off, counts[split_of])] = sorted_rows[entry[src]]
         return dict(zip(split_of.tolist(), zip(
-            seg_feat[seg[win]].tolist(), _threshold(x[w], x[w + 1]).tolist(),
+            seg_feat[seg[win]].tolist(), thresholds.tolist(),
             (n_l[win] - 1).astype(np.intp).tolist(), pos_l[win].astype(np.intp).tolist())))
 
     def make_leaf(node, start, stop, positives):
