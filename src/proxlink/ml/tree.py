@@ -292,7 +292,7 @@ def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
 
     def best_splits(chunk) -> dict:
         """Split of each node of ``chunk`` that has one, by position in
-        ``chunk``: (feature, threshold, last left position, left positives);
+        ``chunk``: (feature, threshold, left rows, left positives);
         rewrites the split nodes' ranges of ``buf``."""
         _, _, starts, stops, _, positives, feats = zip(*chunk)
         starts, positives = np.array(starts), np.array(positives)
@@ -348,7 +348,7 @@ def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
         buf[src + np.repeat(starts[split_of] - w_off, counts[split_of])] = sorted_rows[entry[src]]
         return dict(zip(split_of.tolist(), zip(
             seg_feat[seg[win]].tolist(), thresholds.tolist(),
-            (n_l[win] - 1).astype(np.intp).tolist(), pos_l[win].astype(np.intp).tolist())))
+            n_l[win].astype(np.intp).tolist(), pos_l[win].astype(np.intp).tolist())))
 
     def make_leaf(node, start, stop, positives):
         node.value = positives / (stop - start)
@@ -390,8 +390,8 @@ def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
                 if j not in splits:
                     make_leaf(scanned, start, stop, pos)
                     continue
-                scanned.feature, scanned.threshold, last_left, left_pos = splits[j]
-                mid = start + last_left + 1
+                scanned.feature, scanned.threshold, left_n, left_pos = splits[j]
+                mid = start + left_n
                 stacks[t].append((mid, stop, depth + 1, pos - left_pos, node_id, False))
                 stacks[t].append((start, mid, depth + 1, left_pos, node_id, True))
         live = [t for t in live if stacks[t]]

@@ -620,8 +620,8 @@ class TestForestLockstep:
 
 class TestTreeEnsembleMemory:
     def test_forest_temporaries_stay_within_a_few_blocks(self, monkeypatch):
-        # scanning all 40 roots at once would hold eight arrays of
-        # 40 trees x 2 candidates x 3000 rows, 15 MB
+        # 10-tree groups; an unchunked first step would hold eight arrays
+        # of 10 trees x 2 candidates x 3000 rows, 3.8 MB
         X, y = synth_logit_data(n=3000, seed=3)
         monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", 2 ** 18)
         tracemalloc.start()
