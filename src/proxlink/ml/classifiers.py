@@ -409,22 +409,16 @@ class RandomForest(_ClassifierBase):
         mf = self._resolve_max_features(n_features)
         y = y.astype(float)
         order = presort(X)
+        root = np.random.default_rng(self.seed)
+        self.trees_ = [CartTree(max_depth=self.max_depth,
+                                min_samples_leaf=self.min_samples_leaf, criterion="gini",
+                                max_features=mf,
+                                rng=np.random.default_rng(root.integers(0, 2 ** 63 - 1)))
+                       for _ in range(self.n_trees)]
         # a group's row buffer holds trees x rows entries, and a scan chunk's
         # eight arrays of 8-byte entries stay within BLOCK_BYTES
-        per_group = max(1, BLOCK_BYTES // (8 * n))
-        block = BLOCK_BYTES // 64
-        root = np.random.default_rng(self.seed)
-        self.trees_ = []
-        for first in range(0, self.n_trees, per_group):
-            trees, samples = [], []
-            for _ in range(min(per_group, self.n_trees - first)):
-                rng = np.random.default_rng(root.integers(0, 2 ** 63 - 1))
-                samples.append(rng.integers(0, n, size=n) if self.bootstrap else np.arange(n))
-                trees.append(CartTree(max_depth=self.max_depth,
-                                      min_samples_leaf=self.min_samples_leaf,
-                                      criterion="gini", max_features=mf, rng=rng))
-            grow_gini(trees, X, y, order, samples, block)
-            self.trees_.extend(trees)
+        grow_gini(self.trees_, X, y, order, self.bootstrap,
+                  group=max(1, BLOCK_BYTES // (8 * n)), block=BLOCK_BYTES // 64)
         return self
 
     def predict_proba(self, X):

@@ -95,7 +95,7 @@ class CartTree:
         if self.criterion == "gini":
             if leaf_value_fn is not None:
                 raise ValueError("leaf_value_fn applies to mse trees only")
-            grow_gini([self], X, y, order, [np.arange(len(y))], out=out)
+            grow_gini([self], X, y, order, bootstrap=False, group=1, block=0, out=out)
             return out
         self.n_features_ = X.shape[1]
         self.nodes = []
@@ -235,26 +235,26 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
-              samples: list, block: Optional[int] = None,
+              bootstrap: bool, group: int, block: int,
               out: Optional[np.ndarray] = None) -> None:
-    """Grow the gini ``trees`` in lockstep, tree t on the rows
-    ``samples[t]`` of ``X`` (repeats allowed) and 0/1 labels ``y``, with
-    ``order = presort(X)``. ``out``, if given, receives each sample row's
-    leaf value.
+    """Grow the gini ``trees`` in lockstep on ``X`` and 0/1 labels ``y``,
+    with ``order = presort(X)``, ``group`` trees at a time. Each tree grows
+    on a bootstrap sample drawn from its own rng when its group starts,
+    or on every row without ``bootstrap``. ``out``, if given, receives
+    each row's leaf value (one tree, no bootstrap).
 
     Each step pops the next depth-first node of every tree, making leaves
     of those too small or too deep to split, until one per tree needs a
     scan. A node is a range of its tree's row buffer. The step scans its
     nodes together, in chunks of about ``block`` (rows x candidate
-    features) entries, or all at once without ``block``; a node larger
-    than ``block`` is a chunk of its own. A chunk sorts each node's rows
-    on each of its candidate features with one sort of (segment, rank)
-    keys, takes the positive counts of every split position from one
-    flat cumsum, and keeps the positions whose adjacent values differ and
-    which leave ``min_samples_leaf`` rows on each side; a node's first
-    best gain in (feature, position) order wins, as in the mse scan. The
-    winning feature's sorted rows become the node's range, left child
-    first.
+    features) entries; a node larger than ``block`` is a chunk of its
+    own. A chunk sorts each node's rows on each of its candidate features
+    with one sort of (segment, rank) keys, takes the positive counts of
+    every split position from one flat cumsum, and keeps the positions
+    whose adjacent values differ and which leave ``min_samples_leaf`` rows
+    on each side; a node's first best gain in (feature, position) order
+    wins, as in the mse scan. The winning feature's sorted rows become
+    the node's range, left child first.
 
     Tie order within a sorted segment differs from the per-node scan's,
     but at a position between distinct values the left count is the
@@ -280,16 +280,6 @@ def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
     sorted_y = y[sorted_rows]
     del at
 
-    buf = np.concatenate(samples)
-    stacks = []  # per tree: (start, stop, depth, positives, parent, is_left)
-    start = 0
-    for tree, rows in zip(trees, samples):
-        tree.n_features_ = n_features
-        tree.nodes = []
-        stop = start + len(rows)
-        stacks.append([(start, stop, 0, int(np.count_nonzero(y[rows])), -1, False)])
-        start = stop
-
     def best_splits(chunk) -> dict:
         """Split of each node of ``chunk`` that has one, by position in
         ``chunk``: (feature, threshold, left rows, left positives);
@@ -297,7 +287,7 @@ def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
         _, _, starts, stops, _, positives, feats = zip(*chunk)
         starts, positives = np.array(starts), np.array(positives)
         counts = np.array(stops) - starts
-        min_leaf = np.array([trees[t].min_samples_leaf for t, *_ in chunk])
+        min_leaf = np.array([grove[t].min_samples_leaf for t, *_ in chunk])
 
         # one segment per (node, candidate feature), node-major, features
         # ascending, holding the node's rows sorted on that feature
@@ -355,43 +345,57 @@ def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
         if out is not None:
             out[buf[start:stop]] = node.value
 
-    live = list(range(len(trees)))
-    while live:
-        chunks = [[]]  # (tree, node id, start, stop, depth, positives, features)
-        entries = 0
-        for t in live:
-            tree, stack = trees[t], stacks[t]
-            nodes = tree.nodes
-            while stack:
-                start, stop, depth, positives, parent, is_left = stack.pop()
-                node_id = len(nodes)
-                nodes.append(_Node())
-                if parent >= 0:
-                    if is_left:
-                        nodes[parent].left = node_id
-                    else:
-                        nodes[parent].right = node_id
-                if tree._stops(depth, stop - start):
-                    make_leaf(nodes[node_id], start, stop, positives)
+    for first in range(0, len(trees), group):
+        grove = trees[first:first + group]
+        samples = [tree.rng.integers(0, n_rows, size=n_rows) if bootstrap
+                   else np.arange(n_rows) for tree in grove]
+        buf = np.concatenate(samples)
+        stacks = []  # per tree: (start, stop, depth, positives, parent, is_left)
+        start = 0
+        for tree, rows in zip(grove, samples):
+            tree.n_features_ = n_features
+            tree.nodes = []
+            stop = start + len(rows)
+            stacks.append([(start, stop, 0, int(np.count_nonzero(y[rows])), -1, False)])
+            start = stop
+        del samples
+        live = list(range(len(grove)))
+        while live:
+            chunks = [[]]  # (tree, node id, start, stop, depth, positives, features)
+            entries = 0
+            for t in live:
+                tree, stack = grove[t], stacks[t]
+                nodes = tree.nodes
+                while stack:
+                    start, stop, depth, positives, parent, is_left = stack.pop()
+                    node_id = len(nodes)
+                    nodes.append(_Node())
+                    if parent >= 0:
+                        if is_left:
+                            nodes[parent].left = node_id
+                        else:
+                            nodes[parent].right = node_id
+                    if tree._stops(depth, stop - start):
+                        make_leaf(nodes[node_id], start, stop, positives)
+                        continue
+                    feats = tree._candidate_features()
+                    entries += len(feats) * (stop - start)
+                    if entries > block and chunks[-1]:
+                        chunks.append([])
+                        entries = len(feats) * (stop - start)
+                    chunks[-1].append((t, node_id, start, stop, depth, positives, feats))
+                    break
+            for chunk in chunks:
+                if not chunk:
                     continue
-                feats = tree._candidate_features()
-                entries += len(feats) * (stop - start)
-                if block is not None and entries > block and chunks[-1]:
-                    chunks.append([])
-                    entries = len(feats) * (stop - start)
-                chunks[-1].append((t, node_id, start, stop, depth, positives, feats))
-                break
-        for chunk in chunks:
-            if not chunk:
-                continue
-            splits = best_splits(chunk)
-            for j, (t, node_id, start, stop, depth, pos, _) in enumerate(chunk):
-                scanned = trees[t].nodes[node_id]
-                if j not in splits:
-                    make_leaf(scanned, start, stop, pos)
-                    continue
-                scanned.feature, scanned.threshold, left_n, left_pos = splits[j]
-                mid = start + left_n
-                stacks[t].append((mid, stop, depth + 1, pos - left_pos, node_id, False))
-                stacks[t].append((start, mid, depth + 1, left_pos, node_id, True))
-        live = [t for t in live if stacks[t]]
+                splits = best_splits(chunk)
+                for j, (t, node_id, start, stop, depth, pos, _) in enumerate(chunk):
+                    scanned = grove[t].nodes[node_id]
+                    if j not in splits:
+                        make_leaf(scanned, start, stop, pos)
+                        continue
+                    scanned.feature, scanned.threshold, left_n, left_pos = splits[j]
+                    mid = start + left_n
+                    stacks[t].append((mid, stop, depth + 1, pos - left_pos, node_id, False))
+                    stacks[t].append((start, mid, depth + 1, left_pos, node_id, True))
+            live = [t for t in live if stacks[t]]

@@ -230,7 +230,7 @@ def _score_stage(searches: list[_Search], stage_specs: list[list]) -> None:
     A unit is one fit and validation AUC of one (spec, fold), except for
     logistic-sgd, whose unscored specs are fitted on every fold in one
     lockstep unit. Units reach the workers through ``fork`` and only their
-    AUCs and seconds come back, so no fold set or tuning model is pickled.
+    AUCs and seconds come back, so no fold set or model is pickled.
     """
     units = []
     for s, specs in zip(searches, stage_specs):

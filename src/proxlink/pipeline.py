@@ -333,7 +333,9 @@ def _stage_ml(state: RunState) -> None:
                        seeds=[stable_seed(cfg.seed, "tune", kind) for kind in cfg.classifiers],
                        log=log_rows)
     # the best kind is the first with the highest CV mean AUC, so it is
-    # known before any refit, and only its refit sends the model back
+    # known before any refit: the other kinds refit in forked children,
+    # which send back only their test AUC and seconds, and the best kind
+    # refits here, where its model is kept
     best, best_cv = None, -1.0
     for j, (_, cv_result) in enumerate(tuned):
         if cv_result.mean_auc > best_cv:
@@ -347,17 +349,19 @@ def _stage_ml(state: RunState) -> None:
             seed=stable_seed(cfg.seed, "smote-final", kind))
         model = make_classifier(spec).fit(X_tr, y_tr)
         test_auc = float(auc(model.predict_proba(X[test_idx])[:, 1], y[test_idx]))
-        return test_auc, time.perf_counter() - t0, model if j == best else None
+        return model, test_auc, time.perf_counter() - t0
 
-    refits = fork_map(refit, range(len(tuned)),
-                      label=lambda j: f"refit child for {cfg.classifiers[j]}")
+    others = [j for j in range(len(tuned)) if j != best]
+    refits = dict(zip(others, fork_map(lambda j: refit(j)[1:], others,
+                                       label=lambda j: f"refit child for {cfg.classifiers[j]}")))
+    if best is not None:
+        state.best_model, test_auc, seconds = refit(best)
+        refits[best] = test_auc, seconds
     results = {}
-    for kind, (_, cv_result), (test_auc, seconds, model) in zip(cfg.classifiers, tuned, refits):
-        cv_result.test_auc = test_auc
+    for j, (kind, (_, cv_result)) in enumerate(zip(cfg.classifiers, tuned)):
+        cv_result.test_auc, seconds = refits[j]
         cv_result.wall_time_s += seconds
         results[kind] = cv_result
-        if model is not None:
-            state.best_model = model
     best_kind = None if best is None else cfg.classifiers[best]
     state.best_kind = best_kind
     state.ml_results = results

@@ -599,9 +599,9 @@ class TestForestLockstep:
         groups = []
         grow_gini = classifiers_mod.grow_gini
 
-        def recording(trees, *args):
-            groups.append(len(trees))
-            return grow_gini(trees, *args)
+        def recording(trees, *args, group, **kwargs):
+            groups.append(min(group, len(trees)))
+            return grow_gini(trees, *args, group=group, **kwargs)
 
         monkeypatch.setattr(classifiers_mod, "grow_gini", recording)
         dumps = {}
@@ -612,8 +612,8 @@ class TestForestLockstep:
             dumps[block_bytes] = (json.dumps(model.to_json(), sort_keys=True),
                                   model.predict_proba(X).tobytes(), tuple(groups))
         # one-node chunks in one-tree groups, then 5-tree groups of 150 rows
-        assert dumps[1][2] == (1,) * 13
-        assert dumps[8 * 150 * 5][2] == (5, 5, 3)
+        assert dumps[1][2] == (1,)
+        assert dumps[8 * 150 * 5][2] == (5,)
         assert dumps[2 ** 40][2] == (13,)
         assert len({d[:2] for d in dumps.values()}) == 1
 

@@ -88,14 +88,30 @@ def six_kind_config(demo_corpus, out) -> RunConfig:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedRefits:
-    def test_refit_path_does_not_change_the_bytes(self, tmp_path, demo_corpus, usable_cpus):
+    def test_refit_path_does_not_change_the_bytes(self, tmp_path, demo_corpus, usable_cpus,
+                                                  monkeypatch):
+        import proxlink.pipeline as pipeline_mod
+
+        make_classifier = pipeline_mod.make_classifier
+        built = []  # kinds refitted in this process
+
+        def recording(spec):
+            built.append(spec.kind)
+            return make_classifier(spec)
+
+        monkeypatch.setattr(pipeline_mod, "make_classifier", recording)
         runs = []
         for n_cpus in (1, 2):
             usable_cpus(n_cpus)
+            built.clear()
             config = six_kind_config(demo_corpus, str(tmp_path / f"cpus{n_cpus}"))
             state = run_pipeline(config, through_stage="ml")
             X, _ = state.dataset.to_matrix()
             assert state.best_model.to_json()["kind"] == state.best_kind
+            # the best kind refits here last; with two CPUs the others
+            # refit in forked children
+            others = [k for k in CLASSIFIER_KINDS if k != state.best_kind]
+            assert built == (others if n_cpus == 1 else []) + [state.best_kind]
             assert all(r.wall_time_s > 0 for r in state.ml_results.values())
             runs.append([_file_sha256(os.path.join(config.out, name))
                          for name in ("eval.json", "ml_tuning.csv")]
