@@ -15,7 +15,7 @@ import numpy as np
 from .._base import ParamsMixin, check_fitted
 from .._validation import check_array, check_X_y, check_both_classes
 from ..logit import sigmoid
-from .tree import CartTree, grow_gini, presort
+from .tree import CartTree, grow, presort
 
 CLASSIFIER_KINDS = (
     "logistic-sgd",
@@ -417,8 +417,8 @@ class RandomForest(_ClassifierBase):
                        for _ in range(self.n_trees)]
         # a group's row buffer holds trees x rows entries, and a scan chunk's
         # eight arrays of 8-byte entries stay within BLOCK_BYTES
-        grow_gini(self.trees_, X, y, order, self.bootstrap,
-                  group=max(1, BLOCK_BYTES // (8 * n)), block=BLOCK_BYTES // 64)
+        grow(self.trees_, X, y, order, self.bootstrap,
+             group=max(1, BLOCK_BYTES // (8 * n)), block=BLOCK_BYTES // 64)
         return self
 
     def predict_proba(self, X):

@@ -9,20 +9,17 @@ and splits at the midpoint (or the lower value where the midpoint rounds
 onto the upper one). Equal gains resolve to the lower feature index,
 then the lower threshold, making every fit reproducible.
 
-Two growers share these rules:
+One grower, ``grow``, builds every tree: it steps the next depth-first
+node of each tree of a group together, each node a range of one row
+buffer that a split reorders, left child first. The two criteria differ
+only in their split scan and their leaf value:
 
-- Variance-reduction (mse) trees, used by gradient boosting with
-  pluggable leaf values, grow node by node. Each node carries its own
-  F x n order matrix, row f listing the node's rows in ascending order of
-  feature f, which a split partitions stably into the two children's
-  matrices; the node's search is one vectorized scan over its candidate
-  features and one flat argmax. ``fit_values`` also returns each
-  training row's leaf value, which boosting adds to its score without a
-  predict.
-- Gini trees, used by the random forest, grow in lockstep
-  (``grow_gini``): one step scans the next depth-first node of every
-  tree of a group in one flat search. A single gini ``CartTree`` is the
-  one-tree case.
+- Gini trees, used by the random forest, scan every node of a step in
+  one flat search; a leaf holds the positive-class fraction.
+- Variance-reduction (mse) trees, used by gradient boosting, scan one
+  node at a time; a leaf holds the mean target or a pluggable leaf
+  value. ``fit_values`` also returns each training row's leaf value,
+  which boosting adds to its score without a predict.
 """
 from __future__ import annotations
 
@@ -65,14 +62,14 @@ class CartTree:
     """
 
     def __init__(self, max_depth: int = 3, min_samples_leaf: int = 1,
-                 min_samples_split: int = 2, criterion: str = "mse",
-                 max_features: Optional[int] = None,
+                 criterion: str = "mse", max_features: Optional[int] = None,
                  rng: Optional[np.random.Generator] = None):
         if criterion not in ("mse", "gini"):
             raise ValueError(f"unknown criterion {criterion!r}")
+        if min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.min_samples_split = min_samples_split
         self.criterion = criterion
         self.max_features = max_features
         self.rng = rng
@@ -86,60 +83,18 @@ class CartTree:
     def fit_values(self, X, y, order: np.ndarray,
                    leaf_value_fn: Optional[Callable] = None) -> np.ndarray:
         """Fit the tree on ``X`` with its ``order = presort(X)`` and return
-        each training row's leaf value, equal to ``predict(X)`` bit for bit.
-        A gini tree is ``grow_gini`` with one tree; it takes 0/1 labels and
-        no ``leaf_value_fn``."""
+        each training row's leaf value, equal to ``predict(X)`` bit for bit:
+        ``grow`` with one tree."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.empty(len(y))
-        if self.criterion == "gini":
-            if leaf_value_fn is not None:
-                raise ValueError("leaf_value_fn applies to mse trees only")
-            grow_gini([self], X, y, order, bootstrap=False, group=1, block=0, out=out)
-            return out
-        self.n_features_ = X.shape[1]
-        self.nodes = []
-        if leaf_value_fn is None:
-            leaf_value_fn = lambda idx: float(y[idx].mean())
-        self._build(X, y, np.arange(len(y)), order, 0, leaf_value_fn, out)
+        grow([self], X, y, order, bootstrap=False, group=1, block=0,
+             leaf_value_fn=leaf_value_fn, out=out)
         return out
-
-    def _leaf(self, idx, leaf_value_fn, out) -> int:
-        value = leaf_value_fn(idx)
-        out[idx] = value
-        self.nodes.append(_Node(value=value))
-        return len(self.nodes) - 1
-
-    def _build(self, X, y, idx, order, depth, leaf_value_fn, out) -> int:
-        """Grow the subtree over rows ``idx`` (ascending) whose per-feature
-        sorted orders are the rows of ``order``."""
-        if self._stops(depth, len(idx)):
-            return self._leaf(idx, leaf_value_fn, out)
-
-        best = self._best_split(X, y, idx, order)
-        if best is None:
-            return self._leaf(idx, leaf_value_fn, out)
-        feature, threshold = best
-
-        go_left = X[:, feature] <= threshold
-        mask = go_left[idx]
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
-        in_left = go_left[order]
-        left_order = order[in_left].reshape(len(order), len(left_idx))
-        right_order = order[~in_left].reshape(len(order), len(right_idx))
-        node_id = len(self.nodes)
-        self.nodes.append(_Node(feature=feature, threshold=threshold))
-        self.nodes[node_id].left = self._build(
-            X, y, left_idx, left_order, depth + 1, leaf_value_fn, out)
-        self.nodes[node_id].right = self._build(
-            X, y, right_idx, right_order, depth + 1, leaf_value_fn, out)
-        return node_id
 
     def _stops(self, depth: int, n: int) -> bool:
         """Whether a node of ``n`` rows at ``depth`` is a leaf without a scan."""
-        return (depth >= self.max_depth or n < self.min_samples_split
-                or n < 2 * self.min_samples_leaf)
+        return depth >= self.max_depth or n < 2 * self.min_samples_leaf
 
     def _candidate_features(self) -> np.ndarray:
         if self.max_features is None or self.max_features >= self.n_features_:
@@ -148,44 +103,6 @@ class CartTree:
             raise ValueError("max_features requires an rng")
         picked = self.rng.choice(self.n_features_, size=self.max_features, replace=False)
         return np.sort(picked)
-
-    def _best_split(self, X, y, idx, order) -> Optional[tuple[int, float]]:
-        n = len(idx)
-        min_leaf = self.min_samples_leaf
-
-        y_node = y[idx]
-        total_sum = float(y_node.sum())
-        total_sq = float((y_node ** 2).sum())
-        parent_impurity = total_sq - total_sum * total_sum / n
-
-        lo, hi = min_leaf - 1, n - min_leaf  # candidate split positions
-        feats = self._candidate_features()
-        rows = order[feats]
-        values = X[rows, feats[:, None]]
-        ys = y[rows]
-
-        # column j splits each sorted row after position lo + j
-        boundary = values[:, lo:hi] != values[:, lo + 1:hi + 1]
-        n_l = np.arange(lo + 1.0, hi + 1.0)
-        n_r = n - n_l
-        s_l = ys.cumsum(axis=1)[:, lo:hi]
-        sq_l = (ys ** 2).cumsum(axis=1)[:, lo:hi]
-        imp_l = sq_l - s_l * s_l / n_l
-        s_r = total_sum - s_l
-        imp_r = (total_sq - sq_l) - s_r * s_r / n_r
-        gains = np.where(boundary, parent_impurity - imp_l - imp_r, -np.inf)
-        # the flat argmax is row-major: first the lower feature, then
-        # the lower threshold
-        f, i = divmod(int(np.argmax(gains)), hi - lo)
-        if not gains[f, i] > _MIN_GAIN:
-            return None
-        i += lo
-        threshold = (values[f, i] + values[f, i + 1]) / 2.0
-        # the midpoint of adjacent floats can round up onto the upper
-        # value, which would leave the right child empty
-        if not threshold < values[f, i + 1]:
-            threshold = values[f, i]
-        return int(feats[f]), float(threshold)
 
     @staticmethod
     def _gini_ss(pos: float, n: int) -> float:
@@ -234,41 +151,54 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
 
 
-def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
-              bootstrap: bool, group: int, block: int,
-              out: Optional[np.ndarray] = None) -> None:
-    """Grow the gini ``trees`` in lockstep on ``X`` and 0/1 labels ``y``,
-    with ``order = presort(X)``, ``group`` trees at a time. Each tree grows
-    on a bootstrap sample drawn from its own rng when its group starts,
-    or on every row without ``bootstrap``. ``out``, if given, receives
-    each row's leaf value (one tree, no bootstrap).
+def grow(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
+         bootstrap: bool, group: int, block: int,
+         leaf_value_fn: Optional[Callable] = None,
+         out: Optional[np.ndarray] = None) -> None:
+    """Grow ``trees``, all of one criterion, in lockstep on ``X`` with
+    ``order = presort(X)``, ``group`` trees at a time. Each tree grows on a
+    bootstrap sample drawn from its own rng when its group starts, or on
+    every row without ``bootstrap``. Gini trees take 0/1 labels ``y``; an
+    mse leaf holds ``leaf_value_fn(rows)``, by default the mean of ``y``
+    over its rows. ``out``, if given, receives each row's leaf value (one
+    tree, no bootstrap).
 
     Each step pops the next depth-first node of every tree, making leaves
     of those too small or too deep to split, until one per tree needs a
     scan. A node is a range of its tree's row buffer. The step scans its
-    nodes together, in chunks of about ``block`` (rows x candidate
-    features) entries; a node larger than ``block`` is a chunk of its
-    own. A chunk sorts each node's rows on each of its candidate features
-    with one sort of (segment, rank) keys, takes the positive counts of
-    every split position from one flat cumsum, and keeps the positions
-    whose adjacent values differ and which leave ``min_samples_leaf`` rows
-    on each side; a node's first best gain in (feature, position) order
-    wins, as in the mse scan. The winning feature's sorted rows become
-    the node's range, left child first.
+    nodes in chunks of about ``block`` (rows x candidate features)
+    entries; a node larger than ``block`` is a chunk of its own. Both
+    scans list a node's rows on each candidate feature in presort order
+    by sorting their ranks, keep the positions whose adjacent values
+    differ and which leave ``min_samples_leaf`` rows on each side, and
+    take a node's first best gain in (feature, position) order. The
+    winning feature's sorted rows become the node's range, left child
+    first.
 
-    Tie order within a sorted segment differs from the per-node scan's,
-    but at a position between distinct values the left count is the
-    number of positives up to that value whatever the tie order; counts
-    of 0/1 labels are exact, and every gain, threshold and leaf value
-    (positives / rows) has the bits of the per-node scan. Each tree draws
-    its candidate features from its own rng in its own preorder and
-    appends its nodes in preorder, so its draws and ``to_dict()`` are
-    those of growing it alone.
+    - The gini scan covers a whole chunk with one sort of (segment, rank)
+      keys and one flat cumsum of positive counts. Its tie order within a
+      segment is not presort order, but at a position between distinct
+      values the left count is the number of positives up to that value
+      whatever the tie order, and counts of 0/1 labels are exact.
+    - The mse scan takes one node at a time: an F x n matrix of the
+      node's sorted rows, cumulative sums along each row, and one flat
+      argmax. A node's totals and leaf value sum over its rows in
+      ascending order, as the bits of a pairwise sum depend on its order.
+
+    Each tree draws its candidate features from its own rng in its own
+    preorder and appends its nodes in preorder, so its draws and
+    ``to_dict()`` are those of growing it alone.
     """
     n_rows, n_features = X.shape
     size = n_rows * n_features
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("gini trees need 0/1 labels")
+    gini = trees[0].criterion == "gini"
+    if gini:
+        if leaf_value_fn is not None:
+            raise ValueError("leaf_value_fn applies to mse trees only")
+        if not np.isin(y, (0.0, 1.0)).all():
+            raise ValueError("gini trees need 0/1 labels")
+    elif leaf_value_fn is None:
+        leaf_value_fn = lambda idx: float(y[idx].mean())
     # feature-major tables indexed by f * n_rows + rank: the rows of X in
     # ascending order of each feature, their values and labels; ``code``
     # maps f * n_rows + row to its entry
@@ -280,7 +210,7 @@ def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
     sorted_y = y[sorted_rows]
     del at
 
-    def best_splits(chunk) -> dict:
+    def gini_splits(chunk) -> dict:
         """Split of each node of ``chunk`` that has one, by position in
         ``chunk``: (feature, threshold, left rows, left positives);
         rewrites the split nodes' ranges of ``buf``."""
@@ -329,7 +259,8 @@ def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
         win = win[gains[win] > _MIN_GAIN]
         split_of, w, w_off = node[win], i[win], seg_off[seg[win]]
         # midpoint thresholds, or the lower value where the midpoint of
-        # adjacent floats rounds up onto the upper one (as in the mse scan)
+        # adjacent floats rounds up onto the upper one, which would leave
+        # the right child empty
         mid = (x[w] + x[w + 1]) / 2.0
         thresholds = np.where(mid < x[w + 1], mid, x[w])
         # the winning segment's sorted rows become the node's range, left
@@ -340,23 +271,69 @@ def grow_gini(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
             seg_feat[seg[win]].tolist(), thresholds.tolist(),
             n_l[win].astype(np.intp).tolist(), pos_l[win].astype(np.intp).tolist())))
 
+    def mse_splits(chunk) -> dict:
+        """As ``gini_splits``, with 0 left positives."""
+        splits = {}
+        for j, (t, _, start, stop, _, _, feats) in enumerate(chunk):
+            idx = np.sort(buf[start:stop])
+            n = len(idx)
+            y_node = y[idx]
+            total_sum = float(y_node.sum())
+            total_sq = float((y_node ** 2).sum())
+            parent_impurity = total_sq - total_sum * total_sum / n
+            min_leaf = grove[t].min_samples_leaf
+            lo, hi = min_leaf - 1, n - min_leaf  # candidate split positions
+            # row f: the node's entries in ascending order of feature feats[f]
+            entry = code[(feats * n_rows)[:, None] + idx]
+            entry.sort(axis=1)
+            values = sorted_x[entry]
+            ys = sorted_y[entry]
+
+            # column j splits each sorted row after position lo + j
+            boundary = values[:, lo:hi] != values[:, lo + 1:hi + 1]
+            n_l = np.arange(lo + 1.0, hi + 1.0)
+            n_r = n - n_l
+            s_l = ys.cumsum(axis=1)[:, lo:hi]
+            sq_l = (ys ** 2).cumsum(axis=1)[:, lo:hi]
+            imp_l = sq_l - s_l * s_l / n_l
+            s_r = total_sum - s_l
+            imp_r = (total_sq - sq_l) - s_r * s_r / n_r
+            gains = np.where(boundary, parent_impurity - imp_l - imp_r, -np.inf)
+            # the flat argmax is row-major: first the lower feature, then
+            # the lower threshold
+            f, i = divmod(int(np.argmax(gains)), hi - lo)
+            if not gains[f, i] > _MIN_GAIN:
+                continue
+            i += lo
+            buf[start:stop] = sorted_rows[entry[f]]
+            lower, upper = values[f, i:i + 2].tolist()
+            mid = (lower + upper) / 2.0  # as in gini_splits
+            splits[j] = (int(feats[f]), mid if mid < upper else lower, i + 1, 0)
+        return splits
+
     def make_leaf(node, start, stop, positives):
-        node.value = positives / (stop - start)
+        if gini:
+            node.value = positives / (stop - start)
+        else:
+            node.value = leaf_value_fn(np.sort(buf[start:stop]))
         if out is not None:
             out[buf[start:stop]] = node.value
 
+    best_splits = gini_splits if gini else mse_splits
     for first in range(0, len(trees), group):
         grove = trees[first:first + group]
         samples = [tree.rng.integers(0, n_rows, size=n_rows) if bootstrap
                    else np.arange(n_rows) for tree in grove]
         buf = np.concatenate(samples)
-        stacks = []  # per tree: (start, stop, depth, positives, parent, is_left)
+        # per tree: (start, stop, depth, positives (0 for mse), parent, is_left)
+        stacks = []
         start = 0
         for tree, rows in zip(grove, samples):
             tree.n_features_ = n_features
             tree.nodes = []
             stop = start + len(rows)
-            stacks.append([(start, stop, 0, int(np.count_nonzero(y[rows])), -1, False)])
+            positives = int(np.count_nonzero(y[rows])) if gini else 0
+            stacks.append([(start, stop, 0, positives, -1, False)])
             start = stop
         del samples
         live = list(range(len(grove)))

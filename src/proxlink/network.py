@@ -101,11 +101,6 @@ class CoPubGraph:
             self.adj.setdefault(a, {})[b] = w
             self.adj.setdefault(b, {})[a] = w
 
-    def copubs(self, i: str, j: str) -> int:
-        if i == j:
-            return 0
-        return self.g.get((i, j) if i < j else (j, i), 0)
-
 
 def build_graph(corpus: Corpus, start_year: int, end_year: int) -> CoPubGraph:
     """Count publications and co-publications over one span; no self-edges."""
@@ -215,9 +210,16 @@ def candidate_pairs(corpus: Corpus, window: WindowPair,
 
     positives = outcome_positives(corpus, window,
                                   {a: n for n, a in enumerate(sorted(eligible))})
-    negatives = [(a, b) for a in range(m) for b in range(a + 1, m)
-                 if (a, b) not in positives]
-    n_keep = min(len(negatives), int(round(sampling.ratio * max(1, len(positives)))))
+    pos = np.array(sorted(positives), dtype=np.intp).reshape(-1, 2)
+    # pair (a, b) is number starts[a] + b - a - 1 in row-major order
+    starts = np.arange(m) * (2 * m - 1 - np.arange(m)) // 2
+    pos_rank = starts[pos[:, 0]] + pos[:, 1] - pos[:, 0] - 1
+    n_neg = m * (m - 1) // 2 - len(pos)
+    n_keep = min(n_neg, int(round(sampling.ratio * max(1, len(pos)))))
     rng = random.Random(stable_seed(seed, window.window_id))
-    sampled = rng.sample(negatives, n_keep) if n_keep else []
-    return np.array(sorted(positives) + sorted(sampled), dtype=np.intp).reshape(-1, 2)
+    # draw negative numbers j as from a list of every negative in row-major
+    # order, then skip the positives ranked at or before each
+    j = np.array(sorted(rng.sample(range(n_neg), n_keep)), dtype=np.intp)
+    r = j + np.searchsorted(pos_rank - np.arange(len(pos)), j, "right")
+    a = np.searchsorted(starts, r, "right") - 1
+    return np.concatenate([pos, np.column_stack([a, r - starts[a] + a + 1])])

@@ -361,6 +361,10 @@ class TestCartTree:
             CartTree(criterion="gini").fit(X, np.array([0.0, 1.0, 1.0, 0.0]), presort(X),
                                            lambda idx: 0.0)
 
+    def test_rejects_empty_leaves(self):
+        with pytest.raises(ValueError, match="min_samples_leaf"):
+            CartTree(min_samples_leaf=0)
+
 
 class ReferenceCartTree(CartTree):
     """The per-feature split search the vectorized kernel replaced: one
@@ -381,8 +385,7 @@ class ReferenceCartTree(CartTree):
 
     def _build(self, X, y, idx, depth, leaf_value_fn):
         n = len(idx)
-        if (depth >= self.max_depth or n < self.min_samples_split
-                or n < 2 * self.min_samples_leaf):
+        if depth >= self.max_depth or n < 2 * self.min_samples_leaf:
             self.nodes.append(_Node(value=leaf_value_fn(idx)))
             return len(self.nodes) - 1
         best = self._best_split(X, y, idx)
@@ -478,8 +481,8 @@ def random_tree_case(seed):
         y = rng.integers(-3, 4, size=n).astype(float)
     params = dict(max_depth=int(rng.integers(1, 13)),
                   min_samples_leaf=int(rng.integers(1, 9)),
-                  min_samples_split=int(rng.integers(2, 6)),
                   criterion=criterion)
+    rng.integers(2, 6)  # once min_samples_split; drawn so later draws stay put
     if n_features > 1 and rng.uniform() < 0.5:
         params["max_features"] = int(rng.integers(1, n_features))
     leaf_value_fn = None
@@ -597,13 +600,13 @@ class TestForestLockstep:
     def test_tree_groups_do_not_change_the_bytes(self, monkeypatch):
         X, y = synth_logit_data(n=150, seed=4)
         groups = []
-        grow_gini = classifiers_mod.grow_gini
+        grow = classifiers_mod.grow
 
         def recording(trees, *args, group, **kwargs):
             groups.append(min(group, len(trees)))
-            return grow_gini(trees, *args, group=group, **kwargs)
+            return grow(trees, *args, group=group, **kwargs)
 
-        monkeypatch.setattr(classifiers_mod, "grow_gini", recording)
+        monkeypatch.setattr(classifiers_mod, "grow", recording)
         dumps = {}
         for block_bytes in (1, 8 * 150 * 5, 2 ** 40):
             monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", block_bytes)

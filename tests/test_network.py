@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from proxlink._rng import stable_seed
 from proxlink.features import GeoContext, assemble
 from proxlink.network import (
     CoPubGraph,
@@ -83,14 +84,14 @@ class TestBuildGraph:
         corpus = corpus_from_rosters({2005: [["a", "b", "c"]]})
         g = build_graph(corpus, 2005, 2005)
         assert g.n == {"a": 1, "b": 1, "c": 1}
-        assert g.copubs("a", "b") == 1
-        assert g.copubs("b", "c") == 1
-        assert g.copubs("a", "c") == 1
+        assert g.g[("a", "b")] == 1
+        assert g.g[("b", "c")] == 1
+        assert g.g[("a", "c")] == 1
 
     def test_repeat_collaboration_counts(self):
         corpus = corpus_from_rosters({2005: [["a", "b"], ["a", "b"]]})
         g = build_graph(corpus, 2005, 2005)
-        assert g.copubs("a", "b") == 2
+        assert g.g[("a", "b")] == 2
 
     def test_empty_window(self):
         corpus = corpus_from_rosters({2005: [["a", "b"]]})
@@ -180,6 +181,30 @@ class TestTenb:
             tenb(g, "i", "i")
 
 
+def listed_ratio_pairs(corpus, window, sampling, seed):
+    """The "ratio" sampler that lists every negative pair and samples the
+    list: the oracle for ``candidate_pairs``' index arithmetic."""
+    eligible = sorted(eligible_authors(corpus, window))
+    m = len(eligible)
+    positives = outcome_positives(corpus, window, {a: n for n, a in enumerate(eligible)})
+    negatives = [(a, b) for a in range(m) for b in range(a + 1, m)
+                 if (a, b) not in positives]
+    n_keep = min(len(negatives), int(round(sampling.ratio * max(1, len(positives)))))
+    rng = random.Random(stable_seed(seed, window.window_id))
+    sampled = rng.sample(negatives, n_keep) if n_keep else []
+    return np.array(sorted(positives) + sorted(sampled), dtype=np.intp).reshape(-1, 2)
+
+
+def random_rosters(seed, n_authors, n_pubs, max_size):
+    """Feature-span (2001) and outcome-span (2003) rosters drawn from
+    ``n_authors`` authors, each of 1 to ``max_size`` of them."""
+    rnd = random.Random(seed)
+    authors = [f"x{k:02d}" for k in range(n_authors)]
+    return corpus_from_rosters({
+        year: [rnd.sample(authors, rnd.randint(1, max_size)) for _ in range(n_pubs)]
+        for year in (2001, 2003)})
+
+
 class TestCandidatePairs:
     def _window(self):
         return WindowPair(2000, 2002, 2003, 2004)
@@ -246,6 +271,34 @@ class TestCandidatePairs:
             assert np.all((pairs >= 0) & (pairs < 6))
             assert len({tuple(p) for p in pairs.tolist()}) == len(pairs)
         assert len(candidate_pairs(corpus, self._window(), SamplingPolicy(kind="all"))) == 15
+
+    def test_ratio_sampler_matches_list_oracle(self):
+        corpora = [random_rosters(seed, n_authors, n_pubs, max_size)
+                   for seed, (n_authors, n_pubs, max_size) in enumerate(
+                       [(6, 8, 3), (12, 20, 4), (30, 40, 5), (30, 60, 1), (45, 30, 8)])]
+        corpora += [
+            corpus_from_rosters({2001: [["a", "b"]], 2003: [["a"], ["b"]]}),
+            corpus_from_rosters({2001: [["a", "b"]], 2003: [["a", "b"]]}),
+            self._corpus(),
+        ]
+        seen = set()
+        for corpus in corpora:
+            window = self._window()
+            eligible = sorted(eligible_authors(corpus, window))
+            m = len(eligible)
+            positives = outcome_positives(corpus, window, {a: n for n, a in enumerate(eligible)})
+            for ratio in (0.5, 1.0, 3.0, 1e6):
+                policy = SamplingPolicy(kind="ratio", ratio=ratio)
+                for seed in (0, 1, 7):
+                    got = candidate_pairs(corpus, window, policy, seed)
+                    want = listed_ratio_pairs(corpus, window, policy, seed)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (m, ratio, seed)
+                    seen.add(("m=2", m == 2))
+                    seen.add(("no positives", not positives))
+                    seen.add(("every negative", len(got) == m * (m - 1) // 2))
+        assert seen == {(case, flag) for case in ("m=2", "no positives", "every negative")
+                        for flag in (True, False)}
 
 
 def outcome_label(corpus, a, b):
