@@ -408,7 +408,7 @@ class RandomForest(_ClassifierBase):
         n, n_features = X.shape
         mf = self._resolve_max_features(n_features)
         y = y.astype(float)
-        order = presort(X)
+        tables = presort(X)
         root = np.random.default_rng(self.seed)
         self.trees_ = [CartTree(max_depth=self.max_depth,
                                 min_samples_leaf=self.min_samples_leaf, criterion="gini",
@@ -417,7 +417,7 @@ class RandomForest(_ClassifierBase):
                        for _ in range(self.n_trees)]
         # a group's row buffer holds trees x rows entries, and a scan chunk's
         # eight arrays of 8-byte entries stay within BLOCK_BYTES
-        grow(self.trees_, X, y, order, self.bootstrap,
+        grow(self.trees_, tables, y, self.bootstrap,
              group=max(1, BLOCK_BYTES // (8 * n)), block=BLOCK_BYTES // 64)
         return self
 
@@ -461,7 +461,7 @@ class GradientBoostedTrees(_ClassifierBase):
         pos_rate = y.mean()
         self.base_score_ = float(np.log(pos_rate / (1.0 - pos_rate)))
         score = np.full(len(y), self.base_score_)
-        order = presort(X)  # every round fits the same rows
+        tables = presort(X)  # every round fits the same rows
         self.trees_ = []
         for _ in range(self.n_trees):
             p = sigmoid(score)
@@ -474,7 +474,7 @@ class GradientBoostedTrees(_ClassifierBase):
             tree = CartTree(max_depth=self.max_depth,
                             min_samples_leaf=self.min_samples_leaf,
                             criterion="mse")
-            score += self.lr * tree.fit_values(X, residual, order, newton_leaf)
+            score += self.lr * tree.fit_values(tables, residual, newton_leaf)
             self.trees_.append(tree)
         return self
 
@@ -539,12 +539,13 @@ def make_classifier(spec: ClassifierSpec):
 
 
 def model_size(spec: ClassifierSpec) -> float:
-    """Complexity used to break evaluation ties toward the smaller model."""
-    p = spec.params
+    """Complexity used to break evaluation ties toward the smaller model;
+    a parameter the spec leaves out takes its kind's default."""
+    p = make_classifier(spec).get_params()
     if spec.kind in ("random-forest", "gradient-boosted-trees"):
-        return p.get("n_trees", 100) * p.get("max_depth", 3)
+        return p["n_trees"] * p["max_depth"]
     if spec.kind == "k-nearest-neighbors":
-        return p.get("k", 5)
+        return p["k"]
     if spec.kind in ("logistic-sgd", "linear-svm"):
-        return p.get("epochs", 30)
+        return p["epochs"]
     return 0.0

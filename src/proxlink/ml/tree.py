@@ -1,7 +1,7 @@
 """CART decision trees with exhaustive, deterministic split search.
 
-The caller argsorts the sample once per feature (``presort``) and hands
-that order to the fit, so trees grown on the same rows share one sort.
+The caller builds the sample's sorted tables once (``presort``) and
+hands them to the fit, so trees grown on the same rows share one sort.
 Every split search keeps the positions whose adjacent sorted values
 differ and that leave ``min_samples_leaf`` rows on each side, scores
 them from cumulative sums along each candidate feature's sorted rows,
@@ -24,7 +24,7 @@ only in their split scan and their leaf value:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,12 +44,29 @@ class _Node:
         return self.feature < 0
 
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """Read-only F x n matrix whose row f lists the rows of ``X`` in
-    ascending order of feature f, ties by row index."""
-    order = np.argsort(X, axis=0, kind="mergesort").T.copy()
-    order.flags.writeable = False
-    return order
+class Presorted(NamedTuple):
+    """Read-only feature-major tables of an n x F sample ``X``, indexed by
+    f * n + rank: ``rows`` lists the rows of ``X`` in ascending order of
+    each feature f, ties by row index, and ``x`` their values; ``code``
+    maps f * n + row to its entry."""
+    rows: np.ndarray
+    x: np.ndarray
+    code: np.ndarray
+    shape: tuple[int, int]
+
+
+def presort(X) -> Presorted:
+    X = np.asarray(X, dtype=float)
+    n_rows, n_features = X.shape
+    size = n_rows * n_features
+    order = np.argsort(X, axis=0, kind="mergesort").T
+    at = (np.arange(0, size, n_rows)[:, None] + order).ravel()
+    code = np.empty(size, dtype=np.intp)
+    code[at] = np.arange(size)
+    tables = Presorted(order.ravel(), X.T.ravel()[at], code, X.shape)
+    for table in tables[:3]:
+        table.flags.writeable = False
+    return tables
 
 
 class CartTree:
@@ -75,20 +92,19 @@ class CartTree:
         self.rng = rng
         self.nodes: list[_Node] = []
 
-    def fit(self, X, y, order: np.ndarray,
+    def fit(self, tables: Presorted, y,
             leaf_value_fn: Optional[Callable] = None) -> "CartTree":
-        self.fit_values(X, y, order, leaf_value_fn)
+        self.fit_values(tables, y, leaf_value_fn)
         return self
 
-    def fit_values(self, X, y, order: np.ndarray,
+    def fit_values(self, tables: Presorted, y,
                    leaf_value_fn: Optional[Callable] = None) -> np.ndarray:
-        """Fit the tree on ``X`` with its ``order = presort(X)`` and return
+        """Fit the tree on ``X`` given as ``tables = presort(X)`` and return
         each training row's leaf value, equal to ``predict(X)`` bit for bit:
         ``grow`` with one tree."""
-        X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.empty(len(y))
-        grow([self], X, y, order, bootstrap=False, group=1, block=0,
+        grow([self], tables, y, bootstrap=False, group=1, block=0,
              leaf_value_fn=leaf_value_fn, out=out)
         return out
 
@@ -151,12 +167,12 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
 
 
-def grow(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
+def grow(trees: list, tables: Presorted, y: np.ndarray,
          bootstrap: bool, group: int, block: int,
          leaf_value_fn: Optional[Callable] = None,
          out: Optional[np.ndarray] = None) -> None:
-    """Grow ``trees``, all of one criterion, in lockstep on ``X`` with
-    ``order = presort(X)``, ``group`` trees at a time. Each tree grows on a
+    """Grow ``trees``, all of one criterion, in lockstep on ``X`` given as
+    ``tables = presort(X)``, ``group`` trees at a time. Each tree grows on a
     bootstrap sample drawn from its own rng when its group starts, or on
     every row without ``bootstrap``. Gini trees take 0/1 labels ``y``; an
     mse leaf holds ``leaf_value_fn(rows)``, by default the mean of ``y``
@@ -189,7 +205,7 @@ def grow(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
     preorder and appends its nodes in preorder, so its draws and
     ``to_dict()`` are those of growing it alone.
     """
-    n_rows, n_features = X.shape
+    n_rows, n_features = tables.shape
     size = n_rows * n_features
     gini = trees[0].criterion == "gini"
     if gini:
@@ -199,16 +215,8 @@ def grow(trees: list, X: np.ndarray, y: np.ndarray, order: np.ndarray,
             raise ValueError("gini trees need 0/1 labels")
     elif leaf_value_fn is None:
         leaf_value_fn = lambda idx: float(y[idx].mean())
-    # feature-major tables indexed by f * n_rows + rank: the rows of X in
-    # ascending order of each feature, their values and labels; ``code``
-    # maps f * n_rows + row to its entry
-    at = (np.arange(0, size, n_rows)[:, None] + order).ravel()
-    code = np.empty(size, dtype=np.intp)
-    code[at] = np.arange(size)
-    sorted_rows = order.ravel()
-    sorted_x = X.T.ravel()[at]
+    sorted_rows, sorted_x, code = tables.rows, tables.x, tables.code
     sorted_y = y[sorted_rows]
-    del at
 
     def gini_splits(chunk) -> dict:
         """Split of each node of ``chunk`` that has one, by position in

@@ -46,7 +46,7 @@ from .ml import (
 from .network import SamplingPolicy, build_graph, make_windows
 from .report import render_beeswarm_svg, render_line_svg
 from .synthetic import write_synthetic_corpus
-from .topics import GibbsLda, coherence, select_k, tokenize_corpus
+from .topics import GibbsLda, select_k, tokenize_corpus
 
 STAGES = ("ingest", "geocode", "windows", "topics", "features", "describe",
           "fit", "ml", "explain", "report")
@@ -222,20 +222,11 @@ def _stage_windows(state: RunState) -> None:
 def _stage_topics(state: RunState) -> None:
     cfg = state.config
     docs = tokenize_corpus(state.corpus.records)
-    if len(cfg.lda_k_grid) > 1:
-        best_k, scores = select_k(docs, cfg.lda_k_grid, seed=cfg.seed,
-                                  alpha=cfg.lda_alpha, beta=cfg.lda_beta,
-                                  iterations=cfg.lda_iterations,
-                                  top_m=cfg.coherence_top_m,
-                                  window=cfg.coherence_window)
-    else:
-        best_k, scores = cfg.lda_k_grid[0], {}
-    model = GibbsLda(n_topics=best_k, alpha=cfg.lda_alpha, beta=cfg.lda_beta,
-                     iterations=cfg.lda_iterations,
-                     seed=stable_seed(cfg.seed, "lda-final")).fit(docs)
-    _, mean_coh = coherence(model, docs,
-                            top_m=min(cfg.coherence_top_m, len(model.vocab_)),
-                            window=cfg.coherence_window)
+    model, scores = select_k(docs, cfg.lda_k_grid, seed=stable_seed(cfg.seed, "lda-final"),
+                             alpha=cfg.lda_alpha, beta=cfg.lda_beta,
+                             iterations=cfg.lda_iterations, top_m=cfg.coherence_top_m,
+                             window=cfg.coherence_window)
+    best_k, mean_coh = model.n_topics, scores[model.n_topics]
     state.lda = model
     state.topic_vectors = dict(model.doc_topic_)
     state.k_scores = scores

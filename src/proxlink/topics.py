@@ -24,7 +24,6 @@ import numpy as np
 
 from ._base import ParamsMixin, check_fitted
 from ._fork import fork_map
-from ._rng import stable_seed
 from .corpus import PublicationRecord
 
 _TOKEN_RE = re.compile(r"[a-z]+")
@@ -503,35 +502,40 @@ def coherence(model: GibbsLda, docs: Sequence[TokenizedDoc],
     return per_topic, sum(per_topic) / len(per_topic)
 
 
-def _score_k(docs: Sequence[TokenizedDoc], k: int, seed: int, alpha: Optional[float],
-             beta: float, iterations: int, top_m: int, window: int) -> float:
-    """Mean coherence of the grid fit at ``k``."""
+def _fit_k(docs: Sequence[TokenizedDoc], k: int, seed: int, alpha: Optional[float],
+           beta: float, iterations: int, top_m: int, window: int
+           ) -> tuple[GibbsLda, float]:
+    """The grid fit at ``k`` and its mean coherence."""
     model = GibbsLda(n_topics=k, alpha=alpha, beta=beta, iterations=iterations,
-                     seed=stable_seed(seed, "select_k", k)).fit(docs)
+                     seed=seed).fit(docs)
     effective_top = min(top_m, len(model.vocab_))
     _, mean_score = coherence(model, docs, top_m=effective_top, window=window)
-    return mean_score
+    return model, mean_score
 
 
 def select_k(docs: Sequence[TokenizedDoc], k_grid: Sequence[int], seed: int = 0,
              alpha: Optional[float] = None, beta: float = 0.01,
              iterations: int = 1000, top_m: int = 10, window: int = 10
-             ) -> tuple[int, dict[int, float]]:
-    """Fit one model per K; best mean coherence wins, ties to the smallest K.
+             ) -> tuple[GibbsLda, dict[int, float]]:
+    """Fit one model per K, every K from ``seed``; the best mean coherence
+    wins, ties to the smallest K. Returns the winning fit and each K's
+    score, in grid order.
 
     The fits are independent, so each K is fitted in a forked child
-    (``fork_map``), one per usable CPU at a time and the largest K first;
-    the scores are the same as in-process.
+    (``fork_map``), one per usable CPU at a time and the largest K first,
+    which sends back its model; the models and scores are the same as
+    in-process.
     """
     if not k_grid:
         raise ValueError("k_grid is empty")
     grid = list(dict.fromkeys(k_grid))
     fit_args = (seed, alpha, beta, iterations, top_m, window)
-    values = fork_map(lambda k: _score_k(docs, k, *fit_args), grid,
-                      label=lambda k: f"select_k child for K={k}", cost=lambda k: k)
-    scores = dict(zip(grid, values))
+    fits = dict(zip(grid, fork_map(lambda k: _fit_k(docs, k, *fit_args), grid,
+                                   label=lambda k: f"select_k child for K={k}",
+                                   cost=lambda k: k)))
+    scores = {k: score for k, (_, score) in fits.items()}
     best = min(sorted(scores), key=lambda k: (-scores[k], k))
-    return best, scores
+    return fits[best][0], scores
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,7 @@ class TestCartTree:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        tree = CartTree(max_depth=1, criterion="mse").fit(X, y, presort(X))
+        tree = CartTree(max_depth=1, criterion="mse").fit(presort(X), y)
 
         def sse(values):
             return float(((values - values.mean()) ** 2).sum()) if len(values) else 0.0
@@ -334,7 +334,7 @@ class TestCartTree:
         x = np.array([0.0, 1.0, 2.0, 3.0])
         X = np.column_stack([x, x])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        tree = CartTree(max_depth=1, criterion="mse").fit(X, y, presort(X))
+        tree = CartTree(max_depth=1, criterion="mse").fit(presort(X), y)
         assert tree.root_split == (0, 1.5)
 
     @pytest.mark.parametrize("criterion", ["mse", "gini"])
@@ -347,7 +347,7 @@ class TestCartTree:
         y = np.array([0.0, 0.0, 1.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            tree = CartTree(max_depth=1, criterion=criterion).fit(X, y, presort(X))
+            tree = CartTree(max_depth=1, criterion=criterion).fit(presort(X), y)
         feature, threshold = tree.root_split
         assert lo <= threshold < hi
         assert np.array_equal(tree.predict(X), y)
@@ -356,9 +356,9 @@ class TestCartTree:
     def test_gini_needs_labels_and_default_leaves(self):
         X = np.arange(4.0)[:, None]
         with pytest.raises(ValueError, match="0/1 labels"):
-            CartTree(criterion="gini").fit(X, np.array([0.0, 2.0, 1.0, 0.0]), presort(X))
+            CartTree(criterion="gini").fit(presort(X), np.array([0.0, 2.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="mse trees only"):
-            CartTree(criterion="gini").fit(X, np.array([0.0, 1.0, 1.0, 0.0]), presort(X),
+            CartTree(criterion="gini").fit(presort(X), np.array([0.0, 1.0, 1.0, 0.0]),
                                            lambda idx: 0.0)
 
     def test_rejects_empty_leaves(self):
@@ -493,6 +493,7 @@ def random_tree_case(seed):
 
 
 class TestCartTreeKernel:
+    @pytest.mark.golden
     @pytest.mark.parametrize("block", range(8))
     def test_matches_reference_split_search(self, block):
         for seed in range(block * 30, block * 30 + 30):
@@ -501,7 +502,7 @@ class TestCartTreeKernel:
             new_rng = np.random.default_rng(seed)
             ref = ReferenceCartTree(**params, rng=ref_rng).fit(X, y, leaf_value_fn)
             tree = CartTree(**params, rng=new_rng)
-            values = tree.fit_values(X, y, presort(X), leaf_value_fn)
+            values = tree.fit_values(presort(X), y, leaf_value_fn)
             assert tree.to_dict() == ref.to_dict(), seed
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state, seed
             assert values.tobytes() == tree.predict(X).tobytes(), seed
@@ -519,7 +520,7 @@ class TestCartTreeKernel:
     def test_fit_returns_self_and_keeps_no_sort_state(self):
         X, y, params, _ = random_tree_case(0)
         tree = CartTree(**params, rng=np.random.default_rng(0))
-        assert tree.fit(X, y, presort(X)) is tree
+        assert tree.fit(presort(X), y) is tree
         assert not any(isinstance(v, np.ndarray) for v in vars(tree).values())
 
 
@@ -564,6 +565,7 @@ def random_forest_case(seed):
 
 
 class TestForestLockstep:
+    @pytest.mark.golden
     @pytest.mark.parametrize("block", range(4))
     def test_matches_trees_grown_one_at_a_time(self, block):
         for seed in range(block * 12, block * 12 + 12):
@@ -597,6 +599,7 @@ class TestForestLockstep:
         for tree, (ref, _) in zip(forest.trees_, reference_forest(forest, X, y)):
             assert tree.to_dict() == ref.to_dict()
 
+    @pytest.mark.golden
     def test_tree_groups_do_not_change_the_bytes(self, monkeypatch):
         X, y = synth_logit_data(n=150, seed=4)
         groups = []
@@ -667,9 +670,10 @@ class TestClassifiers:
         X, y = gaussian_blobs(n_per_class=50)
         forest = RandomForest(n_trees=1, max_depth=3, max_features=None,
                               bootstrap=False, seed=0).fit(X, y)
-        single = CartTree(max_depth=3, criterion="gini").fit(X, y.astype(float), presort(X))
+        single = CartTree(max_depth=3, criterion="gini").fit(presort(X), y.astype(float))
         assert np.array_equal(forest.predict_proba(X)[:, 1], single.predict(X))
 
+    @pytest.mark.golden
     @pytest.mark.parametrize("model, json_sha, proba_sha", [
         (RandomForest(n_trees=12, max_depth=6, min_samples_leaf=2,
                       max_features="sqrt", bootstrap=True, seed=5),
@@ -727,7 +731,7 @@ class TestClassifiers:
             model.predict_proba(X[:, :1])
 
     def test_boosting_sorts_once_per_fit(self, monkeypatch):
-        sorts, orders = [], []
+        sorts, tables = [], []
         argsort = np.argsort
         fit_values = CartTree.fit_values
 
@@ -735,17 +739,18 @@ class TestClassifiers:
             sorts.append(1)
             return argsort(*args, **kwargs)
 
-        def recording_fit_values(self, X, y, order, *args):
-            orders.append(order)
-            return fit_values(self, X, y, order, *args)
+        def recording_fit_values(self, presorted, *args):
+            tables.append(presorted)
+            return fit_values(self, presorted, *args)
 
         monkeypatch.setattr(np, "argsort", counting_argsort)
         monkeypatch.setattr(CartTree, "fit_values", recording_fit_values)
         X, y = synth_logit_data(n=120, seed=3)
         GradientBoostedTrees(n_trees=6, max_depth=2).fit(X, y)
         assert len(sorts) == 1
-        assert len(orders) == 6 and all(o is orders[0] for o in orders)
-        assert not orders[0].flags.writeable
+        assert len(tables) == 6 and all(t is tables[0] for t in tables)
+        assert not any(table.flags.writeable
+                       for table in (tables[0].rows, tables[0].x, tables[0].code))
 
     def test_all_kinds_deterministic_under_seed(self):
         X, y = separable_dataset(n=300, seed=4)
@@ -939,6 +944,12 @@ class TestCrossValAndTune:
             "k-nearest-neighbors", **json.loads(r["hyperparameters"]))) for r in log]
         assert model_size(spec) == min(sizes)
         assert result.mean_auc == 0.7
+
+    def test_model_size_defaults_are_the_kinds_own(self):
+        sizes = {kind: model_size(ClassifierSpec.create(kind)) for kind in CLASSIFIER_KINDS}
+        assert sizes == {"logistic-sgd": 30, "gaussian-naive-bayes": 0.0,
+                         "k-nearest-neighbors": 5, "linear-svm": 30,
+                         "random-forest": 100 * 8, "gradient-boosted-trees": 100 * 3}
 
     def test_grid_stage_covers_random_winner(self):
         X, y = separable_dataset(n=150, seed=9)

@@ -272,6 +272,7 @@ class TestCandidatePairs:
             assert len({tuple(p) for p in pairs.tolist()}) == len(pairs)
         assert len(candidate_pairs(corpus, self._window(), SamplingPolicy(kind="all"))) == 15
 
+    @pytest.mark.golden
     def test_ratio_sampler_matches_list_oracle(self):
         corpora = [random_rosters(seed, n_authors, n_pubs, max_size)
                    for seed, (n_authors, n_pubs, max_size) in enumerate(

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from proxlink._rng import stable_seed
 from proxlink.cli import main
 from proxlink.ml import CLASSIFIER_KINDS
 from proxlink.pipeline import (
@@ -17,6 +18,7 @@ from proxlink.pipeline import (
     write_canonical_dump,
 )
 from proxlink.synthetic import make_synthetic_corpus
+from proxlink.topics import GibbsLda, tokenize_corpus
 
 
 # sha256 of every bundle file but manifest.json for demo_config(seed=7) on
@@ -37,7 +39,7 @@ GOLDEN_BUNDLE = {
 # manifest.json embeds the absolute corpus and output paths, so its own
 # digest varies by directory; its "stages" field is pinned instead, as the
 # sha256 of its sort_keys JSON.
-GOLDEN_STAGES = "00adc28069a68de65ad8373e5ca19a864043826347d6db3214d7dc9fc6fde323"
+GOLDEN_STAGES = "fc9efcfbf53e3b40dbe01c476ddf235dc6d3c20a680039c70621720867e5d842"
 # sha256 of the feature-stage files for gazetteer_config() on the seed-7
 # synthetic corpus without coordinates: scenario 4, every eligible pair,
 # every point from the bundled gazetteer. The demo digests above cover only
@@ -86,6 +88,7 @@ def six_kind_config(demo_corpus, out) -> RunConfig:
         lda_k_grid=[3], lda_iterations=20, n_random=1, max_grid_fits=1, folds=3)
 
 
+@pytest.mark.golden
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedRefits:
     def test_refit_path_does_not_change_the_bytes(self, tmp_path, demo_corpus, usable_cpus,
@@ -138,6 +141,43 @@ class TestForkedRefits:
         assert "in the refit child for linear-svm:" in child and "in failing" in child
 
 
+@pytest.mark.golden
+class TestTopicStage:
+    def test_each_k_is_fitted_once_and_the_winner_kept(self, tmp_path, demo_corpus,
+                                                        one_cpu, monkeypatch):
+        fit = GibbsLda.fit
+        fitted = []
+
+        def counting(self, docs):
+            fitted.append(self.n_topics)
+            return fit(self, docs)
+
+        monkeypatch.setattr(GibbsLda, "fit", counting)
+        config = demo_config(demo_corpus, out=str(tmp_path / "out"))
+        state = run_pipeline(config, through_stage="topics")
+        assert sorted(fitted) == [2, 3, 4]
+        summary = state.stage_summary["topics"]
+        k = summary["k"]
+        assert summary["coherence"] == summary["k_scores"][str(k)]
+        # every K is fitted from the seed the final refit used, so the
+        # winning grid fit is that refit's model
+        final = GibbsLda(n_topics=k, alpha=config.lda_alpha, beta=config.lda_beta,
+                         iterations=config.lda_iterations,
+                         seed=stable_seed(7, "lda-final")).fit(
+            tokenize_corpus(state.corpus.records))
+        assert state.lda.to_json() == final.to_json()
+        assert state.topic_vectors.keys() == final.doc_topic_.keys()
+        assert all(v.tobytes() == final.doc_topic_[d].tobytes()
+                   for d, v in state.topic_vectors.items())
+
+    def test_one_k_grid_records_its_score(self, tmp_path, demo_corpus):
+        config = dataclasses.replace(demo_config(demo_corpus, out=str(tmp_path / "out")),
+                                     lda_k_grid=[3], lda_iterations=20)
+        summary = run_pipeline(config, through_stage="topics").stage_summary["topics"]
+        assert summary["k"] == 3
+        assert summary["k_scores"] == {"3": summary["coherence"]}
+
+
 class TestRunConfig:
     def test_json_round_trip(self, tmp_path, demo_corpus):
         config = demo_config(demo_corpus, out=str(tmp_path / "out"))
@@ -182,6 +222,7 @@ class TestPipelineStages:
         ids = [json.loads(l)["pub_id"] for l in lines]
         assert ids == sorted(ids)
 
+    @pytest.mark.golden
     def test_full_run_produces_bundle(self, tmp_path, demo_corpus):
         config = demo_config(demo_corpus, out=str(tmp_path / "out"))
         state = run_pipeline(config)
@@ -212,6 +253,7 @@ class TestPipelineStages:
             assert "wall_time_s" in result.to_json(include_wall_time=True)
             assert "wall_time_s" not in eval_json["results"][kind]
 
+    @pytest.mark.golden
     def test_gazetteer_all_pairs_features_pinned(self, tmp_path):
         config = gazetteer_config(tmp_path)
         run_pipeline(config, through_stage="describe")

@@ -13,7 +13,7 @@ import proxlink.topics as topics_mod
 from proxlink.topics import (
     GibbsLda,
     TokenizedDoc,
-    _score_k,
+    _fit_k,
     _window_counts,
     coherence,
     cognitive_distance,
@@ -244,6 +244,7 @@ class TestGibbsLda:
                  np.max(expected - np.arange(n) / n))
         assert ks < 1.63 / math.sqrt(n)  # the 1 % Kolmogorov-Smirnov bound
 
+    @pytest.mark.golden
     def test_pinned_fit_digest(self):
         # pins the sampler's draws: any change to the kernel, the layout or
         # the rng stream moves these bytes
@@ -374,21 +375,21 @@ class TestWindowCounts:
 class TestSelectK:
     def test_singleton_grid(self):
         docs, _, _ = synthetic_topic_docs(n_docs=30)
-        best, scores = select_k(docs, [3], seed=0, iterations=30)
-        assert best == 3 and set(scores) == {3}
+        model, scores = select_k(docs, [3], seed=0, iterations=30)
+        assert model.n_topics == 3 and set(scores) == {3}
 
     def test_recovers_three_topics(self):
         docs = noisy_topic_docs(seed=5)
-        best, scores = select_k(docs, [2, 3, 4, 5, 6], seed=1, iterations=200,
-                                alpha=0.05, top_m=8)
-        assert best == 3, scores
+        model, scores = select_k(docs, [2, 3, 4, 5, 6], seed=1, iterations=200,
+                                 alpha=0.05, top_m=8)
+        assert model.n_topics == 3, scores
 
     def test_tie_breaks_to_smallest_k(self, monkeypatch):
         monkeypatch.setattr(topics_mod, "coherence",
                             lambda model, docs, top_m, window: ([], 0.5))
         docs, _, _ = synthetic_topic_docs(n_docs=30)
-        best, scores = select_k(docs, [5, 4], seed=0, iterations=5)
-        assert best == 4
+        model, scores = select_k(docs, [5, 4], seed=0, iterations=5)
+        assert model.n_topics == 4
         assert scores[4] == scores[5] == 0.5
 
     def test_empty_grid_errors(self):
@@ -397,8 +398,15 @@ class TestSelectK:
 
 
 def in_process_select(docs, grid, seed, iterations):
-    scores = {k: _score_k(docs, k, seed, None, 0.01, iterations, 10, 10) for k in grid}
-    return min(sorted(scores), key=lambda k: (-scores[k], k)), scores
+    fits = {k: _fit_k(docs, k, seed, None, 0.01, iterations, 10, 10) for k in grid}
+    scores = {k: score for k, (_, score) in fits.items()}
+    return fits[min(sorted(scores), key=lambda k: (-scores[k], k))][0], scores
+
+
+def as_json(selected):
+    """A ``select_k`` result with its model as ``to_json()``, for ``==``."""
+    model, scores = selected
+    return model.to_json(), scores
 
 
 @pytest.fixture
@@ -420,16 +428,21 @@ def two_cpus(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedSelectK:
+    @pytest.mark.golden
     @pytest.mark.parametrize("grid", [[6, 4, 3, 2], [3, 5, 3, 2]])
     def test_matches_in_process_bit_for_bit(self, two_cpus, grid):
         docs, _, _ = synthetic_topic_docs(n_docs=30)
-        best, scores = select_k(docs, grid, seed=2, iterations=15)
-        expected_best, expected = in_process_select(docs, grid, seed=2, iterations=15)
-        assert best == expected_best
+        model, scores = select_k(docs, grid, seed=2, iterations=15)
+        expected_model, expected = in_process_select(docs, grid, seed=2, iterations=15)
+        assert model.to_json() == expected_model.to_json()
+        assert model.doc_topic_.keys() == expected_model.doc_topic_.keys()
+        assert all(v.tobytes() == expected_model.doc_topic_[d].tobytes()
+                   for d, v in model.doc_topic_.items())
         assert list(scores) == list(dict.fromkeys(grid))
         assert all(scores[k] == expected[k] for k in expected)
         assert len(two_cpus) == len(expected)
 
+    @pytest.mark.golden
     def test_one_cpu_never_forks(self, monkeypatch):
         def no_fork():
             raise AssertionError("os.fork called with one usable CPU")
@@ -438,8 +451,8 @@ class TestForkedSelectK:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(os, "fork", no_fork)
         docs, _, _ = synthetic_topic_docs(n_docs=30)
-        assert select_k(docs, [4, 2, 3], seed=2, iterations=10) == \
-            in_process_select(docs, [4, 2, 3], seed=2, iterations=10)
+        assert as_json(select_k(docs, [4, 2, 3], seed=2, iterations=10)) == \
+            as_json(in_process_select(docs, [4, 2, 3], seed=2, iterations=10))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -456,7 +469,7 @@ class TestForkedSelectK:
         cause = info.value.__cause__
         assert isinstance(cause, RuntimeError)
         assert "select_k child for K=40" in str(cause)
-        assert "Traceback" in str(cause) and "in _score_k" in str(cause)
+        assert "Traceback" in str(cause) and "in _fit_k" in str(cause)
 
     def test_failed_fork_scores_in_process(self, two_cpus, monkeypatch):
         counting_fork = os.fork
@@ -470,8 +483,8 @@ class TestForkedSelectK:
         monkeypatch.setattr(os, "fork", fork_fails_every_other)
         docs, _, _ = synthetic_topic_docs(n_docs=30)
         grid = [6, 4, 3, 2]
-        assert select_k(docs, grid, seed=2, iterations=15) == \
-            in_process_select(docs, grid, seed=2, iterations=15)
+        assert as_json(select_k(docs, grid, seed=2, iterations=15)) == \
+            as_json(in_process_select(docs, grid, seed=2, iterations=15))
         assert two_cpus == [1, 0, 1, 0]
 
     def test_no_fork_possible_scores_in_process(self, two_cpus, monkeypatch):
@@ -480,11 +493,11 @@ class TestForkedSelectK:
 
         monkeypatch.setattr(os, "fork", fork_fails)
         docs, _, _ = synthetic_topic_docs(n_docs=30)
-        assert select_k(docs, [3, 2], seed=2, iterations=10) == \
-            in_process_select(docs, [3, 2], seed=2, iterations=10)
+        assert as_json(select_k(docs, [3, 2], seed=2, iterations=10)) == \
+            as_json(in_process_select(docs, [3, 2], seed=2, iterations=10))
 
     def test_child_dying_without_reply_names_k(self, two_cpus, monkeypatch):
-        monkeypatch.setattr(topics_mod, "_score_k", lambda docs, k, *args: os._exit(3))
+        monkeypatch.setattr(topics_mod, "_fit_k", lambda docs, k, *args: os._exit(3))
         docs, _, _ = synthetic_topic_docs(n_docs=30)
         with pytest.raises(RuntimeError, match=r"K=2 exited without a reply "
                                                r"\(exit status 3\)"):
