@@ -539,8 +539,7 @@ def make_classifier(spec: ClassifierSpec):
 
 
 def model_size(spec: ClassifierSpec) -> float:
-    """Complexity used to break evaluation ties toward the smaller model;
-    a parameter the spec leaves out takes its kind's default."""
+    """Complexity used to break evaluation ties toward the smaller model."""
     p = make_classifier(spec).get_params()
     if spec.kind in ("random-forest", "gradient-boosted-trees"):
         return p["n_trees"] * p["max_depth"]

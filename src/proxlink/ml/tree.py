@@ -45,10 +45,10 @@ class _Node:
 
 
 class Presorted(NamedTuple):
-    """Read-only feature-major tables of an n x F sample ``X``, indexed by
-    f * n + rank: ``rows`` lists the rows of ``X`` in ascending order of
-    each feature f, ties by row index, and ``x`` their values; ``code``
-    maps f * n + row to its entry."""
+    """Read-only tables of an n x F sample ``X``, flat and feature-major:
+    entry f * n + rank holds the row of that rank on feature f (ties by
+    row index) in ``rows`` and its value in ``x``; ``code`` maps
+    f * n + row to its entry."""
     rows: np.ndarray
     x: np.ndarray
     code: np.ndarray
@@ -57,12 +57,10 @@ class Presorted(NamedTuple):
 
 def presort(X) -> Presorted:
     X = np.asarray(X, dtype=float)
-    n_rows, n_features = X.shape
-    size = n_rows * n_features
     order = np.argsort(X, axis=0, kind="mergesort").T
-    at = (np.arange(0, size, n_rows)[:, None] + order).ravel()
-    code = np.empty(size, dtype=np.intp)
-    code[at] = np.arange(size)
+    at = (np.arange(0, X.size, len(X))[:, None] + order).ravel()
+    code = np.empty(X.size, dtype=np.intp)
+    code[at] = np.arange(X.size)
     tables = Presorted(order.ravel(), X.T.ravel()[at], code, X.shape)
     for table in tables[:3]:
         table.flags.writeable = False

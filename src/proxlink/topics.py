@@ -517,25 +517,22 @@ def select_k(docs: Sequence[TokenizedDoc], k_grid: Sequence[int], seed: int = 0,
              alpha: Optional[float] = None, beta: float = 0.01,
              iterations: int = 1000, top_m: int = 10, window: int = 10
              ) -> tuple[GibbsLda, dict[int, float]]:
-    """Fit one model per K, every K from ``seed``; the best mean coherence
-    wins, ties to the smallest K. Returns the winning fit and each K's
-    score, in grid order.
+    """Fit one model per K, each from ``seed``; the best mean coherence
+    wins, ties to the smallest K. Returns (winning fit, {K: score}).
 
     The fits are independent, so each K is fitted in a forked child
     (``fork_map``), one per usable CPU at a time and the largest K first,
-    which sends back its model; the models and scores are the same as
-    in-process.
+    which sends back its model; the results are the same as in-process.
     """
     if not k_grid:
         raise ValueError("k_grid is empty")
     grid = list(dict.fromkeys(k_grid))
     fit_args = (seed, alpha, beta, iterations, top_m, window)
-    fits = dict(zip(grid, fork_map(lambda k: _fit_k(docs, k, *fit_args), grid,
-                                   label=lambda k: f"select_k child for K={k}",
-                                   cost=lambda k: k)))
-    scores = {k: score for k, (_, score) in fits.items()}
+    models, values = zip(*fork_map(lambda k: _fit_k(docs, k, *fit_args), grid,
+                                   label=lambda k: f"select_k child for K={k}", cost=lambda k: k))
+    scores = dict(zip(grid, values))
     best = min(sorted(scores), key=lambda k: (-scores[k], k))
-    return fits[best][0], scores
+    return models[grid.index(best)], scores
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,7 @@ class TestTopicStage:
         summary = state.stage_summary["topics"]
         k = summary["k"]
         assert summary["coherence"] == summary["k_scores"][str(k)]
-        # every K is fitted from the seed the final refit used, so the
-        # winning grid fit is that refit's model
+        # the topic model is a plain fit at the winning K from the stage's seed
         final = GibbsLda(n_topics=k, alpha=config.lda_alpha, beta=config.lda_beta,
                          iterations=config.lda_iterations,
                          seed=stable_seed(7, "lda-final")).fit(
