@@ -10,8 +10,9 @@ distinct candidate is scored once per search. Ties go to the smaller
 model, then the earlier candidate.
 
 Candidates are scored in one place, ``_score_stage``: the fits of a
-stage run in forked workers, one per usable CPU, for every kind searched
-together. ``score_spec`` scores one spec on given fold sets.
+stage run in forked workers, one per usable CPU, each serving units one
+at a time, for every kind searched together. ``score_spec`` scores one
+spec on given fold sets.
 """
 from __future__ import annotations
 

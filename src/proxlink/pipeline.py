@@ -324,7 +324,7 @@ def _stage_ml(state: RunState) -> None:
                        seeds=[stable_seed(cfg.seed, "tune", kind) for kind in cfg.classifiers],
                        log=log_rows)
     # the best kind is the first with the highest CV mean AUC, so it is
-    # known before any refit: the other kinds refit in forked children,
+    # known before any refit: the other kinds refit in forked workers,
     # which send back only their test AUC and seconds, and the best kind
     # refits here, where its model is kept
     best, best_cv = None, -1.0

@@ -520,9 +520,9 @@ def select_k(docs: Sequence[TokenizedDoc], k_grid: Sequence[int], seed: int = 0,
     """Fit one model per K, each from ``seed``; the best mean coherence
     wins, ties to the smallest K. Returns (winning fit, {K: score}).
 
-    The fits are independent, so each K is fitted in a forked child
-    (``fork_map``), one per usable CPU at a time and the largest K first,
-    which sends back its model; the results are the same as in-process.
+    The fits are independent, so each K is fitted in a forked worker
+    (``fork_map``), one per usable CPU and the largest K first, which
+    sends back its model; the results are the same as in-process.
     """
     if not k_grid:
         raise ValueError("k_grid is empty")

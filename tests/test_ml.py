@@ -1063,7 +1063,7 @@ class TestForkedTuning:
         plan = TunePlan(n_random=1, max_grid_fits=1, folds=3, smote=SmoteConfig(k=3))
         seeds = list(range(len(CLASSIFIER_KINDS)))
         runs = []
-        for n_cpus in (1, 3):
+        for n_cpus in (1, 2, 3):
             usable_cpus(n_cpus)
             log = []
             results = tune_kinds(CLASSIFIER_KINDS, X, y, plan=plan, seeds=seeds, log=log)
@@ -1072,7 +1072,7 @@ class TestForkedTuning:
         for kind, seed in zip(CLASSIFIER_KINDS, seeds):
             spec, r = tune_kinds([kind], X, y, [seed], plan=plan, log=single_log)[0]
             single.append((spec, r.to_json()))
-        assert runs[0] == runs[1] == (single_log, single)
+        assert runs[0] == runs[1] == runs[2] == (single_log, single)
 
     def test_each_distinct_spec_and_fold_is_one_unit(self, usable_cpus, monkeypatch):
         usable_cpus(2)

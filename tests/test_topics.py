@@ -440,7 +440,7 @@ class TestForkedSelectK:
                    for d, v in model.doc_topic_.items())
         assert list(scores) == list(dict.fromkeys(grid))
         assert all(scores[k] == expected[k] for k in expected)
-        assert len(two_cpus) == len(expected)
+        assert len(two_cpus) == min(len(expected), 2)
 
     @pytest.mark.golden
     def test_one_cpu_never_forks(self, monkeypatch):
@@ -460,7 +460,7 @@ class TestForkedSelectK:
         docs, _, _ = synthetic_topic_docs(n_docs=30)
         with pytest.raises(ValueError, match="at least K=40"):
             select_k(docs, [2, 40, 3], seed=0, iterations=5)
-        assert len(two_cpus) == 3
+        assert len(two_cpus) == 2
 
     def test_child_error_carries_child_traceback(self, two_cpus):
         docs, _, _ = synthetic_topic_docs(n_docs=30)
@@ -471,8 +471,11 @@ class TestForkedSelectK:
         assert "select_k child for K=40" in str(cause)
         assert "Traceback" in str(cause) and "in _fit_k" in str(cause)
 
-    def test_failed_fork_scores_in_process(self, two_cpus, monkeypatch):
+    def test_failed_fork_leaves_the_grid_to_the_other_worker(self, two_cpus, monkeypatch,
+                                                             tmp_path):
         counting_fork = os.fork
+        fit_k = topics_mod._fit_k
+        pids = tmp_path / "pids"
 
         def fork_fails_every_other():
             if len(two_cpus) % 2:
@@ -480,12 +483,22 @@ class TestForkedSelectK:
                 raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
             return counting_fork()
 
+        def fit_noting_pid(*args):
+            with open(pids, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return fit_k(*args)
+
         monkeypatch.setattr(os, "fork", fork_fails_every_other)
+        monkeypatch.setattr(topics_mod, "_fit_k", fit_noting_pid)
         docs, _, _ = synthetic_topic_docs(n_docs=30)
         grid = [6, 4, 3, 2]
         assert as_json(select_k(docs, grid, seed=2, iterations=15)) == \
             as_json(in_process_select(docs, grid, seed=2, iterations=15))
-        assert two_cpus == [1, 0, 1, 0]
+        # the second fork fails, so one worker fits every K
+        assert two_cpus == [1, 0]
+        fitted_in = pids.read_text().split()
+        assert len(fitted_in) == 4 and len(set(fitted_in)) == 1
+        assert fitted_in[0] != str(os.getpid())
 
     def test_no_fork_possible_scores_in_process(self, two_cpus, monkeypatch):
         def fork_fails():
