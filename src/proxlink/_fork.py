@@ -58,18 +58,17 @@ def _failure_payload(exc: BaseException) -> bytes:
 def _serve(fn: Callable, items: list, task_fd: int, reply_fd: int) -> None:
     """Run ``fn(items[i])`` for each index ``i`` read from ``task_fd``
     until end of file, writing back ``(True, fn(item), None)`` or
-    ``(False, exception, formatted traceback)`` for each."""
+    ``(False, exception, formatted traceback)`` for each; a value that
+    cannot be pickled is a failure like an exception raised by ``fn``."""
     while True:
         index = _read_exactly(task_fd, _INT_BYTES)
         if index is None:
             return
         try:
             value = fn(items[int.from_bytes(index, "little")])
+            payload = pickle.dumps((True, value, None))
         except BaseException as exc:  # interrupts too: the parent re-raises it
             payload = _failure_payload(exc)
-        else:
-            # a value that cannot be pickled ends the worker without a reply
-            payload = pickle.dumps((True, value, None))
         _write_all(reply_fd, len(payload).to_bytes(_INT_BYTES, "little"))
         _write_all(reply_fd, payload)
 
@@ -146,9 +145,11 @@ def fork_map(fn: Callable, items: Sequence, label: Optional[Callable] = None,
     A worker's exception is re-raised with the same type and message,
     chained from a ``RuntimeError`` that carries the worker's traceback;
     an exception that cannot be unpickled arrives as a ``RuntimeError``
-    naming its type. Of several failing items the first in item order
-    wins, and no later item is handed out once one has failed.
-    ``label(item)`` names an item's worker in these messages.
+    naming its type, and a result that cannot be pickled fails its item
+    with the pickling error (the worker goes on serving). Of several
+    failing items the first in item order wins, and no later item is
+    handed out once one has failed. ``label(item)`` names an item's
+    worker in these messages.
     """
     items = list(items)
     n_workers = min(len(items), usable_cpus())

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._validation import sorted_distinct
 from .corpus import Affiliation, Corpus
 from .geo import (
     AdjacencyTable,
@@ -244,7 +245,7 @@ def _window_columns(corpus: Corpus, window: WindowPair, graph: CoPubGraph,
 
     # knowledge vectors of the authors still in play
     vectors: list = [None] * m
-    for a in np.unique(pairs[keep]).tolist():
+    for a in sorted_distinct(pairs[keep]).tolist():
         pubs = [p for p in corpus.authors.get(authors[a], frozenset())
                 if span[0] <= corpus.record(p).year <= span[1]]
         try:
@@ -404,6 +405,17 @@ class DescribeResult:
                          f"{_fmt(self.cross_country_collab_share)},,,,,,\n")
 
 
+def _quantile(ordered: np.ndarray, q: float):
+    """``np.quantile(values, q)`` (its default, linear method) to the last
+    bit, for ``ordered = np.sort(values)``, without the ``np.unique`` call
+    that imports ``numpy.ma`` on numpy >= 2.3."""
+    at = (len(ordered) - 1) * q
+    lo = math.floor(at)
+    a, b, t = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)], at - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def describe(ds: Dataset) -> DescribeResult:
     """Per-variable summary overall and on the collaboration subset."""
     if not len(ds):
@@ -420,13 +432,14 @@ def describe(ds: Dataset) -> DescribeResult:
             sel = values[mask]
             if len(sel) == 0:
                 continue
+            ordered = np.sort(sel)
             out_rows.append({
                 "variable": name, "subset": subset, "n": int(len(sel)),
                 "mean": float(sel.mean()), "std": float(sel.std()),
                 "min": float(sel.min()),
-                "q25": float(np.quantile(sel, 0.25)),
-                "median": float(np.quantile(sel, 0.5)),
-                "q75": float(np.quantile(sel, 0.75)),
+                "q25": float(_quantile(ordered, 0.25)),
+                "median": float(_quantile(ordered, 0.5)),
+                "q75": float(_quantile(ordered, 0.75)),
                 "max": float(sel.max()),
             })
     positives = y == 1

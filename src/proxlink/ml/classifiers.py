@@ -42,8 +42,80 @@ class _Standardizer:
         return (X - self.mu) / self.sd
 
 
-# cap on the bytes of one block of pairwise differences in the neighbour search
+# cap on the bytes of one block of the neighbour search's distance arrays
 BLOCK_BYTES = 2 ** 20
+
+
+def _squared_distances(Q: np.ndarray, RT: np.ndarray) -> np.ndarray:
+    """``((Q[:, None, :] - R[None, :, :]) ** 2).sum(axis=-1)`` bit for bit,
+    built one feature column at a time from ``RT = R.T`` (contiguous).
+
+    The per-column terms are added in numpy's own order for a reduction
+    over a short contiguous axis: below 8 terms one after another; from 8
+    up in 8 running sums (sum j takes terms j, j + 8, ...), combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
+    leftover terms in order; above 128 terms the two halves (the first
+    a multiple of 8) are summed so and added. The tree is evaluated so
+    that at most five (rows of Q) x (rows of R) arrays are alive at once.
+    """
+    def term(j):
+        t = Q[:, j, None] - RT[j]
+        t *= t
+        return t
+
+    def total(cols):
+        n = len(cols)
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            acc = total(cols[:half])
+            acc += total(cols[half:])
+            return acc
+        if n < 8:
+            acc = term(cols[0])
+            for j in cols[1:]:
+                acc += term(j)
+            return acc
+        whole = n - n % 8
+
+        def running(i):  # r_i: terms i, i + 8, ... below whole
+            acc = term(cols[i])
+            for j in cols[i + 8:whole:8]:
+                acc += term(j)
+            return acc
+
+        def pair(i):
+            acc = running(i)
+            acc += running(i + 1)
+            return acc
+
+        acc = pair(0)
+        acc += pair(2)
+        upper = pair(4)
+        upper += pair(6)
+        acc += upper
+        for j in cols[whole:]:
+            acc += term(j)
+        return acc
+
+    return total(range(RT.shape[0]))
+
+
+def _nearest_in_block(Q: np.ndarray, RT: np.ndarray, k: int,
+                      self_start: int | None) -> np.ndarray:
+    """``k_nearest`` for one block of query rows; query row i is reference
+    row ``self_start + i`` unless ``self_start`` is None. Its temporaries
+    die on return."""
+    d2 = _squared_distances(Q, RT)
+    n = len(Q)
+    if self_start is not None:
+        d2[np.arange(n), np.arange(self_start, self_start + n)] = np.inf
+    # every candidate tied with the k-th smallest distance is kept, so
+    # the (distance, index) order below matches a full stable sort
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(d2 <= kth[:, None])  # cols ascend per row
+    order = np.lexsort((d2[rows, cols], rows))  # stable: index breaks ties
+    first = np.searchsorted(rows, np.arange(n))
+    return cols[order][first[:, None] + np.arange(k)]
 
 
 def k_nearest(R: np.ndarray, k: int, Q: np.ndarray | None = None) -> np.ndarray:
@@ -52,30 +124,25 @@ def k_nearest(R: np.ndarray, k: int, Q: np.ndarray | None = None) -> np.ndarray:
     Rows are ordered by squared Euclidean distance, ties by the lower row
     index of ``R``. Without ``Q``, each row of ``R`` is matched against
     the others and never against itself (needs ``k < len(R)``); with
-    ``Q``, needs ``k <= len(R)`` and finite ``Q``. Distances are computed
-    for a block of query rows at a time, so the temporaries stay within a
-    few times ``BLOCK_BYTES`` (and at least one query row) whatever the
-    row counts.
+    ``Q``, needs ``k <= len(R)`` and finite ``Q``. The distances equal
+    the difference tensor's ``((q - r) ** 2).sum(-1)`` to the last bit,
+    but are built one feature column at a time (``_squared_distances``),
+    for a block of query rows at a time. A (block x ``len(R)``) float
+    array takes a third of ``BLOCK_BYTES`` (a block has at least one
+    row), and at most five are alive at once up to 128 features, so the
+    temporaries besides a transposed copy of ``R`` stay within two
+    ``BLOCK_BYTES`` whatever the row counts.
     """
     exclude_self = Q is None
     if exclude_self:
         Q = R
-    n_ref, n_features = R.shape
-    n_query = len(Q)
-    rows_per_block = max(1, BLOCK_BYTES // (8 * n_ref * n_features))
-    out = np.empty((n_query, k), dtype=np.intp)
-    for start in range(0, n_query, rows_per_block):
-        stop = min(n_query, start + rows_per_block)
-        d2 = ((Q[start:stop, None, :] - R[None, :, :]) ** 2).sum(axis=-1)
-        if exclude_self:
-            d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        # every candidate tied with the k-th smallest distance is kept, so
-        # the (distance, index) order below matches a full stable sort
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        rows, cols = np.nonzero(d2 <= kth[:, None])  # cols ascend per row
-        order = np.lexsort((d2[rows, cols], rows))  # stable: index breaks ties
-        first = np.searchsorted(rows, np.arange(stop - start))
-        out[start:stop] = cols[order][first[:, None] + np.arange(k)]
+    RT = np.ascontiguousarray(R.T)
+    rows_per_block = max(1, BLOCK_BYTES // (24 * len(R)))
+    out = np.empty((len(Q), k), dtype=np.intp)
+    for start in range(0, len(Q), rows_per_block):
+        stop = min(len(Q), start + rows_per_block)
+        out[start:stop] = _nearest_in_block(Q[start:stop], RT, k,
+                                            start if exclude_self else None)
     return out
 
 
@@ -290,9 +357,10 @@ class KNearestNeighbors(_ClassifierBase):
     """Vote of the k nearest training rows in standardized space.
 
     Neighbours come from ``k_nearest``: distance ties resolve to the lower
-    training-row index, so predictions do not depend on sort stability,
-    and queries are searched in blocks whose temporaries stay within a
-    few times ``BLOCK_BYTES``.
+    training-row index, so predictions do not depend on sort stability.
+    Queries are searched in blocks whose squared distances are built one
+    feature column at a time, with the difference tensor's bits, and whose
+    temporaries stay within two ``BLOCK_BYTES``.
     """
 
     def __init__(self, k: int = 5):

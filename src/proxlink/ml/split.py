@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_both_classes
+from .._validation import check_both_classes, sorted_distinct
 
 
 def stratified_split(y, train_fraction: float = 0.9, seed: int = 0
@@ -20,7 +20,7 @@ def stratified_split(y, train_fraction: float = 0.9, seed: int = 0
     n = len(y)
     test_total = int(round((1.0 - train_fraction) * n))
 
-    classes = np.unique(y)
+    classes = sorted_distinct(y)
     shuffled = {c: rng.permutation(np.flatnonzero(y == c)) for c in classes}
     quota = {c: (1.0 - train_fraction) * len(shuffled[c]) for c in classes}
     take = {c: int(np.floor(quota[c])) for c in classes}
@@ -46,12 +46,12 @@ def stratified_folds(y, folds: int = 5, seed: int = 0
     y = np.asarray(check_both_classes(y))
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    for c in np.unique(y):
+    for c in sorted_distinct(y):
         if (y == c).sum() < folds:
             raise ValueError(f"class {c} has fewer samples than folds={folds}")
     rng = np.random.default_rng(seed)
     assignment = np.empty(len(y), dtype=int)
-    for c in np.unique(y):
+    for c in sorted_distinct(y):
         idx = rng.permutation(np.flatnonzero(y == c))
         assignment[idx] = np.arange(len(idx)) % folds
 

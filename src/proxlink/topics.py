@@ -24,6 +24,7 @@ import numpy as np
 
 from ._base import ParamsMixin, check_fitted
 from ._fork import fork_map
+from ._validation import sorted_distinct
 from .corpus import PublicationRecord
 
 _TOKEN_RE = re.compile(r"[a-z]+")
@@ -576,7 +577,7 @@ def cognitive_distances(vectors: Sequence[np.ndarray], I: np.ndarray, J: np.ndar
     distinct: dict[tuple, int] = {}
     centred: dict[int, np.ndarray] = {}
     sumsq: dict[int, float] = {}
-    for a in np.unique(np.concatenate([I, J])).tolist():
+    for a in sorted_distinct(np.concatenate([I, J])).tolist():
         vec = np.asarray(vectors[a], dtype=float)
         zero_var[a] = has_zero_variance(vec)
         vector_id[a] = distinct.setdefault(tuple(vec.tolist()), len(distinct))

@@ -13,6 +13,7 @@ from proxlink.features import (
     CSV_COLUMNS,
     Dataset,
     GeoContext,
+    _quantile,
     assemble,
     canonical_affiliation_in_window,
     correlation_screen,
@@ -227,6 +228,20 @@ class TestDescribe:
         result = describe(dataset_from_rows(rows))
         stats = {(r["variable"], r["subset"]): r for r in result.rows}
         assert stats[("geo_distance_km", "all")]["q75"] == pytest.approx(40.0)
+
+    def test_quantiles_match_numpy_bit_for_bit(self):
+        # runs of ties, integer columns, one and two rows, wide magnitudes
+        rng = np.random.default_rng(5)
+        samples = [rng.normal(size=n) * 10.0 ** rng.integers(-6, 7)
+                   for n in list(range(1, 12)) + [97, 420]]
+        samples += [rng.integers(-3, 4, size=n) for n in (1, 2, 5, 8, 33)]
+        samples += [np.round(rng.exponential(size=60), 1), np.zeros(7)]
+        for values in samples:
+            ordered = np.sort(values)
+            for q in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+                expected = np.float64(np.quantile(values, q))
+                got = np.float64(_quantile(ordered, q))
+                assert got.tobytes() == expected.tobytes(), (values, q)
 
     def test_cross_country_share(self):
         rows = ([make_row(y=1, dc=1), make_row(y=1, dc=0)]

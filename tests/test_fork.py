@@ -2,6 +2,7 @@
 of forked workers, one per usable CPU, each serving one item at a time."""
 import errno
 import os
+import pickle
 import select
 import time
 
@@ -249,10 +250,24 @@ class TestForkMap:
         assert dict(ran.read())[0] == os.getpid()
         assert len(forks["started"]) == 2 and forks["live"] == 0
 
-    def test_unpicklable_result_is_reported(self, forks):
-        with pytest.raises(RuntimeError, match=r"item 0 exited without a reply "
-                                               r"\(exit status 1\)"):
-            fork_map(lambda item: lambda: item, [0, 1])
+    def test_unpicklable_result_is_reported(self, forks, ran):
+        # by cost, 2 and 1 go out first; 2's result cannot be pickled, and
+        # its worker replies with the pickling error and goes on to run 0
+        def fn(item):
+            ran.record(item)
+            if item == 1:
+                time.sleep(0.3)
+            return (lambda: item) if item == 2 else item
+
+        with pytest.raises((AttributeError, pickle.PicklingError),
+                           match="Can't pickle") as info:
+            fork_map(fn, [0, 1, 2], cost=lambda item: item)
+        cause = str(info.value.__cause__)
+        assert "in the fork_map child for item 2:" in cause
+        assert "Traceback" in cause and "pickle.dumps((True, value, None))" in cause
+        assert len(forks["started"]) == 2 and forks["live"] == 0
+        started = dict(ran.read())
+        assert started[0] == started[2] != os.getpid()
 
     def test_fork_failing_every_other_time_leaves_the_items_to_the_workers(
             self, forks, usable_cpus, monkeypatch):

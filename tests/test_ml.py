@@ -189,6 +189,36 @@ class TestNeighbourKernel:
                 expected = reference_knn_ids(R, Q, k)
                 assert np.array_equal(classifiers_mod.k_nearest(R, k, Q), expected), k
 
+    @pytest.mark.golden
+    @pytest.mark.parametrize("n_features", [*range(1, 21), 129, 300])
+    def test_column_sums_equal_the_difference_tensor(self, n_features):
+        # numpy sums a short last axis in order below 8 terms, in 8 running
+        # sums from 8 up and in halves above 128; duplicate rows give zero
+        # distances, and binary columns exact small squares
+        rng = np.random.default_rng(n_features)
+        R = rng.normal(size=(40, n_features)) * 10.0 ** rng.integers(-3, 4, size=n_features)
+        R[:, ::3] = rng.integers(0, 2, size=R[:, ::3].shape)
+        R[10:14] = R[0]
+        Q = np.vstack([rng.normal(size=(9, n_features)), R[:5]])
+        expected = ((Q[:, None, :] - R[None, :, :]) ** 2).sum(axis=-1)
+        got = classifiers_mod._squared_distances(Q, np.ascontiguousarray(R.T))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.golden
+    @pytest.mark.parametrize("block_bytes", [1, 2 ** 20])
+    @pytest.mark.parametrize("n_features", [8, 9, 17])
+    def test_queries_match_per_row_sort_from_eight_features(
+            self, monkeypatch, block_bytes, n_features):
+        rng = np.random.default_rng(20 + n_features)
+        R = rng.normal(size=(200, n_features))
+        R[:, 0] = rng.integers(0, 2, size=200)  # ties on a binary column
+        R[50:53] = R[7]
+        Q = np.vstack([rng.normal(size=(40, n_features)), R[::40]])
+        monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", block_bytes)
+        for k in (1, 5, 200):
+            expected = reference_knn_ids(R, Q, k)
+            assert np.array_equal(classifiers_mod.k_nearest(R, k, Q), expected), k
+
     def test_temporaries_stay_within_two_blocks(self, monkeypatch):
         # the dense difference tensor would take 168 MB here
         rng = np.random.default_rng(15)

@@ -2,9 +2,12 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import proxlink
 from proxlink._rng import stable_seed
 from proxlink.cli import main
 from proxlink.ml import CLASSIFIER_KINDS
@@ -86,6 +89,27 @@ def six_kind_config(demo_corpus, out) -> RunConfig:
     return dataclasses.replace(
         demo_config(demo_corpus, out=out), classifiers=list(CLASSIFIER_KINDS),
         lda_k_grid=[3], lda_iterations=20, n_random=1, max_grid_fits=1, folds=3)
+
+
+def test_pipeline_never_imports_numpy_ma(tmp_path, demo_corpus):
+    # a plain np.unique imports numpy.ma on numpy >= 2.3, which costs a run
+    # about 10 ms and 1.3 MB; the tiny six-kind demo reaches every stage
+    script = (
+        "import dataclasses, sys\n"
+        "from proxlink.ml import CLASSIFIER_KINDS\n"
+        "from proxlink.pipeline import demo_config, run_pipeline\n"
+        "config = dataclasses.replace(\n"
+        "    demo_config(sys.argv[1], out=sys.argv[2]), classifiers=list(CLASSIFIER_KINDS),\n"
+        "    lda_k_grid=[3], lda_iterations=20, n_random=1, max_grid_fits=1, folds=3)\n"
+        "run_pipeline(config, through_stage='report')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(proxlink.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, demo_corpus, str(tmp_path / "out")],
+                          env=env, check=True, timeout=300, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.golden
