@@ -18,10 +18,8 @@ from .geo import (  # noqa: F401
     GeocodeCache,
     GeoPoint,
     RegionTags,
-    contiguity_binary,
     geocode,
     haversine_km,
-    institutional_binaries,
 )
 from .network import (  # noqa: F401
     CoPubGraph,
@@ -36,7 +34,6 @@ from .topics import (  # noqa: F401
     GibbsLda,
     TokenizedDoc,
     coherence,
-    cognitive_distance,
     knowledge_vector,
     porter_stem,
     select_k,

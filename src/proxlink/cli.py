@@ -13,6 +13,7 @@ import os
 import sys
 
 from .pipeline import (
+    STAGES,
     RunConfig,
     StageError,
     demo_config,
@@ -20,6 +21,21 @@ from .pipeline import (
     run_pipeline,
     write_canonical_dump,
 )
+
+_HELP = {
+    "ingest": "validate the corpus and write the canonical dump",
+    "geocode": "set up geocoding and report resolution sources",
+    "windows": "build sliding windows and co-publication graphs",
+    "topics": "fit the topic model and dump it",
+    "features": "assemble the per-pair dataset",
+    "describe": "write descriptive statistics and the correlation screen",
+    "fit": "fit the inferential logit and elasticity curve",
+    "ml": "run the classification protocol",
+    "explain": "compute exact Shapley explanations",
+    "report": "render figures and write the manifest",
+    "run": "run the full pipeline",
+}
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run-config JSON (see README)")
@@ -38,20 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="co-authorship link prediction from proximity features",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("ingest", "validate the corpus and write the canonical dump"),
-        ("geocode", "set up geocoding and report resolution sources"),
-        ("windows", "build sliding windows and co-publication graphs"),
-        ("topics", "fit the topic model and dump it"),
-        ("features", "assemble the per-pair dataset"),
-        ("fit", "fit the inferential logit and elasticity curve"),
-        ("ml", "run the classification protocol"),
-        ("explain", "compute exact Shapley explanations"),
-        ("report", "render figures and write the manifest"),
-        ("run", "run the full pipeline"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+    for name in STAGES + ("run",):
+        _add_common(sub.add_parser(name, help=_HELP[name]))
 
     synth = sub.add_parser("synth", help="write the bundled synthetic demo corpus")
     synth.add_argument("--out", default="synthetic_corpus.jsonl",

@@ -55,6 +55,7 @@ from .network import (
 from .topics import cognitive_distances, knowledge_vector
 
 CONTIGUITY_LEVEL = {1: "province", 2: "province", 3: "country", 4: "country"}
+COLLINEARITY_THRESHOLD = 0.8
 
 
 def scenario_feature_names(scenario: int, keep_continent: bool = False) -> list[str]:
@@ -465,14 +466,14 @@ class CorrelationScreen:
             fh.write("excluded," + ";".join(self.excluded) + "\n")
 
 
-def correlation_screen(ds: Dataset, threshold: float = 0.8) -> CorrelationScreen:
+def correlation_screen(ds: Dataset) -> CorrelationScreen:
     """Pearson matrix over outcome + base features; flags collinear features.
 
-    A feature pair with |r| above the threshold marks the later-declared
-    feature for exclusion. Zero-variance columns get r = 0 by convention
-    and are reported. The distance-by-network interaction is not screened:
-    it is definitionally collinear with its components and enters at model
-    time only.
+    A feature pair with |r| above :data:`COLLINEARITY_THRESHOLD` marks the
+    later-declared feature for exclusion. Zero-variance columns get r = 0
+    by convention and are reported. The distance-by-network interaction is
+    not screened: it is definitionally collinear with its components and
+    enters at model time only.
     """
     if len(ds) < 2:
         raise ValueError("need at least 2 rows for correlations")
@@ -503,7 +504,7 @@ def correlation_screen(ds: Dataset, threshold: float = 0.8) -> CorrelationScreen
         for j in feature_idx:
             if j <= i or names[j] in excluded or names[i] in excluded:
                 continue
-            if abs(matrix[i, j]) > threshold:
+            if abs(matrix[i, j]) > COLLINEARITY_THRESHOLD:
                 excluded.append(names[j])
     return CorrelationScreen(names=names, matrix=matrix, excluded=excluded,
                              zero_variance=zero_var)

@@ -1,12 +1,14 @@
 """proxlink.geo
 ~~~~~~~~~~~~~~~
 
-Great-circle distance, affiliation geocoding, and the region binaries.
+Great-circle distance, affiliation geocoding, and the region tags and
+adjacency tables that :mod:`proxlink.features` turns into the region
+binaries.
 
 Geocoding is pluggable: resolution order is explicit coordinates on the
 record, then the persistent cache, then whichever client is configured
-(offline gazetteer for normal use, a stub for tests). Distances use the
-haversine formula on a sphere of radius 6373 km.
+(the offline gazetteer, or any object with a ``resolve`` method).
+Distances use the haversine formula on a sphere of radius 6373 km.
 """
 from __future__ import annotations
 
@@ -63,7 +65,7 @@ class GeoPoint:
         return math.degrees(self.lon_rad)
 
 
-def haversine_km(p: GeoPoint, q: GeoPoint, radius_km: float = EARTH_RADIUS_KM) -> float:
+def haversine_km(p: GeoPoint, q: GeoPoint) -> float:
     """Great-circle distance in km: R * 2 * atan2(sqrt(a), sqrt(1-a))
     with a = sin^2(dlat/2) + cos(lat_p) * cos(lat_q) * sin^2(dlon/2).
     """
@@ -73,11 +75,11 @@ def haversine_km(p: GeoPoint, q: GeoPoint, radius_km: float = EARTH_RADIUS_KM) -
          + math.cos(p.lat_rad) * math.cos(q.lat_rad) * math.sin(dlon / 2.0) ** 2)
     # float error can nudge a just past 1 for antipodal points
     a = min(1.0, max(0.0, a))
-    return radius_km * 2.0 * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
+    return EARTH_RADIUS_KM * 2.0 * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
 
 
 # ---------------------------------------------------------------------------
-# Region binaries
+# Region tags and adjacency
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -105,28 +107,6 @@ class RegionTags:
     @property
     def resolved_continent(self) -> str:
         return self.continent or country_continent_table()[self.country]
-
-
-def institutional_binaries(a: RegionTags, b: RegionTags, scenario: int) -> dict[str, int]:
-    """Same-region indicator flags: 0 when the codes match, 1 otherwise.
-
-    Scenario 1 compares provinces; scenario 2 provinces and countries;
-    scenarios 3-4 countries only.
-    """
-    if scenario not in (1, 2, 3, 4):
-        raise ValueError(f"scenario must be 1..4, got {scenario}")
-    flags: dict[str, int] = {}
-    if scenario in (1, 2):
-        if a.province is None or b.province is None:
-            raise ValueError(f"scenario {scenario} requires province tags on both sides")
-        flags["different_province"] = 0 if a.province == b.province else 1
-    if scenario in (2, 3, 4):
-        flags["different_country"] = 0 if a.country == b.country else 1
-    return flags
-
-
-def different_continent(a: RegionTags, b: RegionTags) -> int:
-    return 0 if a.resolved_continent == b.resolved_continent else 1
 
 
 class AdjacencyTable:
@@ -165,26 +145,6 @@ class AdjacencyTable:
         return frozenset((a, b)) in self._pairs
 
 
-def contiguity_binary(a: RegionTags, b: RegionTags, adj: AdjacencyTable,
-                      level: str = "country") -> int:
-    """1 when the two regions are neither identical nor contiguous, else 0.
-
-    Same-region pairs score 0: the variable isolates the border effect on
-    top of distance, and a co-located pair has no border to cross.
-    """
-    if level == "province":
-        if a.province is None or b.province is None:
-            raise ValueError("province-level contiguity requires province tags")
-        code_a, code_b = a.province, b.province
-    elif level == "country":
-        code_a, code_b = a.country, b.country
-    else:
-        raise ValueError(f"unknown contiguity level {level!r}")
-    if code_a == code_b:
-        return 0
-    return 0 if adj.contiguous(code_a, code_b) else 1
-
-
 # ---------------------------------------------------------------------------
 # Geocoding
 # ---------------------------------------------------------------------------
@@ -202,23 +162,6 @@ def affiliation_address(aff: Affiliation) -> str:
 class GeocoderClient(Protocol):
     def resolve(self, address: str) -> Optional[tuple[float, float]]:
         """Return (lat_deg, lon_deg) or None if unknown."""
-
-
-class StubGeocoder:
-    """Test client: fixed point or explicit address mapping; counts calls."""
-
-    def __init__(self, point: Optional[tuple[float, float]] = None,
-                 table: Optional[dict] = None):
-        self.point = point
-        self.table = {normalize_address(k): v for k, v in (table or {}).items()}
-        self.calls = 0
-
-    def resolve(self, address: str) -> Optional[tuple[float, float]]:
-        self.calls += 1
-        key = normalize_address(address)
-        if key in self.table:
-            return self.table[key]
-        return self.point
 
 
 class GazetteerGeocoder:

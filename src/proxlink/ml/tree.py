@@ -141,13 +141,6 @@ class CartTree:
                 stack.append((node.right, idx[~mask]))
         return out
 
-    @property
-    def root_split(self) -> Optional[tuple[int, float]]:
-        """(feature, threshold) of the root, or None for a stump-less tree."""
-        if not self.nodes or self.nodes[0].is_leaf:
-            return None
-        return self.nodes[0].feature, self.nodes[0].threshold
-
     def to_dict(self) -> dict:
         return {
             "criterion": self.criterion,

@@ -84,8 +84,9 @@ class EvalResult:
     test_auc: Optional[float] = None
     wall_time_s: float = 0.0
 
-    def to_json(self, include_wall_time: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        # no wall time: it varies run to run, and eval.json is canonical
+        return {
             "kind": self.spec.kind,
             "hyperparameters": self.spec.params,
             "seed": self.spec.seed,
@@ -93,10 +94,6 @@ class EvalResult:
             "mean_auc": self.mean_auc,
             "test_auc": self.test_auc,
         }
-        # wall time varies run to run; kept out of canonical report bundles
-        if include_wall_time:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
 
 def apply_smote_train_only(X_train, y_train, cfg: Optional[SmoteConfig], seed: int):

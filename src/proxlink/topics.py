@@ -590,11 +590,3 @@ def cognitive_distances(vectors: Sequence[np.ndarray], I: np.ndarray, J: np.ndar
         min(2.0, max(0.0, 1.0 - float(centred[a] @ centred[b] / math.sqrt(sumsq[a] * sumsq[b]))))
         for a, b in zip(I[scored].tolist(), J[scored].tolist())]
     return distances, degenerate
-
-
-def cognitive_distance(s_i: np.ndarray, s_j: np.ndarray) -> float:
-    """:func:`cognitive_distances` of one pair: 1 - Pearson correlation, in
-    [0, 2], and the neutral 1.0 when either vector is constant."""
-    if np.shape(s_i) != np.shape(s_j):
-        raise ValueError(f"dimension mismatch: {np.shape(s_i)} vs {np.shape(s_j)}")
-    return float(cognitive_distances([s_i, s_j], [0], [1])[0][0])

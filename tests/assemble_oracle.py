@@ -1,9 +1,9 @@
 """Row-by-row reference for proxlink.features.assemble.
 
 The pair-at-a-time assembly the columnar one replaced: candidate pairs as
-name tuples, one outcome lookup, one exclusion cascade and one
-cognitive-distance formula per pair. Tests compare assemble's columns to
-these rows bit for bit.
+name tuples, one outcome lookup, one exclusion cascade, and one
+institutional, contiguity, continent and cognitive-distance formula per
+pair. Tests compare assemble's columns to these rows bit for bit.
 """
 from __future__ import annotations
 
@@ -18,13 +18,7 @@ from proxlink.features import (
     _author_geo,
     scenario_feature_names,
 )
-from proxlink.geo import (
-    UnresolvedAddressError,
-    contiguity_binary,
-    different_continent,
-    haversine_km,
-    institutional_binaries,
-)
+from proxlink.geo import UnresolvedAddressError, haversine_km
 from proxlink.network import SamplingPolicy, eligible_authors, tenb
 from proxlink.topics import has_zero_variance, knowledge_vector
 
@@ -60,6 +54,47 @@ def outcome_label(corpus, window, i, j):
         if start <= corpus.record(pub_id).year <= end:
             return 1
     return 0
+
+
+def institutional_binaries(a, b, scenario):
+    """Same-region flags of two RegionTags: 0 when the codes match, 1 otherwise.
+
+    Scenario 1 compares provinces; scenario 2 provinces and countries;
+    scenarios 3-4 countries only.
+    """
+    if scenario not in (1, 2, 3, 4):
+        raise ValueError(f"scenario must be 1..4, got {scenario}")
+    flags = {}
+    if scenario in (1, 2):
+        if a.province is None or b.province is None:
+            raise ValueError(f"scenario {scenario} requires province tags on both sides")
+        flags["different_province"] = 0 if a.province == b.province else 1
+    if scenario in (2, 3, 4):
+        flags["different_country"] = 0 if a.country == b.country else 1
+    return flags
+
+
+def different_continent(a, b):
+    return 0 if a.resolved_continent == b.resolved_continent else 1
+
+
+def contiguity_binary(a, b, adj, level):
+    """1 when the two regions are neither identical nor contiguous, else 0.
+
+    Same-region pairs score 0: the variable isolates the border effect on
+    top of distance, and a co-located pair has no border to cross.
+    """
+    if level == "province":
+        if a.province is None or b.province is None:
+            raise ValueError("province-level contiguity requires province tags")
+        code_a, code_b = a.province, b.province
+    elif level == "country":
+        code_a, code_b = a.country, b.country
+    else:
+        raise ValueError(f"unknown contiguity level {level!r}")
+    if code_a == code_b:
+        return 0
+    return 0 if adj.contiguous(code_a, code_b) else 1
 
 
 def cognitive_distance(s_i, s_j):

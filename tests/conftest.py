@@ -4,6 +4,7 @@ import pytest
 
 from proxlink.corpus import build_corpus, CorpusConfig
 from proxlink.corpus import _parse_record  # noqa: F401  (used via make_record)
+from proxlink.topics import cognitive_distances
 
 
 def make_record_dict(pub_id="P1", year=2005, title="Deep learning models",
@@ -26,6 +27,11 @@ def author_dict(key, name=None, institution="univ test", city="montreal",
         aff["province"] = province
     return {"author_key": key, "name": name or f"Author {key}",
             "affiliations": [aff]}
+
+
+def pair_distance(s_i, s_j):
+    """The cognitive distance of one pair, through the package's column kernel."""
+    return float(cognitive_distances([s_i, s_j], [0], [1])[0][0])
 
 
 def write_jsonl(path, records):

@@ -27,9 +27,8 @@ from proxlink.ml import (
 from proxlink.ml.tune import SmoteConfig, apply_smote_train_only, build_fold_sets, score_spec
 from proxlink.network import build_graph, tenb
 from proxlink.pipeline import BUNDLE_FILES, demo_config, make_demo_corpus, run_pipeline
-from proxlink.topics import cognitive_distance
 
-from conftest import author_dict, corpus_from_dicts, make_record_dict
+from conftest import author_dict, corpus_from_dicts, make_record_dict, pair_distance
 from synth_data import LOGIT_FEATURES, TRUE_LOGIT_BETA, separable_dataset, synth_logit_data
 
 
@@ -116,11 +115,11 @@ def test_criterion_2_tenb_brute_force():
               "anticorrelated vectors -> 2, both exact")
 def test_criterion_3_cognitive_boundaries():
     v = np.array([0.75, 0.25])
-    assert cognitive_distance(v, v) == 0.0
-    assert cognitive_distance(np.array([0.75, 0.25]), np.array([0.25, 0.75])) == 2.0
+    assert pair_distance(v, v) == 0.0
+    assert pair_distance(np.array([0.75, 0.25]), np.array([0.25, 0.75])) == 2.0
     # exactness also on a longer dyadic-rational vector
     a = np.array([0.5, 0.25, 0.125, 0.125])
-    assert cognitive_distance(a, a) == 0.0
+    assert pair_distance(a, a) == 0.0
 
 
 @criterion(4, "binary-regressor effect sizes: 1-exp(-1.49)=0.7746 and "

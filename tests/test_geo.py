@@ -13,14 +13,26 @@ from proxlink.geo import (
     GazetteerGeocoder,
     GeoPoint,
     RegionTags,
-    StubGeocoder,
     UnresolvedAddressError,
-    contiguity_binary,
     geocode,
     haversine_km,
-    institutional_binaries,
     normalize_address,
 )
+
+from assemble_oracle import contiguity_binary, different_continent, institutional_binaries
+
+
+class StubGeocoder:
+    """Geocoder client that resolves every address to one point (or None)
+    and counts its calls."""
+
+    def __init__(self, point):
+        self.point = point
+        self.calls = 0
+
+    def resolve(self, address):
+        self.calls += 1
+        return self.point
 
 
 def oracle_haversine(lat1, lon1, lat2, lon2, R=EARTH_RADIUS_KM):
@@ -116,6 +128,12 @@ class TestInstitutionalBinaries:
     def test_missing_province_when_needed(self):
         with pytest.raises(ValueError, match="province"):
             institutional_binaries(self.FR, self.QC, 1)
+
+    def test_different_continent(self):
+        us = RegionTags(country="US", continent="NA")
+        assert different_continent(self.QC, us) == 0
+        assert different_continent(self.QC, self.FR) == 1
+        assert different_continent(self.FR, self.QC) == 1
 
     def test_continent_consistency_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):

@@ -34,6 +34,11 @@ from proxlink.ml.tune import SmoteConfig, build_fold_sets, score_spec
 from synth_data import synth_logit_data
 
 
+def root_split(tree):
+    """(feature, threshold) of a fitted tree's root split."""
+    return tree.nodes[0].feature, tree.nodes[0].threshold
+
+
 def separable_dataset(n=2000, seed=0, margin=0.5):
     """Linearly separable 7-feature rows mimicking the pair-feature schema."""
     rng = np.random.default_rng(seed)
@@ -356,8 +361,8 @@ class TestCartTree:
                 gain = sse(y) - sse(left) - sse(right)
                 if gain > best[2]:
                     best = (f, t, gain)
-        assert tree.root_split[0] == best[0]
-        assert tree.root_split[1] == pytest.approx(best[1], abs=1e-12)
+        assert root_split(tree)[0] == best[0]
+        assert root_split(tree)[1] == pytest.approx(best[1], abs=1e-12)
 
     def test_tie_breaks_to_lower_feature(self):
         # two identical columns: the split must name column 0
@@ -365,7 +370,7 @@ class TestCartTree:
         X = np.column_stack([x, x])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         tree = CartTree(max_depth=1, criterion="mse").fit(presort(X), y)
-        assert tree.root_split == (0, 1.5)
+        assert root_split(tree) == (0, 1.5)
 
     @pytest.mark.parametrize("criterion", ["mse", "gini"])
     def test_adjacent_float_split_leaves_no_empty_child(self, criterion):
@@ -378,7 +383,7 @@ class TestCartTree:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             tree = CartTree(max_depth=1, criterion=criterion).fit(presort(X), y)
-        feature, threshold = tree.root_split
+        feature, threshold = root_split(tree)
         assert lo <= threshold < hi
         assert np.array_equal(tree.predict(X), y)
 
@@ -692,7 +697,7 @@ class TestClassifiers:
         X = np.array([[1.0], [2.0], [4.0], [5.0]])
         y = np.array([0, 0, 1, 1])
         model = GradientBoostedTrees(n_trees=1, lr=1.0, max_depth=1).fit(X, y)
-        assert model.trees_[0].root_split == (0, 3.0)
+        assert root_split(model.trees_[0]) == (0, 3.0)
         # stump ordering separates the classes perfectly
         assert auc(model.predict_proba(X)[:, 1], y) == 1.0
 

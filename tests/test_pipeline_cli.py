@@ -9,10 +9,11 @@ import pytest
 
 import proxlink
 from proxlink._rng import stable_seed
-from proxlink.cli import main
+from proxlink.cli import build_parser, main
 from proxlink.ml import CLASSIFIER_KINDS
 from proxlink.pipeline import (
     BUNDLE_FILES,
+    STAGES,
     RunConfig,
     StageError,
     demo_config,
@@ -273,7 +274,6 @@ class TestPipelineStages:
             assert 0.0 <= result.test_auc <= 1.0
             assert result.mean_auc >= 0.9
             assert result.wall_time_s > 0
-            assert "wall_time_s" in result.to_json(include_wall_time=True)
             assert "wall_time_s" not in eval_json["results"][kind]
 
     @pytest.mark.golden
@@ -302,6 +302,18 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         assert "canonical dump" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_every_stage_is_a_subcommand(self, stage):
+        args = build_parser().parse_args([stage, "--demo", "--corpus", "c.jsonl"])
+        assert (args.command, args.demo, args.corpus) == (stage, True, "c.jsonl")
+
+    def test_describe_subcommand(self, tmp_path, demo_corpus, capsys):
+        out = tmp_path / "out"
+        assert main(["describe", "--demo", "--corpus", demo_corpus, "--out", str(out)]) == 0
+        assert "describe" in json.loads(capsys.readouterr().out)["stages"]
+        assert (out / "describe.csv").exists() and (out / "corr.csv").exists()
+        assert not (out / "ml_tuning.csv").exists()
 
     def test_stagewise_windows_subcommand(self, tmp_path, demo_corpus, capsys):
         code = main(["windows", "--demo", "--corpus", demo_corpus,

@@ -16,7 +16,6 @@ from proxlink.topics import (
     _fit_k,
     _window_counts,
     coherence,
-    cognitive_distance,
     cognitive_distances,
     has_zero_variance,
     knowledge_vector,
@@ -28,7 +27,7 @@ from proxlink.topics import (
 )
 
 import assemble_oracle
-from conftest import make_record_dict, corpus_from_dicts
+from conftest import make_record_dict, corpus_from_dicts, pair_distance
 from reference_lda import ReferenceGibbsLda
 
 # sha256 of topic_term_ then doc_topic_ (in document order) for
@@ -545,39 +544,35 @@ class TestKnowledgeVector:
 class TestCognitiveDistance:
     def test_identical_vectors_zero(self):
         v = np.array([0.2, 0.3, 0.5])
-        assert cognitive_distance(v, v) == pytest.approx(0.0, abs=1e-12)
+        assert pair_distance(v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_anticorrelated_vectors_two(self):
         a = np.array([0.6, 0.4])
         b = np.array([0.4, 0.6])
-        assert cognitive_distance(a, b) == pytest.approx(2.0, abs=1e-12)
+        assert pair_distance(a, b) == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_computed_pearson_case(self):
         # corr((0.6,0.2,0.2), (0.2,0.6,0.2)) = -0.5 by the textbook formula
         a = np.array([0.6, 0.2, 0.2])
         b = np.array([0.2, 0.6, 0.2])
-        assert cognitive_distance(a, b) == pytest.approx(1.5, abs=1e-12)
+        assert pair_distance(a, b) == pytest.approx(1.5, abs=1e-12)
 
     def test_symmetric_range_and_permutation_invariance(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             a = rng.dirichlet(np.ones(5))
             b = rng.dirichlet(np.ones(5))
-            d = cognitive_distance(a, b)
-            assert d == cognitive_distance(b, a)
+            d = pair_distance(a, b)
+            assert d == pair_distance(b, a)
             assert 0.0 <= d <= 2.0
             perm = rng.permutation(5)
-            assert cognitive_distance(a[perm], b[perm]) == pytest.approx(d, abs=1e-9)
+            assert pair_distance(a[perm], b[perm]) == pytest.approx(d, abs=1e-9)
 
     def test_zero_variance_neutral(self):
         flat = np.array([0.25, 0.25, 0.25, 0.25])
         spread = np.array([0.7, 0.1, 0.1, 0.1])
         assert has_zero_variance(flat)
-        assert cognitive_distance(flat, spread) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            cognitive_distance(np.ones(3) / 3, np.ones(4) / 4)
+        assert pair_distance(flat, spread) == 1.0
 
     def test_batch_matches_one_pair_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -589,11 +584,9 @@ class TestCognitiveDistance:
         n = len(vectors)
         I, J = np.divmod(np.arange(n * n), n)
         distances, degenerate = cognitive_distances(vectors, I, J)
-        one_pair = np.array([cognitive_distance(vectors[a], vectors[b])
-                             for a, b in zip(I, J)])
         oracle = np.array([assemble_oracle.cognitive_distance(vectors[a], vectors[b])
                            for a, b in zip(I, J)])
-        assert distances.tobytes() == one_pair.tobytes() == oracle.tobytes()
+        assert distances.tobytes() == oracle.tobytes()
         assert degenerate.tolist() == [has_zero_variance(vectors[a]) or
                                        has_zero_variance(vectors[b]) for a, b in zip(I, J)]
         assert set(distances[degenerate].tolist()) == {1.0}
