@@ -17,7 +17,6 @@ from .geo import (  # noqa: F401
     AdjacencyTable,
     GeocodeCache,
     GeoPoint,
-    RegionTags,
     geocode,
     haversine_km,
 )
@@ -37,7 +36,7 @@ from .topics import (  # noqa: F401
     knowledge_vector,
     porter_stem,
     select_k,
-    tokenize,
+    tokenize_corpus,
 )
 from .features import (  # noqa: F401
     Dataset,

@@ -1,10 +1,11 @@
 """``fork_map``: a map over independent items in a pool of forked workers.
 
-The workers are forked when ``fork_map`` is called and inherit the
-parent's memory, so ``fn`` and its items are never pickled. The parent
-sends a worker the index of its next item (8 bytes) down that worker's
-own pipe; the worker sends back one length-prefixed pickled reply
-through another pipe and waits for the next index.
+The workers are forked at the start of each ``fork_map`` call and
+inherit the parent's memory, so ``fn`` and its items are never pickled.
+The parent hands the items out in item order: it sends an idle worker
+the index of the next item (8 bytes) down that worker's own pipe; the
+worker sends back one length-prefixed pickled reply through another pipe
+and waits for the next index.
 """
 from __future__ import annotations
 
@@ -124,19 +125,16 @@ class _Worker:
         return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
-def fork_map(fn: Callable, items: Sequence, label: Optional[Callable] = None,
-             cost: Optional[Callable] = None) -> list:
+def fork_map(fn: Callable, items: Sequence, label: Optional[Callable] = None) -> list:
     """``[fn(item) for item in items]``, in a pool of forked workers.
 
     The call forks one worker per usable CPU, at most one per item, and
     each worker runs one item at a time. Items are handed to idle workers
-    in order, or by decreasing ``cost(item)`` if given. Everything runs
-    in-process with one usable CPU, one item or no ``os.fork``. A fork
-    that fails (no process or memory to spare) leaves the items to the
-    workers that exist, and to the parent if none does. A worker that
-    ends without a reply fails its item and is replaced while items
-    remain. No worker outlives the call: if the parent fails, the workers
-    are killed and reaped.
+    in item order. A fork that fails (no process or memory to spare)
+    leaves the items to the workers that exist; everything runs
+    in-process if none does, and with one usable CPU, one item or no
+    ``os.fork``. No worker outlives the call: if the parent fails, the
+    workers are killed and reaped.
 
     The workers inherit the parent's state as of this call, and one
     worker serves many items, so an item must not rely on process state
@@ -145,45 +143,43 @@ def fork_map(fn: Callable, items: Sequence, label: Optional[Callable] = None,
     A worker's exception is re-raised with the same type and message,
     chained from a ``RuntimeError`` that carries the worker's traceback;
     an exception that cannot be unpickled arrives as a ``RuntimeError``
-    naming its type, and a result that cannot be pickled fails its item
-    with the pickling error (the worker goes on serving). Of several
-    failing items the first in item order wins, and no later item is
-    handed out once one has failed. ``label(item)`` names an item's
-    worker in these messages.
+    naming its type, a result that cannot be pickled fails its item with
+    the pickling error (the worker goes on serving), and a worker that
+    ends without a reply fails its item. Once an item has failed no
+    further item is handed out; the items already out finish, and of the
+    failing ones the first in item order wins. ``label(item)`` names an
+    item's worker in these messages.
     """
     items = list(items)
     n_workers = min(len(items), usable_cpus())
     if n_workers < 2 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
-    # imported here so that runs which never fork load neither module
-    import select
-    import signal
-
-    def name(i: int) -> str:
-        return label(items[i]) if label else f"fork_map child for item {i}"
-
+        n_workers = 0
     workers: dict[int, _Worker] = {}  # reply fd -> live worker
-
-    def fork_worker() -> None:
-        inherited = [fd for w in workers.values() for fd in (w.task_fd, w.reply_fd)]
-        try:
-            worker = _Worker(fn, items, inherited)
-        except OSError:
-            return
-        workers[worker.reply_fd] = worker
-
-    order = range(len(items))
-    pending = sorted(order, key=lambda i: -cost(items[i])) if cost else list(order)
-    replies: dict[int, tuple[bool, object, Optional[str]]] = {}
     try:
         for _ in range(n_workers):
-            fork_worker()
+            inherited = [fd for w in workers.values() for fd in (w.task_fd, w.reply_fd)]
+            try:
+                worker = _Worker(fn, items, inherited)
+            except OSError:
+                continue
+            workers[worker.reply_fd] = worker
+        if not workers:
+            return [fn(item) for item in items]
+        # imported here so that runs which never fork load neither module
+        import select
+        import signal
+
+        def name(i: int) -> str:
+            return label(items[i]) if label else f"fork_map child for item {i}"
+
+        pending = list(range(len(items)))
+        replies: dict[int, tuple[bool, object, Optional[str]]] = {}
         while True:
             for worker in workers.values():
                 if pending and worker.busy_with is None:
                     worker.send(pending.pop(0))
             busy = [fd for fd, w in workers.items() if w.busy_with is not None]
-            if not busy:  # all done, or no worker left for what is pending
+            if not busy:  # all done, or a failure stopped the hand-out
                 break
             for reply_fd in select.select(busy, [], [])[0]:
                 worker = workers[reply_fd]
@@ -198,11 +194,7 @@ def fork_map(fn: Callable, items: Sequence, label: Optional[Callable] = None,
                 else:
                     replies[i] = pickle.loads(payload)
                 if not replies[i][0]:
-                    pending = [j for j in pending if j < i]
-                if payload is None and pending:
-                    fork_worker()
-        for i in pending:
-            replies[i] = (True, fn(items[i]), None)
+                    pending.clear()
     finally:
         for worker in workers.values():
             if worker.busy_with is not None:

@@ -38,7 +38,6 @@ from .geo import (
     AdjacencyTable,
     GeocodeCache,
     GeocoderClient,
-    RegionTags,
     UnresolvedAddressError,
     haversine_km,
     resolve_affiliation,
@@ -193,12 +192,12 @@ class GeoContext:
 
 def _author_geo(corpus: Corpus, author: str, span: tuple[int, int],
                 geo: GeoContext):
-    """(GeoPoint, RegionTags) for an author's canonical window affiliation."""
+    """(GeoPoint, Affiliation) for an author's canonical window affiliation."""
     aff = canonical_affiliation_in_window(corpus, author, span)
     if aff is None:
         raise UnresolvedAddressError(f"no in-window affiliation for {author}")
     point = resolve_affiliation(aff, geo.client, geo.cache)
-    return point, RegionTags.from_affiliation(aff)
+    return point, aff
 
 
 def _codes(values: list) -> tuple[np.ndarray, list]:
@@ -234,11 +233,11 @@ def _window_columns(corpus: Corpus, window: WindowPair, graph: CoPubGraph,
 
     # geocode authors in the order the pair list first names them
     points: list = [None] * m
-    tags: list = [None] * m
+    affs: list = [None] * m
     seen, first = np.unique(pairs.ravel(), return_index=True)
     for a in seen[np.argsort(first)].tolist():
         try:
-            points[a], tags[a] = _author_geo(corpus, authors[a], span, geo)
+            points[a], affs[a] = _author_geo(corpus, authors[a], span, geo)
         except (UnresolvedAddressError, ValueError):
             pass
     located = np.array([p is not None for p in points], dtype=bool)
@@ -256,8 +255,8 @@ def _window_columns(corpus: Corpus, window: WindowPair, graph: CoPubGraph,
     has_vector = np.array([v is not None for v in vectors], dtype=bool)
     exclude("missing-knowledge-vector", has_vector[I] & has_vector[J])
 
-    province, provinces = _codes([t and t.province for t in tags])
-    country, countries = _codes([t and t.country for t in tags])
+    province, provinces = _codes([f and f.province for f in affs])
+    country, countries = _codes([f and f.country for f in affs])
     if scenario in (1, 2):
         has_province = np.array([p is not None for p in provinces], dtype=bool)[province]
         exclude("missing-province", has_province[I] & has_province[J])
@@ -317,7 +316,7 @@ def _window_columns(corpus: Corpus, window: WindowPair, graph: CoPubGraph,
     if scenario in (2, 3, 4):
         columns["different_country"] = (country[I] != country[J]).astype(np.int64)
     if scenario in (3, 4):
-        continent, _ = _codes([t and t.resolved_continent for t in tags])
+        continent, _ = _codes([f and f.continent for f in affs])
         columns["different_continent"] = (continent[I] != continent[J]).astype(np.int64)
     return columns, int(np.count_nonzero(degenerate))
 

@@ -1,9 +1,9 @@
 """proxlink.geo
 ~~~~~~~~~~~~~~~
 
-Great-circle distance, affiliation geocoding, and the region tags and
-adjacency tables that :mod:`proxlink.features` turns into the region
-binaries.
+Great-circle distance, affiliation geocoding, and the adjacency tables
+that :mod:`proxlink.features` combines with each affiliation's region
+codes into the region binaries.
 
 Geocoding is pluggable: resolution order is explicit coordinates on the
 record, then the persistent cache, then whichever client is configured
@@ -79,35 +79,8 @@ def haversine_km(p: GeoPoint, q: GeoPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Region tags and adjacency
+# Adjacency
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegionTags:
-    """Province / country / continent codes for one canonical affiliation."""
-
-    country: str
-    province: Optional[str] = None
-    continent: Optional[str] = None
-
-    def __post_init__(self):
-        table = country_continent_table()
-        if self.country not in table:
-            raise ValueError(f"invalid country code {self.country!r}")
-        if self.continent is not None and self.continent != table[self.country]:
-            raise ValueError(
-                f"continent {self.continent!r} inconsistent with country "
-                f"{self.country!r} (expected {table[self.country]!r})"
-            )
-
-    @classmethod
-    def from_affiliation(cls, aff: Affiliation) -> "RegionTags":
-        return cls(country=aff.country, province=aff.province, continent=aff.continent)
-
-    @property
-    def resolved_continent(self) -> str:
-        return self.continent or country_continent_table()[self.country]
-
 
 class AdjacencyTable:
     """Symmetric, irreflexive set of contiguous region-code pairs.

@@ -102,21 +102,23 @@ class LogitFit:
         }
 
 
+MAX_ITER = 100
+TOL_SCORE = 1e-8
+TOL_LOGLIK = 1e-10
+SEPARATION_BOUND = 1e3  # largest |coefficient| before separation is reported
+
+
 class LogisticIRLS(ParamsMixin):
     """Maximum-likelihood logit via IRLS.
 
-    Convergence: max |score| < tol_score, or a relative log-likelihood
-    change below tol_loglik once the score is already small. An intercept
-    is always prepended (the score equation then forces the mean fitted
-    probability to equal the sample positive rate).
+    Convergence within ``MAX_ITER`` iterations: max |score| < TOL_SCORE,
+    or a relative log-likelihood change below TOL_LOGLIK once the score
+    is already small. An intercept is always prepended (the score
+    equation then forces the mean fitted probability to equal the sample
+    positive rate).
     """
 
-    def __init__(self, max_iter: int = 100, tol_score: float = 1e-8,
-                 tol_loglik: float = 1e-10, separation_bound: float = 1e3):
-        self.max_iter = max_iter
-        self.tol_score = tol_score
-        self.tol_loglik = tol_loglik
-        self.separation_bound = separation_bound
+    def __init__(self):
         self.result_ = None
 
     def _check_rank(self, X: np.ndarray, names: Sequence[str]) -> None:
@@ -145,7 +147,7 @@ class LogisticIRLS(ParamsMixin):
         ll_prev = log_likelihood(Xd, y, beta)
         converged = False
         iterations = 0
-        for iterations in range(1, self.max_iter + 1):
+        for iterations in range(1, MAX_ITER + 1):
             p = sigmoid(Xd @ beta)
             w = np.maximum(p * (1.0 - p), 1e-12)
             z_work = Xd @ beta + (y - p) / w
@@ -157,9 +159,9 @@ class LogisticIRLS(ParamsMixin):
                     "weighted normal equations became singular; this indicates "
                     "(quasi-)separation in the data"
                 ) from exc
-            if np.max(np.abs(beta)) > self.separation_bound:
+            if np.max(np.abs(beta)) > SEPARATION_BOUND:
                 raise SeparationError(
-                    f"coefficients diverged beyond {self.separation_bound:g}; "
+                    f"coefficients diverged beyond {SEPARATION_BOUND:g}; "
                     "separation detected"
                 )
             p_new = sigmoid(Xd @ beta)
@@ -173,7 +175,7 @@ class LogisticIRLS(ParamsMixin):
             score_inf = float(np.max(np.abs(score_vector(Xd, y, beta))))
             rel_dll = abs(ll - ll_prev) / (abs(ll) + 1e-300)
             ll_prev = ll
-            if score_inf < self.tol_score or (rel_dll < self.tol_loglik and score_inf < 1e-6):
+            if score_inf < TOL_SCORE or (rel_dll < TOL_LOGLIK and score_inf < 1e-6):
                 converged = True
                 break
 
@@ -233,19 +235,14 @@ def effect_pct(beta_k: float) -> float:
 
 
 def tenb_elasticity_curve(beta_tenb: float, beta_interaction: float,
-                          distance_grid: Sequence[float],
-                          at_p: Optional[float] = None) -> list[tuple[float, float]]:
-    """Network-proximity elasticity as a function of distance.
-
-    Odds elasticity e(d) = beta_tenb + beta_interaction * ln(1 + d); with a
-    reference probability, the probability elasticity scales by (1 - at_p).
-    """
-    scale = 1.0 if at_p is None else (1.0 - at_p)
+                          distance_grid: Sequence[float]) -> list[tuple[float, float]]:
+    """Network-proximity odds elasticity as a function of distance:
+    e(d) = beta_tenb + beta_interaction * ln(1 + d)."""
     out = []
     for d in distance_grid:
         if d < 0:
             raise ValueError("distances must be non-negative")
-        out.append((float(d), scale * (beta_tenb + beta_interaction * math.log1p(d))))
+        out.append((float(d), beta_tenb + beta_interaction * math.log1p(d)))
     return out
 
 

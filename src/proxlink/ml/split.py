@@ -6,23 +6,24 @@ import numpy as np
 from .._validation import check_both_classes, sorted_distinct
 
 
-def stratified_split(y, train_fraction: float = 0.9, seed: int = 0
-                     ) -> tuple[np.ndarray, np.ndarray]:
+TRAIN_FRACTION = 0.9
+
+
+def stratified_split(y, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint, exhaustive train/test indices with per-class proportions.
 
     Test counts per class use largest-remainder rounding so the overall
-    test size is round((1 - train_fraction) * n).
+    test size is round((1 - TRAIN_FRACTION) * n).
     """
     y = np.asarray(check_both_classes(y))
-    if not (0.0 < train_fraction < 1.0):
-        raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     n = len(y)
-    test_total = int(round((1.0 - train_fraction) * n))
+    test_fraction = 1.0 - TRAIN_FRACTION
+    test_total = int(round(test_fraction * n))
 
     classes = sorted_distinct(y)
     shuffled = {c: rng.permutation(np.flatnonzero(y == c)) for c in classes}
-    quota = {c: (1.0 - train_fraction) * len(shuffled[c]) for c in classes}
+    quota = {c: test_fraction * len(shuffled[c]) for c in classes}
     take = {c: int(np.floor(quota[c])) for c in classes}
     short = test_total - sum(take.values())
     for c in sorted(classes, key=lambda c: -(quota[c] - take[c])):

@@ -90,11 +90,6 @@ class CartTree:
         self.rng = rng
         self.nodes: list[_Node] = []
 
-    def fit(self, tables: Presorted, y,
-            leaf_value_fn: Optional[Callable] = None) -> "CartTree":
-        self.fit_values(tables, y, leaf_value_fn)
-        return self
-
     def fit_values(self, tables: Presorted, y,
                    leaf_value_fn: Optional[Callable] = None) -> np.ndarray:
         """Fit the tree on ``X`` given as ``tables = presort(X)`` and return

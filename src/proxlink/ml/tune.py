@@ -279,6 +279,8 @@ def tune_kinds(kinds: Sequence[str], X, y, seeds: Sequence[int],
     usable CPUs.
     """
     plan = plan or TunePlan()
+    if not kinds:
+        raise ValueError("kinds is empty: name at least one classifier kind")
     if plan.n_random < 1:
         raise ValueError("random stage needs at least one fit")
     if len(seeds) != len(kinds):

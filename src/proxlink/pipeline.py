@@ -317,8 +317,7 @@ def _stage_ml(state: RunState) -> None:
                     grid_points=cfg.grid_points, max_grid_fits=cfg.max_grid_fits,
                     folds=cfg.folds,
                     smote=SmoteConfig(k=cfg.smote_k, target_ratio=cfg.smote_ratio))
-    train_idx, test_idx = stratified_split(y, train_fraction=0.9,
-                                           seed=stable_seed(cfg.seed, "split"))
+    train_idx, test_idx = stratified_split(y, seed=stable_seed(cfg.seed, "split"))
     log_rows: list = []
     tuned = tune_kinds(cfg.classifiers, X[train_idx], y[train_idx], plan=plan,
                        seeds=[stable_seed(cfg.seed, "tune", kind) for kind in cfg.classifiers],

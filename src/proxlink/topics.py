@@ -3,9 +3,10 @@
 
 Topic modeling of title+abstract text and the cognitive-distance feature.
 
-The pipeline is: tokenize (lowercase, strip punctuation, Porter-style
-stemming, stopword removal), fit LDA by partially collapsed Gibbs
-sampling, pick the topic count by NPMI coherence, average each author's
+The pipeline is: tokenize (lowercase, strip punctuation, drop the
+bundled stopwords, Porter stemming once per distinct token), fit LDA by
+partially collapsed Gibbs sampling, pick the topic count by NPMI
+coherence (one forked fit per K, largest first), average each author's
 per-publication topic vectors into a knowledge vector over the feature
 window, and measure cognitive distance between two authors as one minus
 the Pearson correlation of their knowledge vectors.
@@ -194,23 +195,15 @@ class TokenizedDoc:
         return len(self.tokens) == 0
 
 
-def tokenize(pub: PublicationRecord, stoplist: Optional[frozenset] = None,
-             stemmer=porter_stem) -> TokenizedDoc:
-    """Title+abstract to normalized terms.
+def tokenize_corpus(records: Iterable[PublicationRecord]) -> list[TokenizedDoc]:
+    """Each record's title+abstract as normalized terms.
 
-    Lowercases, keeps alphabetic runs only, drops stopwords (before and
-    after stemming), stems. An all-stopword text yields an empty doc,
-    which downstream fitting skips and flags.
+    Lowercases, keeps alphabetic runs only, drops the bundled stopwords
+    (before and after stemming) and stems with ``porter_stem``, called
+    once per distinct raw token. An all-stopword text yields an empty
+    doc, which downstream fitting skips and flags.
     """
-    return tokenize_corpus([pub], stoplist, stemmer)[0]
-
-
-def tokenize_corpus(records: Iterable[PublicationRecord],
-                    stoplist: Optional[frozenset] = None,
-                    stemmer=porter_stem) -> list[TokenizedDoc]:
-    """``tokenize`` over many records, calling ``stemmer`` once per distinct
-    raw token."""
-    stoplist = default_stopwords() if stoplist is None else stoplist
+    stoplist = default_stopwords()
     stems: dict[str, str] = {}
     docs = []
     for pub in records:
@@ -220,8 +213,8 @@ def tokenize_corpus(records: Iterable[PublicationRecord],
                 continue
             stem = stems.get(raw)
             if stem is None:
-                stem = stems[raw] = stemmer(raw) if stemmer else raw
-            if stem and stem not in stoplist:
+                stem = stems[raw] = porter_stem(raw)
+            if stem not in stoplist:
                 tokens.append(stem)
         docs.append(TokenizedDoc(pub_id=pub.pub_id, tokens=tuple(tokens)))
     return docs
@@ -524,16 +517,18 @@ def select_k(docs: Sequence[TokenizedDoc], k_grid: Sequence[int], seed: int = 0,
     The fits are independent, so each K is fitted in a forked worker
     (``fork_map``), one per usable CPU and the largest K first, which
     sends back its model; the results are the same as in-process.
+    ``scores`` lists the Ks in grid order.
     """
     if not k_grid:
         raise ValueError("k_grid is empty")
     grid = list(dict.fromkeys(k_grid))
     fit_args = (seed, alpha, beta, iterations, top_m, window)
-    models, values = zip(*fork_map(lambda k: _fit_k(docs, k, *fit_args), grid,
-                                   label=lambda k: f"select_k child for K={k}", cost=lambda k: k))
-    scores = dict(zip(grid, values))
+    largest_first = sorted(grid, reverse=True)
+    fits = dict(zip(largest_first, fork_map(lambda k: _fit_k(docs, k, *fit_args), largest_first,
+                                            label=lambda k: f"select_k child for K={k}")))
+    scores = {k: fits[k][1] for k in grid}
     best = min(sorted(scores), key=lambda k: (-scores[k], k))
-    return models[grid.index(best)], scores
+    return fits[best][0], scores
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import random
 import numpy as np
 
 from proxlink._rng import stable_seed
+from proxlink.corpus import Affiliation, country_continent_table
 from proxlink.features import (
     CONTIGUITY_LEVEL,
     _author_geo,
@@ -56,8 +57,15 @@ def outcome_label(corpus, window, i, j):
     return 0
 
 
+def region_tags(country, province=None):
+    """An ``Affiliation`` that carries only region codes, its continent
+    looked up as the corpus loader does."""
+    return Affiliation(institution="", city=None, province=province, country=country,
+                       continent=country_continent_table()[country])
+
+
 def institutional_binaries(a, b, scenario):
-    """Same-region flags of two RegionTags: 0 when the codes match, 1 otherwise.
+    """Same-region flags of two affiliations: 0 when the codes match, 1 otherwise.
 
     Scenario 1 compares provinces; scenario 2 provinces and countries;
     scenarios 3-4 countries only.
@@ -75,7 +83,7 @@ def institutional_binaries(a, b, scenario):
 
 
 def different_continent(a, b):
-    return 0 if a.resolved_continent == b.resolved_continent else 1
+    return 0 if a.continent == b.continent else 1
 
 
 def contiguity_binary(a, b, adj, level):

@@ -203,7 +203,7 @@ def test_criterion_9_leak_free_smote():
     X, y = separable_dataset(n=400, seed=1)
     original = {tuple(row) for row in X}
 
-    train_idx, test_idx = stratified_split(y, train_fraction=0.9, seed=0)
+    train_idx, test_idx = stratified_split(y, seed=0)
     for row in X[test_idx]:
         assert tuple(row) in original
     for fold_no, (tr, va) in enumerate(stratified_folds(y[train_idx], folds=5, seed=0)):

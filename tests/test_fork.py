@@ -16,10 +16,10 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.fixture
 def forks(monkeypatch, usable_cpus):
     """Two usable CPUs, with ``os.fork`` and ``os.waitpid`` wrapped: the
-    pids of forked workers in order, and the most workers forked and
-    not yet reaped at any time."""
+    pids of forked workers in order, the most workers forked and not yet
+    reaped at any time, and the exit status of each reaped worker."""
     usable_cpus(2)
-    state = {"started": [], "live": 0, "peak": 0}
+    state = {"started": [], "live": 0, "peak": 0, "exits": []}
     real_fork, real_waitpid = os.fork, os.waitpid
 
     def fork():
@@ -34,6 +34,7 @@ def forks(monkeypatch, usable_cpus):
         out = real_waitpid(pid, options)
         if pid > 0 and out[0] == pid:
             state["live"] -= 1
+            state["exits"].append(os.waitstatus_to_exitcode(out[1]))
         return out
 
     monkeypatch.setattr(os, "fork", fork)
@@ -137,13 +138,6 @@ class TestForkMap:
         assert len(forks["started"]) == 2
         assert served_by_worker(forks, results) == [[5, 2], [0, 3, 1, 4]]
 
-    def test_cost_starts_the_costliest_items_first(self, forks, monkeypatch):
-        # one worker forks: it runs every item, in the order handed out
-        monkeypatch.setattr(os, "fork", fork_fails_after(1, os.fork))
-        results = fork_map(nap_then_report, [1, 4, 0, 3], cost=lambda item: item)
-        assert [item for item, _, _ in results] == [1, 4, 0, 3]
-        assert served_by_worker(forks, results) == [[4, 3, 1, 0]]
-
     def test_one_worker_runs_the_items_in_item_order(self, forks, monkeypatch):
         monkeypatch.setattr(os, "fork", fork_fails_after(1, os.fork))
         results = fork_map(nap_then_report, [1, 4, 0, 3])
@@ -220,54 +214,26 @@ class TestForkMap:
         with pytest.raises(RuntimeError, match=r"^fork_map child for item 1 exited without "
                                                r"a reply \(exit status 3\)$"):
             fork_map(lambda item: os._exit(3) if item == 1 else item, [0, 1, 2])
-
-    def test_earlier_items_finish_on_a_replacement_worker(self, forks, ran):
-        # by cost, 2 and 1 go out first; 1's worker dies, and 0 runs on a
-        # new fork while 2 is still running
-        def fn(item):
-            ran.record(item)
-            if item == 1:
-                os._exit(3)
-            time.sleep(0.3 if item == 2 else 0.0)
-
-        with pytest.raises(RuntimeError, match=r"^fork_map child for item 1 exited without "
-                                               r"a reply \(exit status 3\)$"):
-            fork_map(fn, [0, 1, 2], cost=lambda item: item)
-        assert len(forks["started"]) == 3 and forks["live"] == 0
-        assert dict(ran.read())[0] == forks["started"][2]
-
-    def test_earlier_items_run_in_process_when_no_worker_is_left(
-            self, forks, ran, monkeypatch):
-        def fn(item):
-            ran.record(item)
-            if item > 0:
-                os._exit(3)
-
-        monkeypatch.setattr(os, "fork", fork_fails_after(2, os.fork))
-        with pytest.raises(RuntimeError, match=r"^fork_map child for item 1 exited without "
-                                               r"a reply \(exit status 3\)$"):
-            fork_map(fn, [0, 1, 2], cost=lambda item: item)
-        assert dict(ran.read())[0] == os.getpid()
+        # no worker is forked after a death
         assert len(forks["started"]) == 2 and forks["live"] == 0
 
-    def test_unpicklable_result_is_reported(self, forks, ran):
-        # by cost, 2 and 1 go out first; 2's result cannot be pickled, and
-        # its worker replies with the pickling error and goes on to run 0
+    def test_unpicklable_result_is_reported(self, forks):
+        # 1's result cannot be pickled: its worker replies with the pickling
+        # error and waits for the next item, while 0 is still running; both
+        # workers end normally when the pool closes
         def fn(item):
-            ran.record(item)
-            if item == 1:
+            if item == 0:
                 time.sleep(0.3)
-            return (lambda: item) if item == 2 else item
+            return (lambda: item) if item == 1 else item
 
         with pytest.raises((AttributeError, pickle.PicklingError),
                            match="Can't pickle") as info:
-            fork_map(fn, [0, 1, 2], cost=lambda item: item)
+            fork_map(fn, [0, 1, 2])
         cause = str(info.value.__cause__)
-        assert "in the fork_map child for item 2:" in cause
+        assert "in the fork_map child for item 1:" in cause
         assert "Traceback" in cause and "pickle.dumps((True, value, None))" in cause
         assert len(forks["started"]) == 2 and forks["live"] == 0
-        started = dict(ran.read())
-        assert started[0] == started[2] != os.getpid()
+        assert forks["exits"] == [0, 0]
 
     def test_fork_failing_every_other_time_leaves_the_items_to_the_workers(
             self, forks, usable_cpus, monkeypatch):

@@ -12,14 +12,18 @@ from proxlink.geo import (
     GeocodeCache,
     GazetteerGeocoder,
     GeoPoint,
-    RegionTags,
     UnresolvedAddressError,
     geocode,
     haversine_km,
     normalize_address,
 )
 
-from assemble_oracle import contiguity_binary, different_continent, institutional_binaries
+from assemble_oracle import (
+    contiguity_binary,
+    different_continent,
+    institutional_binaries,
+    region_tags,
+)
 
 
 class StubGeocoder:
@@ -103,13 +107,13 @@ class TestHaversine:
 
 
 class TestInstitutionalBinaries:
-    QC = RegionTags(country="CA", province="QC")
-    ON = RegionTags(country="CA", province="ON")
-    MA = RegionTags(country="US", province="MA")
-    FR = RegionTags(country="FR")
+    QC = region_tags("CA", "QC")
+    ON = region_tags("CA", "ON")
+    MA = region_tags("US", "MA")
+    FR = region_tags("FR")
 
     def test_same_province_scenario_1(self):
-        other = RegionTags(country="CA", province="QC")
+        other = region_tags("CA", "QC")
         assert institutional_binaries(self.QC, other, 1) == {"different_province": 0}
 
     def test_scenario_2_both_flags(self):
@@ -117,7 +121,7 @@ class TestInstitutionalBinaries:
         assert flags == {"different_province": 1, "different_country": 1}
 
     def test_scenario_3_country_only(self):
-        ca = RegionTags(country="CA")
+        ca = region_tags("CA")
         assert institutional_binaries(ca, self.FR, 3) == {"different_country": 1}
 
     def test_symmetry(self):
@@ -130,14 +134,10 @@ class TestInstitutionalBinaries:
             institutional_binaries(self.FR, self.QC, 1)
 
     def test_different_continent(self):
-        us = RegionTags(country="US", continent="NA")
+        us = region_tags("US")
         assert different_continent(self.QC, us) == 0
         assert different_continent(self.QC, self.FR) == 1
         assert different_continent(self.FR, self.QC) == 1
-
-    def test_continent_consistency_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            RegionTags(country="CA", continent="EU")
 
 
 class TestContiguity:
@@ -146,32 +146,32 @@ class TestContiguity:
 
     def test_adjacent_pair_scores_zero(self):
         adj = self.table()
-        a = RegionTags(country="CA", province="QC")
-        b = RegionTags(country="CA", province="ON")
+        a = region_tags("CA", "QC")
+        b = region_tags("CA", "ON")
         assert contiguity_binary(a, b, adj, "province") == 0
 
     def test_non_adjacent_pair_scores_one(self):
         adj = self.table()
-        a = RegionTags(country="CA", province="QC")
-        b = RegionTags(country="CA", province="BC")
+        a = region_tags("CA", "QC")
+        b = region_tags("CA", "BC")
         assert contiguity_binary(a, b, adj, "province") == 1
 
     def test_same_region_scores_zero(self):
         adj = self.table()
-        a = RegionTags(country="CA", province="QC")
+        a = region_tags("CA", "QC")
         assert contiguity_binary(a, a, adj, "province") == 0
 
     def test_symmetric(self):
         adj = self.table()
-        a = RegionTags(country="CA", province="QC")
-        b = RegionTags(country="CA", province="MB")
+        a = region_tags("CA", "QC")
+        b = region_tags("CA", "MB")
         assert contiguity_binary(a, b, adj, "province") == \
                contiguity_binary(b, a, adj, "province")
 
     def test_unknown_code_errors(self):
         adj = self.table()
-        a = RegionTags(country="CA", province="QC")
-        b = RegionTags(country="CA", province="YT")
+        a = region_tags("CA", "QC")
+        b = region_tags("CA", "YT")
         with pytest.raises(KeyError, match="YT"):
             contiguity_binary(a, b, adj, "province")
 

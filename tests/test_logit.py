@@ -188,11 +188,6 @@ class TestElasticity:
         curve = tenb_elasticity_curve(2.0, 0.0, [0.0, 10.0, 100.0])
         assert {e for _, e in curve} == {2.0}
 
-    def test_probability_variant_scales(self):
-        odds = tenb_elasticity_curve(4.0, 0.4, [3.0])
-        prob = tenb_elasticity_curve(4.0, 0.4, [3.0], at_p=0.25)
-        assert prob[0][1] == pytest.approx(0.75 * odds[0][1], rel=1e-12)
-
     def test_from_fit_requires_coefficients(self):
         X, y = synth_logit_data(n=800, seed=10)
         fit = LogisticIRLS().fit(X, y, feature_names=LOGIT_FEATURES).result_

@@ -243,7 +243,7 @@ class TestNeighbourKernel:
 class TestSplits:
     def test_90_10_split_stratified_exactly(self):
         y = np.array([1] * 10 + [0] * 90)
-        train, test = stratified_split(y, train_fraction=0.9, seed=0)
+        train, test = stratified_split(y, seed=0)
         assert len(test) == 10
         assert y[test].sum() == 1
         assert len(np.intersect1d(train, test)) == 0
@@ -340,12 +340,18 @@ def reference_auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def grown(tree, X, y):
+    """``tree`` after growing it on ``X``."""
+    tree.fit_values(presort(X), y)
+    return tree
+
+
 class TestCartTree:
     def test_stump_matches_exhaustive_split_oracle(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        tree = CartTree(max_depth=1, criterion="mse").fit(presort(X), y)
+        tree = grown(CartTree(max_depth=1, criterion="mse"), X, y)
 
         def sse(values):
             return float(((values - values.mean()) ** 2).sum()) if len(values) else 0.0
@@ -369,7 +375,7 @@ class TestCartTree:
         x = np.array([0.0, 1.0, 2.0, 3.0])
         X = np.column_stack([x, x])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        tree = CartTree(max_depth=1, criterion="mse").fit(presort(X), y)
+        tree = grown(CartTree(max_depth=1, criterion="mse"), X, y)
         assert root_split(tree) == (0, 1.5)
 
     @pytest.mark.parametrize("criterion", ["mse", "gini"])
@@ -382,7 +388,7 @@ class TestCartTree:
         y = np.array([0.0, 0.0, 1.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            tree = CartTree(max_depth=1, criterion=criterion).fit(presort(X), y)
+            tree = grown(CartTree(max_depth=1, criterion=criterion), X, y)
         feature, threshold = root_split(tree)
         assert lo <= threshold < hi
         assert np.array_equal(tree.predict(X), y)
@@ -391,10 +397,10 @@ class TestCartTree:
     def test_gini_needs_labels_and_default_leaves(self):
         X = np.arange(4.0)[:, None]
         with pytest.raises(ValueError, match="0/1 labels"):
-            CartTree(criterion="gini").fit(presort(X), np.array([0.0, 2.0, 1.0, 0.0]))
+            CartTree(criterion="gini").fit_values(presort(X), np.array([0.0, 2.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="mse trees only"):
-            CartTree(criterion="gini").fit(presort(X), np.array([0.0, 1.0, 1.0, 0.0]),
-                                           lambda idx: 0.0)
+            CartTree(criterion="gini").fit_values(presort(X), np.array([0.0, 1.0, 1.0, 0.0]),
+                                                  lambda idx: 0.0)
 
     def test_rejects_empty_leaves(self):
         with pytest.raises(ValueError, match="min_samples_leaf"):
@@ -555,7 +561,7 @@ class TestCartTreeKernel:
     def test_fit_returns_self_and_keeps_no_sort_state(self):
         X, y, params, _ = random_tree_case(0)
         tree = CartTree(**params, rng=np.random.default_rng(0))
-        assert tree.fit(presort(X), y) is tree
+        tree.fit_values(presort(X), y)
         assert not any(isinstance(v, np.ndarray) for v in vars(tree).values())
 
 
@@ -705,7 +711,7 @@ class TestClassifiers:
         X, y = gaussian_blobs(n_per_class=50)
         forest = RandomForest(n_trees=1, max_depth=3, max_features=None,
                               bootstrap=False, seed=0).fit(X, y)
-        single = CartTree(max_depth=3, criterion="gini").fit(presort(X), y.astype(float))
+        single = grown(CartTree(max_depth=3, criterion="gini"), X, y.astype(float))
         assert np.array_equal(forest.predict_proba(X)[:, 1], single.predict(X))
 
     @pytest.mark.golden
@@ -921,6 +927,16 @@ class TestCrossValAndTune:
                 spec = ClassifierSpec.create(kind, seed=1)
                 fold_sets = build_fold_sets(X, y, folds=4, smote=SmoteConfig(k=3), seed=2)
                 assert score_spec(spec, fold_sets) == aucs, (kind, block_bytes)
+
+    @pytest.mark.parametrize("kinds, seeds, n_random, message", [
+        ([], [], 4, "kinds is empty"),
+        (["gaussian-naive-bayes"], [0], 0, "at least one fit"),
+        (["gaussian-naive-bayes"], [0, 1], 4, "one seed per kind"),
+    ], ids=["no kinds", "no random fits", "seed count"])
+    def test_tune_rejects_an_empty_or_mismatched_search(self, kinds, seeds, n_random, message):
+        X, y = separable_dataset(n=60, seed=4)
+        with pytest.raises(ValueError, match=message):
+            tune_kinds(kinds, X, y, seeds, plan=TunePlan(n_random=n_random))
 
     @pytest.mark.parametrize("n_random", [1, 6])
     def test_tune_resamples_each_fold_once(self, monkeypatch, n_random):

@@ -22,7 +22,6 @@ from proxlink.topics import (
     npmi,
     porter_stem,
     select_k,
-    tokenize,
     tokenize_corpus,
 )
 
@@ -35,9 +34,10 @@ from reference_lda import ReferenceGibbsLda
 PINNED_FIT_SHA256 = "5655cc0792bf94e3eac265f4429e511234f32c5ddf28791c9aba7c5f7d514874"
 
 
-def record_with_text(title, abstract, pub_id="P1"):
-    corpus = corpus_from_dicts([make_record_dict(pub_id, title=title, abstract=abstract)])
-    return corpus.records[0]
+def tokenize_text(title, abstract):
+    """The ``TokenizedDoc`` of one record with this title and abstract."""
+    corpus = corpus_from_dicts([make_record_dict("P1", title=title, abstract=abstract)])
+    return tokenize_corpus(corpus.records)[0]
 
 
 class TestPorterStemmer:
@@ -73,29 +73,24 @@ class TestPorterStemmer:
 
 class TestTokenize:
     def test_title_and_abstract_with_stoplist(self):
-        rec = record_with_text("A deep", "model")
-        doc = tokenize(rec, stoplist=frozenset({"a"}), stemmer=None)
+        doc = tokenize_text("A deep", "model")
         assert doc.tokens == ("deep", "model")
 
     def test_stemming_collapses_family(self):
-        rec = record_with_text("Models, MODELS;", "model")
-        doc = tokenize(rec, stoplist=frozenset())
+        doc = tokenize_text("Models, MODELS;", "model")
         assert doc.tokens == ("model", "model", "model")
 
     def test_all_stopword_text_is_empty_and_flagged(self):
-        rec = record_with_text("the of and", "a an the")
-        doc = tokenize(rec)
+        doc = tokenize_text("the of and", "a an the")
         assert doc.tokens == ()
         assert doc.is_empty
 
     def test_punctuation_and_digits_stripped(self):
-        rec = record_with_text("Graph-based 2020!", "nodes & edges, 42 times")
-        doc = tokenize(rec, stoplist=frozenset(), stemmer=None)
+        doc = tokenize_text("Graph-based 2020!", "nodes & edges, 42 times")
         assert "2020" not in doc.tokens
-        assert "graph" in doc.tokens and "based" in doc.tokens
+        assert "graph" in doc.tokens and "base" in doc.tokens
 
-
-    def test_corpus_stems_each_distinct_token_once(self):
+    def test_corpus_stems_each_distinct_token_once(self, monkeypatch):
         recs = corpus_from_dicts([
             make_record_dict("P1", title="Models of networks", abstract="the models"),
             make_record_dict("P2", title="Network models", abstract="of networks"),
@@ -106,8 +101,10 @@ class TestTokenize:
             calls.append(word)
             return porter_stem(word)
 
-        stop = frozenset({"of", "the"})
-        docs = tokenize_corpus(recs, stoplist=stop, stemmer=stemmer)
+        # the module global is what tokenize_corpus calls, and what a
+        # tracer patches to count stems
+        monkeypatch.setattr(topics_mod, "porter_stem", stemmer)
+        docs = tokenize_corpus(recs)
         assert sorted(calls) == ["models", "network", "networks"]
         assert [d.tokens for d in docs] == [
             ("model", "network", "model"), ("network", "model", "network")]
@@ -482,22 +479,23 @@ class TestForkedSelectK:
                 raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
             return counting_fork()
 
-        def fit_noting_pid(*args):
+        def fit_noting_pid(docs, k, *args):
             with open(pids, "a") as out:
-                out.write(f"{os.getpid()}\n")
-            return fit_k(*args)
+                out.write(f"{os.getpid()} {k}\n")
+            return fit_k(docs, k, *args)
 
         monkeypatch.setattr(os, "fork", fork_fails_every_other)
         monkeypatch.setattr(topics_mod, "_fit_k", fit_noting_pid)
         docs, _, _ = synthetic_topic_docs(n_docs=30)
-        grid = [6, 4, 3, 2]
+        grid = [4, 6, 2, 3]
         assert as_json(select_k(docs, grid, seed=2, iterations=15)) == \
             as_json(in_process_select(docs, grid, seed=2, iterations=15))
-        # the second fork fails, so one worker fits every K
+        # the second fork fails, so one worker fits every K, largest first
         assert two_cpus == [1, 0]
-        fitted_in = pids.read_text().split()
-        assert len(fitted_in) == 4 and len(set(fitted_in)) == 1
-        assert fitted_in[0] != str(os.getpid())
+        fitted = [line.split() for line in pids.read_text().splitlines()]
+        assert [int(k) for _, k in fitted] == [6, 4, 3, 2]
+        assert len({pid for pid, _ in fitted}) == 1
+        assert fitted[0][0] != str(os.getpid())
 
     def test_no_fork_possible_scores_in_process(self, two_cpus, monkeypatch):
         def fork_fails():
@@ -511,7 +509,8 @@ class TestForkedSelectK:
     def test_child_dying_without_reply_names_k(self, two_cpus, monkeypatch):
         monkeypatch.setattr(topics_mod, "_fit_k", lambda docs, k, *args: os._exit(3))
         docs, _, _ = synthetic_topic_docs(n_docs=30)
-        with pytest.raises(RuntimeError, match=r"K=2 exited without a reply "
+        # both fits die; K=3 is the first in hand-out order, largest K first
+        with pytest.raises(RuntimeError, match=r"K=3 exited without a reply "
                                                r"\(exit status 3\)"):
             select_k(docs, [2, 3], seed=0, iterations=5)
 
