@@ -5,6 +5,11 @@ predict, and validates its hyperparameters. Scale-sensitive kinds
 (nearest neighbours, linear SVM, SGD logistic) standardize internally on
 their own training statistics, so a fold's validation rows never leak
 into the scaler.
+
+The two linear kinds, SGD logistic and the linear SVM, share one fit: the
+lockstep kernel ``linear_lanes``, which steps many (model, fold) lanes
+together and takes log-loss or hinge-loss steps. A model fitted alone is
+the kernel's one-lane case.
 """
 from __future__ import annotations
 
@@ -16,15 +21,6 @@ from .._base import ParamsMixin, check_fitted
 from .._validation import check_array, check_X_y, check_both_classes
 from ..logit import sigmoid
 from .tree import CartTree, grow, presort
-
-CLASSIFIER_KINDS = (
-    "logistic-sgd",
-    "gaussian-naive-bayes",
-    "k-nearest-neighbors",
-    "linear-svm",
-    "random-forest",
-    "gradient-boosted-trees",
-)
 
 
 def _stack_proba(p1: np.ndarray) -> np.ndarray:
@@ -164,27 +160,44 @@ def _step_rows(seed: int, n: int, epochs: int, block: int):
         rows = rows[:0]
 
 
-def sgd_logistic_lanes(Z: list, y: list, lanes: list) -> tuple:
-    """Fit C SGD-logistic lanes in lockstep; returns weights (C, F) and intercepts (C,).
+def linear_lanes(Z: list, y: list, lanes: list, hinge: bool) -> tuple:
+    """Fit C linear SGD lanes in lockstep; returns weights (C, F) and intercepts (C,).
 
     ``Z`` and ``y`` hold standardized training matrices and their 0/1
     labels. Lane c is ``(set, lr, l2, epochs, seed)``: it trains on
     ``Z[set]`` for ``epochs`` passes, each over a fresh permutation from
-    ``default_rng(seed)``, with the step size ``lr / (1 + lr * l2 * t)``
-    at its t-th step and an unpenalized intercept. All lanes take step t
-    together; a lane past its last step gets step size 0. Every operation
-    acts on each lane's row alone, and ``(x * W).sum(axis=1)`` adds a
-    row's F products in the same order whatever C is, so a lane's bits do
-    not depend on the other lanes. The gathered step rows are built ``block`` steps at a
-    time, so they stay within about ``BLOCK_BYTES`` (and at least one step);
-    besides them, each distinct (seed, set) holds one epoch's permutation.
+    ``default_rng(seed)``, with an unpenalized intercept. All lanes take
+    step t together.
+
+    * Log loss (``hinge=False``): step size ``lr / (1 + lr * l2 * t)``
+      at the t-th step (``_sgd_steps``).
+    * Hinge loss (``hinge=True``, Pegasos; ``lr`` is unused): targets
+      ``s = 2y - 1`` and step size ``eta = 1 / (l2 * t)``. Each step takes
+      the margin ``s * (x . w + b)``, shrinks ``w`` by ``1 - eta * l2``,
+      then adds ``eta * s`` times ``x`` to ``w`` and ``eta * s`` to ``b``
+      where the margin is below 1 (``_hinge_steps``).
+
+    A lane past its last step gets step size 0 (the hinge lanes shrink by
+    1.0 and add 0.0). Every operation acts on each lane's row alone, and
+    ``(x * W).sum(axis=1)`` adds a row's F products in the same order
+    whatever C is, so a lane's bits do not depend on the other lanes.
+    Everything that does not depend on the weights (step sizes, shrink
+    factors) is worked out once per block of steps. The gathered step
+    rows are built ``block`` steps at a time, so they stay within about
+    ``BLOCK_BYTES`` (and at least one step); besides them, each distinct
+    (seed, set) holds one epoch's permutation.
     """
     sets, lr, l2, epochs, seeds = zip(*lanes)
-    lr, l2 = np.array(lr, dtype=float), np.array(l2, dtype=float)
+    l2 = np.array(l2, dtype=float)
     n_rows = np.array([len(labels) for labels in y])
     offsets = np.cumsum(n_rows) - n_rows
     Z_all = np.concatenate(Z)
     y_all = np.concatenate(y).astype(float)
+    if hinge:
+        y_all = 2.0 * y_all - 1.0  # targets in {-1, +1}
+    else:
+        lr = np.array(lr, dtype=float)
+        lr_l2, l2_col = lr * l2, l2[:, None]
     n_lanes, n_features = len(lanes), Z_all.shape[1]
     lane_offset, lane_rows = offsets[list(sets)], n_rows[list(sets)]
     last_step = np.array(epochs) * lane_rows
@@ -199,8 +212,6 @@ def sgd_logistic_lanes(Z: list, y: list, lanes: list) -> tuple:
     stream_of = [position[key] for key in zip(seeds, sets)]
     walks = [_step_rows(seed, n_rows[s], e, block) for (seed, s), e in streams.items()]
 
-    l2_col = l2[:, None]
-    lr_l2 = lr * l2
     W = np.zeros((n_lanes, n_features))
     b = np.zeros(n_lanes)
     for start in range(0, n_steps, block):
@@ -208,14 +219,24 @@ def sgd_logistic_lanes(Z: list, y: list, lanes: list) -> tuple:
         ids = np.stack([next(walk) for walk in walks])[stream_of, :stop - start].T
         ids += lane_offset
         t = np.arange(start + 1, stop + 1, dtype=float)[:, None]
-        eta = lr / (1.0 + lr_l2 * t)
-        eta[t > last_step] = 0.0
-        _sgd_steps(W, b, Z_all[ids], y_all[ids], eta, l2_col)
+        done = t > last_step
+        targets = y_all[ids]
+        if hinge:
+            eta = 1.0 / (l2 * t)
+            shrink = 1.0 - eta * l2
+            shrink[done] = 1.0
+            eta *= targets  # eta * s
+            eta[done] = 0.0
+            _hinge_steps(W, b, Z_all[ids], targets, shrink, eta)
+        else:
+            eta = lr / (1.0 + lr_l2 * t)
+            eta[done] = 0.0
+            _sgd_steps(W, b, Z_all[ids], targets, eta, l2_col)
     return W, b
 
 
 def _sgd_steps(W, b, X_steps, y_steps, eta, l2_col) -> None:
-    """Update ``W`` and ``b`` in place, one step per row of ``eta``.
+    """Log-loss steps: update ``W`` and ``b`` in place, one step per row of ``eta``.
 
     A function of its own, so that the loop variables (views into this
     block) are gone before the caller gathers the next block.
@@ -224,6 +245,16 @@ def _sgd_steps(W, b, X_steps, y_steps, eta, l2_col) -> None:
         grad = sigmoid((x * W).sum(axis=1) + b) - target
         W -= step[:, None] * (grad[:, None] * x + l2_col * W)
         b -= step * grad
+
+
+def _hinge_steps(W, b, X_steps, s_steps, shrink, eta_s) -> None:
+    """Hinge-loss steps, as ``_sgd_steps``: ``eta_s`` holds ``eta * s``."""
+    for x, s, factor, step in zip(X_steps, s_steps, shrink, eta_s):
+        margin = s * ((x * W).sum(axis=1) + b)
+        W *= factor[:, None]
+        step = step * (margin < 1.0)
+        W += step[:, None] * x
+        b += step
 
 
 def _fit_inputs(X, y):
@@ -250,13 +281,68 @@ class _ClassifierBase(ParamsMixin):
         return X
 
 
-class SgdLogistic(_ClassifierBase):
-    """Logistic regression by stochastic gradient descent on the log loss.
+class _LinearSgd(_ClassifierBase):
+    """A linear model fitted by the lockstep kernel ``linear_lanes``.
 
-    ``fit`` is ``fit_grid`` with one model and one fold, i.e. the lockstep
-    kernel ``sgd_logistic_lanes`` with one lane, so a model fitted alone
-    gets the same bits as when it is fitted among a search's candidates.
+    ``fit`` is ``fit_grid`` with one model and one fold, i.e. the kernel
+    with one lane, so a model fitted alone gets the same bits as when it
+    is fitted among a search's candidates. Each subclass sets ``hinge``,
+    its loss, and checks its hyperparameters.
     """
+
+    hinge: bool
+
+    def fit(self, X, y):
+        return type(self).fit_grid([self], [(X, y)])[0][0]
+
+    @classmethod
+    def fit_grid(cls, models: list, folds: list) -> list:
+        """Fit every model on every ``(X, y)`` fold in one lockstep call.
+
+        Returns ``out[m][f]``: ``models[m]`` itself where there is one
+        fold, else a fitted copy per fold. The models of a fold share one
+        standardizer, fitted on that fold's rows.
+        """
+        checked = [_fit_inputs(X, y) for X, y in folds]
+        scalers = [_Standardizer().fit(X) for X, _ in checked]
+        W, b = linear_lanes(
+            [sc.transform(X) for sc, (X, _) in zip(scalers, checked)],
+            [y for _, y in checked],
+            [(f, getattr(m, "lr", None), m.l2, m.epochs, m.seed)
+             for m in models for f in range(len(folds))],
+            cls.hinge)
+        out = []
+        for m, model in enumerate(models):
+            row = []
+            for f, scaler in enumerate(scalers):
+                fitted = model if len(folds) == 1 else cls(**model.get_params())
+                lane = m * len(folds) + f
+                fitted._scaler, fitted.n_features_in_ = scaler, W.shape[1]
+                fitted.coef_, fitted.intercept_ = W[lane], float(b[lane])
+                row.append(fitted)
+            out.append(row)
+        return out
+
+    def decision_function(self, X):
+        check_fitted(self, "coef_")
+        Z = self._scaler.transform(self._check_query(X))
+        return Z @ self.coef_ + self.intercept_
+
+    def predict_proba(self, X):
+        return _stack_proba(sigmoid(self.decision_function(X)))
+
+    def to_json(self):
+        check_fitted(self, "coef_")
+        return {"kind": self.kind, "params": self.get_params(),
+                "coef": self.coef_.tolist(), "intercept": self.intercept_,
+                "scale_mu": self._scaler.mu.tolist(), "scale_sd": self._scaler.sd.tolist()}
+
+
+class SgdLogistic(_LinearSgd):
+    """Logistic regression by stochastic gradient descent on the log loss."""
+
+    kind = "logistic-sgd"
+    hinge = False
 
     def __init__(self, lr: float = 0.1, epochs: int = 30, l2: float = 1e-4,
                  seed: int = 0):
@@ -268,49 +354,11 @@ class SgdLogistic(_ClassifierBase):
         self.seed = seed
         self.coef_ = None
 
-    def fit(self, X, y):
-        return SgdLogistic.fit_grid([self], [(X, y)])[0][0]
-
-    @staticmethod
-    def fit_grid(models: list, folds: list) -> list:
-        """Fit every model on every ``(X, y)`` fold in one lockstep call.
-
-        Returns ``out[m][f]``: ``models[m]`` itself where there is one
-        fold, else a fitted copy per fold. The models of a fold share one
-        standardizer, fitted on that fold's rows.
-        """
-        checked = [_fit_inputs(X, y) for X, y in folds]
-        scalers = [_Standardizer().fit(X) for X, _ in checked]
-        W, b = sgd_logistic_lanes(
-            [sc.transform(X) for sc, (X, _) in zip(scalers, checked)],
-            [y for _, y in checked],
-            [(f, m.lr, m.l2, m.epochs, m.seed) for m in models for f in range(len(folds))])
-        out = []
-        for m, model in enumerate(models):
-            row = []
-            for f, scaler in enumerate(scalers):
-                fitted = model if len(folds) == 1 else SgdLogistic(**model.get_params())
-                lane = m * len(folds) + f
-                fitted._scaler, fitted.n_features_in_ = scaler, W.shape[1]
-                fitted.coef_, fitted.intercept_ = W[lane], float(b[lane])
-                row.append(fitted)
-            out.append(row)
-        return out
-
-    def predict_proba(self, X):
-        check_fitted(self, "coef_")
-        Z = self._scaler.transform(self._check_query(X))
-        return _stack_proba(sigmoid(Z @ self.coef_ + self.intercept_))
-
-    def to_json(self):
-        check_fitted(self, "coef_")
-        return {"kind": "logistic-sgd", "params": self.get_params(),
-                "coef": self.coef_.tolist(), "intercept": self.intercept_,
-                "scale_mu": self._scaler.mu.tolist(), "scale_sd": self._scaler.sd.tolist()}
-
 
 class GaussianNaiveBayes(_ClassifierBase):
     """Per-class Gaussian feature model with a variance floor."""
+
+    kind = "gaussian-naive-bayes"
 
     def __init__(self, var_smoothing: float = 1e-9):
         if var_smoothing < 0:
@@ -348,7 +396,7 @@ class GaussianNaiveBayes(_ClassifierBase):
 
     def to_json(self):
         check_fitted(self, "theta_")
-        return {"kind": "gaussian-naive-bayes", "params": self.get_params(),
+        return {"kind": self.kind, "params": self.get_params(),
                 "theta": self.theta_.tolist(), "var": self.var_.tolist(),
                 "log_prior": self.log_prior_.tolist()}
 
@@ -362,6 +410,8 @@ class KNearestNeighbors(_ClassifierBase):
     feature column at a time, with the difference tensor's bits, and whose
     temporaries stay within two ``BLOCK_BYTES``.
     """
+
+    kind = "k-nearest-neighbors"
 
     def __init__(self, k: int = 5):
         if k < 1:
@@ -385,16 +435,19 @@ class KNearestNeighbors(_ClassifierBase):
 
     def to_json(self):
         check_fitted(self, "X_")
-        return {"kind": "k-nearest-neighbors", "params": self.get_params(),
+        return {"kind": self.kind, "params": self.get_params(),
                 "n_train": int(len(self.y_))}
 
 
-class LinearSvm(_ClassifierBase):
-    """Linear SVM trained by SGD on the L2-regularized hinge loss.
+class LinearSvm(_LinearSgd):
+    """Linear SVM trained by SGD on the L2-regularized hinge loss (Pegasos).
 
     predict_proba squashes the margin through a sigmoid; it is a monotone
     score, not a calibrated probability, which is all AUC needs.
     """
+
+    kind = "linear-svm"
+    hinge = True
 
     def __init__(self, l2: float = 1e-3, epochs: int = 30, seed: int = 0):
         if l2 <= 0 or epochs < 1:
@@ -404,42 +457,6 @@ class LinearSvm(_ClassifierBase):
         self.seed = seed
         self.coef_ = None
 
-    def fit(self, X, y):
-        X, y = self._check_fit_inputs(X, y)
-        self._scaler = _Standardizer().fit(X)
-        Z = self._scaler.transform(X)
-        s = 2.0 * y - 1.0  # hinge targets in {-1, +1}
-        n, f = Z.shape
-        rng = np.random.default_rng(self.seed)
-        w = np.zeros(f)
-        b = 0.0
-        t = 0
-        for _ in range(self.epochs):
-            for i in rng.permutation(n):
-                t += 1
-                eta = 1.0 / (self.l2 * t)
-                margin = s[i] * (Z[i] @ w + b)
-                w *= 1.0 - eta * self.l2
-                if margin < 1.0:
-                    w += eta * s[i] * Z[i]
-                    b += eta * s[i]
-        self.coef_ = w
-        self.intercept_ = b
-        return self
-
-    def decision_function(self, X):
-        check_fitted(self, "coef_")
-        Z = self._scaler.transform(self._check_query(X))
-        return Z @ self.coef_ + self.intercept_
-
-    def predict_proba(self, X):
-        return _stack_proba(sigmoid(self.decision_function(X)))
-
-    def to_json(self):
-        check_fitted(self, "coef_")
-        return {"kind": "linear-svm", "params": self.get_params(),
-                "coef": self.coef_.tolist(), "intercept": self.intercept_}
-
 
 class RandomForest(_ClassifierBase):
     """Bagged Gini CART trees with per-node feature subsampling.
@@ -447,6 +464,8 @@ class RandomForest(_ClassifierBase):
     ``bootstrap=False`` trains every tree on the full sample, so a
     one-tree forest with all features degenerates to a single CART fit.
     """
+
+    kind = "random-forest"
 
     def __init__(self, n_trees: int = 100, max_depth: int = 8,
                  min_samples_leaf: int = 1, max_features: str | int | None = "sqrt",
@@ -499,7 +518,7 @@ class RandomForest(_ClassifierBase):
 
     def to_json(self):
         check_fitted(self, "trees_")
-        return {"kind": "random-forest", "params": self.get_params(),
+        return {"kind": self.kind, "params": self.get_params(),
                 "trees": [t.to_dict() for t in self.trees_]}
 
 
@@ -510,6 +529,8 @@ class GradientBoostedTrees(_ClassifierBase):
     each leaf to the Newton step sum(residual) / sum(p * (1 - p)) and adds
     lr times the tree to the log-odds score.
     """
+
+    kind = "gradient-boosted-trees"
 
     def __init__(self, n_trees: int = 100, lr: float = 0.1, max_depth: int = 3,
                  min_samples_leaf: int = 1, seed: int = 0):
@@ -559,9 +580,15 @@ class GradientBoostedTrees(_ClassifierBase):
 
     def to_json(self):
         check_fitted(self, "trees_")
-        return {"kind": "gradient-boosted-trees", "params": self.get_params(),
+        return {"kind": self.kind, "params": self.get_params(),
                 "base_score": self.base_score_,
                 "trees": [t.to_dict() for t in self.trees_]}
+
+
+_KIND_CLASS = {cls.kind: cls for cls in (SgdLogistic, GaussianNaiveBayes, KNearestNeighbors,
+                                         LinearSvm, RandomForest, GradientBoostedTrees)}
+CLASSIFIER_KINDS = tuple(_KIND_CLASS)
+_SEEDED_KINDS = {kind for kind, cls in _KIND_CLASS.items() if "seed" in cls._param_names()}
 
 
 @dataclass(frozen=True)
@@ -585,18 +612,6 @@ class ClassifierSpec:
     @property
     def params(self) -> dict:
         return dict(self.hyperparameters)
-
-
-_SEEDED_KINDS = {"logistic-sgd", "linear-svm", "random-forest", "gradient-boosted-trees"}
-
-_KIND_CLASS = {
-    "logistic-sgd": SgdLogistic,
-    "gaussian-naive-bayes": GaussianNaiveBayes,
-    "k-nearest-neighbors": KNearestNeighbors,
-    "linear-svm": LinearSvm,
-    "random-forest": RandomForest,
-    "gradient-boosted-trees": GradientBoostedTrees,
-}
 
 
 def make_classifier(spec: ClassifierSpec):

@@ -11,8 +11,9 @@ model, then the earlier candidate.
 
 Candidates are scored in one place, ``_score_stage``: the fits of a
 stage run in forked workers, one per usable CPU, each serving units one
-at a time, for every kind searched together. ``score_spec`` scores one
-spec on given fold sets.
+at a time, for every kind searched together. The two linear kinds fit a
+stage's candidates on every fold in one lockstep unit each;
+``score_spec`` scores one spec of any other kind on given fold sets.
 """
 from __future__ import annotations
 
@@ -26,10 +27,13 @@ import numpy as np
 
 from .._fork import fork_map
 from .._rng import stable_seed
-from .classifiers import ClassifierSpec, SgdLogistic, make_classifier, model_size
+from .classifiers import ClassifierSpec, LinearSvm, SgdLogistic, make_classifier, model_size
 from .metrics import auc
 from .smote import Smote
 from .split import stratified_folds
+
+# kinds whose candidates x folds are fitted in one lockstep unit per stage
+_LOCKSTEP_KINDS = (SgdLogistic.kind, LinearSvm.kind)
 
 # (name, sampler, lo, hi) per kind; samplers: int / int_log / float_log
 PARAM_SPACES = {
@@ -226,14 +230,16 @@ def _score_stage(searches: list[_Search], stage_specs: list[list]) -> None:
     workers (``fork_map``).
 
     A unit is one fit and validation AUC of one (spec, fold), except for
-    logistic-sgd, whose unscored specs are fitted on every fold in one
-    lockstep unit. Units reach the workers through ``fork`` and only their
-    AUCs and seconds come back, so no fold set or model is pickled.
+    the two linear kinds (logistic-sgd and linear-svm): their unscored
+    specs are fitted on every fold in one lockstep unit, through the
+    class's ``fit_grid``. Units reach the workers through ``fork`` and
+    only their AUCs and seconds come back, so no fold set or model is
+    pickled.
     """
     units = []
     for s, specs in zip(searches, stage_specs):
         unscored = list(dict.fromkeys(spec for spec in specs if spec not in s.scores))
-        if s.kind != "logistic-sgd":
+        if s.kind not in _LOCKSTEP_KINDS:
             units.extend((s, spec, f) for spec in unscored for f in range(len(s.fold_sets)))
         elif unscored:
             units.append((s, tuple(unscored), None))
@@ -242,11 +248,12 @@ def _score_stage(searches: list[_Search], stage_specs: list[list]) -> None:
         s, spec, f = unit
         t0 = time.perf_counter()
         if f is None:
-            fits = SgdLogistic.fit_grid([make_classifier(sp) for sp in spec],
-                                        [(X_tr, y_tr) for X_tr, y_tr, _, _ in s.fold_sets])
+            models = [make_classifier(sp) for sp in spec]
+            fits = type(models[0]).fit_grid(
+                models, [(X_tr, y_tr) for X_tr, y_tr, _, _ in s.fold_sets])
             aucs = [tuple(_validation_auc(model, X_va, y_va)
-                          for model, (_, _, X_va, y_va) in zip(models, s.fold_sets))
-                    for models in fits]
+                          for model, (_, _, X_va, y_va) in zip(row, s.fold_sets))
+                    for row in fits]
         else:
             aucs = score_spec(spec, s.fold_sets[f:f + 1])[0]
         return aucs, time.perf_counter() - t0

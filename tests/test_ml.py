@@ -837,6 +837,15 @@ class TestClassifiers:
             assert "params" in payload
             json.dumps(payload)  # serializable as-is
 
+    @pytest.mark.parametrize("kind", ["logistic-sgd", "linear-svm"])
+    def test_linear_dump_reproduces_the_scores(self, kind):
+        X, y = separable_dataset(n=120, seed=12)
+        model = make_classifier(ClassifierSpec.create(kind, seed=0)).fit(X, y)
+        dump = json.loads(json.dumps(model.to_json()))
+        Z = (X - np.array(dump["scale_mu"])) / np.array(dump["scale_sd"])
+        scores = sigmoid(Z @ np.array(dump["coef"]) + dump["intercept"])
+        assert scores.tobytes() == model.predict_proba(X)[:, 1].tobytes()
+
 
 # The digests of all but random-forest were taken when every log row was
 # scored afresh with per-sample SGD fits; random-forest's with serial tuning.
@@ -1074,22 +1083,25 @@ class TestCrossValAndTune:
 
     @pytest.mark.usefixtures("one_cpu")
     def test_tune_fits_sgd_candidates_in_one_call_per_stage(self, monkeypatch):
-        calls = []
-        original = classifiers_mod.sgd_logistic_lanes
+        # both linear kinds go through the one lane kernel
+        original = classifiers_mod.linear_lanes
+        for kind, hinge in (("logistic-sgd", False), ("linear-svm", True)):
+            calls = []
 
-        def counting(Z, y, lanes):
-            calls.append(len(lanes))
-            return original(Z, y, lanes)
+            def counting(Z, y, lanes, hinge):
+                calls.append((len(lanes), hinge))
+                return original(Z, y, lanes, hinge)
 
-        monkeypatch.setattr(classifiers_mod, "sgd_logistic_lanes", counting)
-        X, y = overlapping_blobs()
-        log = []
-        tune_kinds(["logistic-sgd"], X, y, [5],
-                   plan=TunePlan(n_random=6, max_grid_fits=4, folds=3, smote=SmoteConfig(k=3)),
-                   log=log)
-        random = {r["hyperparameters"] for r in log if r["stage"] == "random"}
-        grid = {r["hyperparameters"] for r in log if r["stage"] == "grid"}
-        assert calls == [3 * len(random), 3 * len(grid - random)]
+            monkeypatch.setattr(classifiers_mod, "linear_lanes", counting)
+            X, y = overlapping_blobs()
+            log = []
+            tune_kinds([kind], X, y, [5],
+                       plan=TunePlan(n_random=6, max_grid_fits=4, folds=3,
+                                     smote=SmoteConfig(k=3)),
+                       log=log)
+            random = {r["hyperparameters"] for r in log if r["stage"] == "random"}
+            grid = {r["hyperparameters"] for r in log if r["stage"] == "grid"}
+            assert calls == [(3 * len(random), hinge), (3 * len(grid - random), hinge)], kind
 
     @pytest.mark.parametrize("kind, n_random, max_grid_fits, digest", TUNE_LOG_CASES)
     def test_tune_log_rows_pinned(self, kind, n_random, max_grid_fits, digest):
@@ -1138,14 +1150,15 @@ class TestForkedTuning:
         monkeypatch.setattr(tune_mod, "fork_map", recording_fork_map)
         X, y = overlapping_blobs()
         log = []
-        tune_kinds(["logistic-sgd", "k-nearest-neighbors"], X, y,
+        tune_kinds(["logistic-sgd", "k-nearest-neighbors", "linear-svm"], X, y,
                    plan=TunePlan(n_random=40, max_grid_fits=4, folds=3, smote=None),
-                   seeds=[5, 5], log=log)
+                   seeds=[5, 5, 5], log=log)
         knn = {r["hyperparameters"] for r in log if r["kind"] == "k-nearest-neighbors"}
         assert len(knn) < 40
-        assert len(units) == len(set(units)) == 2 + 3 * len(knn)
-        # logistic-sgd: one lockstep unit per stage
-        assert sum(u.startswith("tune child for logistic-sgd") for u in units) == 2
+        assert len(units) == len(set(units)) == 2 + 2 + 3 * len(knn)
+        # the linear kinds: one lockstep unit per stage each
+        for kind in ("logistic-sgd", "linear-svm"):
+            assert sum(u.startswith(f"tune child for {kind} (") for u in units) == 2, kind
 
     def test_fold_fit_error_in_a_worker_reaches_the_caller(self, usable_cpus, monkeypatch):
         usable_cpus(2)
@@ -1183,59 +1196,79 @@ def reference_sgd_fit(model, X, y):
     return w, b
 
 
-def random_lanes(n_lanes, seed=21):
+def reference_svm_fit(model, X, y):
+    """The per-sample Pegasos loop the lockstep kernel replaced in
+    ``LinearSvm.fit``: one dot product and one scalar margin per step."""
+    Z = classifiers_mod._Standardizer().fit(X).transform(X)
+    s = 2.0 * y - 1.0  # hinge targets in {-1, +1}
+    n, f = Z.shape
+    rng = np.random.default_rng(model.seed)
+    w = np.zeros(f)
+    b = 0.0
+    t = 0
+    for _ in range(model.epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (model.l2 * t)
+            margin = s[i] * (Z[i] @ w + b)
+            w *= 1.0 - eta * model.l2
+            if margin < 1.0:
+                w += eta * s[i] * Z[i]
+                b += eta * s[i]
+    return w, b
+
+
+def random_lanes(n_lanes, seed=21, hinge=False):
     """Row sets of 40, 55 and 70 rows and lanes that differ in rows, lr,
-    l2, epochs and seed (seeds repeat, so some lanes share a row stream)."""
+    l2, epochs and seed (seeds repeat, so some lanes share a row stream).
+    The hinge loss needs l2 > 0 and ignores lr."""
     rng = np.random.default_rng(seed)
     Z = [rng.normal(size=(n, 4)) for n in (40, 55, 70)]
     y = [(z[:, 0] + rng.normal(size=len(z)) > 0).astype(float) for z in Z]
+    l2_values = [1e-5, 1e-3, 1e-1] if hinge else [0.0, 1e-4, 1e-2]
     lanes = [(int(rng.integers(3)), float(np.exp(rng.uniform(np.log(0.01), 0.0))),
-              float(rng.choice([0.0, 1e-4, 1e-2])), int(rng.integers(1, 4)),
+              float(rng.choice(l2_values)), int(rng.integers(1, 4)),
               int(rng.integers(3))) for _ in range(n_lanes)]
     return Z, y, lanes
 
 
-class TestSgdLockstep:
-    @pytest.mark.parametrize("params", [
-        dict(lr=0.1, epochs=30, l2=1e-4, seed=0),
-        dict(lr=0.9, epochs=12, l2=1e-2, seed=3),
-        dict(lr=0.01, epochs=5, l2=0.0, seed=7),
-    ])
-    def test_fit_matches_per_sample_reference(self, params):
-        X, y = synth_logit_data(n=300, seed=2)
-        model = SgdLogistic(**params).fit(X, y)
-        w, b = reference_sgd_fit(SgdLogistic(**params), X, y)
-        ref = np.append(w, b)
-        gap = np.abs(np.append(model.coef_, model.intercept_) - ref).max()
-        assert gap <= 1e-9 * np.abs(ref).max()
+class _LaneKernelTests:
+    """``linear_lanes`` checks that hold for either loss. A subclass sets
+    ``model``, the linear class whose loss it runs, and ``grid_params``,
+    two hyperparameter sets for ``fit_grid``."""
+
+    model: type
+    grid_params: tuple
+
+    def kernel(self, Z, y, lanes):
+        return classifiers_mod.linear_lanes(Z, y, lanes, self.model.hinge)
 
     def test_lane_results_do_not_depend_on_other_lanes(self):
-        Z, y, lanes = random_lanes(300)
+        Z, y, lanes = random_lanes(300, hinge=self.model.hinge)
         probes = (0, 1, 2, 49, 299)
-        alone = {c: classifiers_mod.sgd_logistic_lanes(Z, y, [lanes[c]]) for c in probes}
+        alone = {c: self.kernel(Z, y, [lanes[c]]) for c in probes}
         for n_lanes in (2, 3, 50, 300):
-            W, b = classifiers_mod.sgd_logistic_lanes(Z, y, lanes[:n_lanes])
+            W, b = self.kernel(Z, y, lanes[:n_lanes])
             for c in probes:
                 if c < n_lanes:
                     assert W[c].tobytes() == alone[c][0][0].tobytes(), (n_lanes, c)
                     assert b[c] == alone[c][1][0], (n_lanes, c)
 
     def test_one_step_blocks_give_the_same_bits(self, monkeypatch):
-        Z, y, lanes = random_lanes(50, seed=22)
-        W, b = classifiers_mod.sgd_logistic_lanes(Z, y, lanes)
+        Z, y, lanes = random_lanes(50, seed=22, hinge=self.model.hinge)
+        W, b = self.kernel(Z, y, lanes)
         monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", 1)
-        W1, b1 = classifiers_mod.sgd_logistic_lanes(Z, y, lanes)
+        W1, b1 = self.kernel(Z, y, lanes)
         assert W.tobytes() == W1.tobytes() and b.tobytes() == b1.tobytes()
 
     def test_fit_grid_matches_one_fit_per_fold(self):
         X, y = separable_dataset(n=200, seed=8)
         folds = [(X[:120], y[:120]), (X[60:], y[60:]), (X[::2], y[::2])]
-        models = [SgdLogistic(lr=lr, epochs=epochs, l2=1e-3, seed=4)
-                  for lr, epochs in ((0.05, 3), (0.5, 6))]
-        grid = SgdLogistic.fit_grid(models, folds)
+        models = [self.model(**params) for params in self.grid_params]
+        grid = self.model.fit_grid(models, folds)
         for model, row in zip(models, grid):
             for (X_f, y_f), fitted in zip(folds, row):
-                single = SgdLogistic(**model.get_params()).fit(X_f, y_f)
+                single = self.model(**model.get_params()).fit(X_f, y_f)
                 assert fitted.coef_.tobytes() == single.coef_.tobytes()
                 assert fitted.intercept_ == single.intercept_
                 assert fitted.predict_proba(X).tobytes() == single.predict_proba(X).tobytes()
@@ -1250,11 +1283,52 @@ class TestSgdLockstep:
         monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", 2 ** 18)
         tracemalloc.start()
         try:
-            classifiers_mod.sgd_logistic_lanes(Z, y, lanes)
+            self.kernel(Z, y, lanes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2 ** 18 + 2 * Z[0].nbytes
+
+
+class TestSgdLockstep(_LaneKernelTests):
+    model = SgdLogistic
+    grid_params = (dict(lr=0.05, epochs=3, l2=1e-3, seed=4),
+                   dict(lr=0.5, epochs=6, l2=1e-3, seed=4))
+
+    @pytest.mark.parametrize("params", [
+        dict(lr=0.1, epochs=30, l2=1e-4, seed=0),
+        dict(lr=0.9, epochs=12, l2=1e-2, seed=3),
+        dict(lr=0.01, epochs=5, l2=0.0, seed=7),
+    ])
+    def test_fit_matches_per_sample_reference(self, params):
+        X, y = synth_logit_data(n=300, seed=2)
+        model = SgdLogistic(**params).fit(X, y)
+        w, b = reference_sgd_fit(SgdLogistic(**params), X, y)
+        ref = np.append(w, b)
+        gap = np.abs(np.append(model.coef_, model.intercept_) - ref).max()
+        assert gap <= 1e-9 * np.abs(ref).max()
+
+
+class TestHingeLockstep(_LaneKernelTests):
+    model = LinearSvm
+    grid_params = (dict(l2=1e-3, epochs=3, seed=4), dict(l2=1e-1, epochs=6, seed=4))
+
+    @pytest.mark.golden
+    @pytest.mark.parametrize("params", [
+        dict(l2=1e-5, epochs=10, seed=0),
+        dict(l2=1e-3, epochs=30, seed=3),
+        dict(l2=2e-2, epochs=12, seed=5),
+        dict(l2=1e-1, epochs=60, seed=7),
+    ])
+    def test_fit_equals_the_per_sample_loop(self, params):
+        # the loop's margin is a BLAS dot (Z[i] @ w) and the kernel's a
+        # numpy row sum, which differ in the last bit on about a third of
+        # the steps here; the margin only meets `< 1`, so no step flips
+        for X, y in (separable_dataset(n=300, seed=3), overlapping_blobs()):
+            model = LinearSvm(**params).fit(X, y)
+            w, b = reference_svm_fit(LinearSvm(**params), X, y)
+            assert model.coef_.tobytes() == w.tobytes()
+            assert model.intercept_ == b
 
 
 @pytest.fixture(scope="module")
