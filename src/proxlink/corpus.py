@@ -26,8 +26,6 @@ from typing import Iterable, Optional
 
 DOC_TYPES = ("article", "conference", "chapter", "book")
 
-CONTINENTS = ("AF", "AN", "AS", "EU", "NA", "OC", "SA")
-
 AI_PHRASES = ("artificial intelligence", "machine learning", "deep learning")
 
 _country_continent_cache: Optional[dict] = None
@@ -161,21 +159,49 @@ def author_key_of(source_id: Optional[str], name: Optional[str],
     return _normalize_key_part(name) + "|" + _normalize_key_part(institution or "")
 
 
-def _parse_affiliation(raw: dict) -> Affiliation:
-    country = str(raw.get("country", "")).upper()
+def _field(raw: dict, name: str, kind, default=None):
+    """``raw[name]``, or ``default`` where it is absent or null; a value of
+    another JSON type (or true / false) raises ``ValueError("malformed-field")``."""
+    value = raw.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError("malformed-field")
+    return value
+
+
+def _coordinate(raw: dict, name: str, bound: float) -> Optional[float]:
+    """``raw[name]``, a number or numeric text, in decimal degrees within
+    ``[-bound, bound]``; None where it is absent or null."""
+    value = _field(raw, name, (int, float, str))
+    if value is None:
+        return None
+    try:
+        value = float(value)
+    except (ValueError, OverflowError):
+        raise ValueError("invalid-coordinates") from None
+    if not -bound <= value <= bound:  # NaN fails too
+        raise ValueError("invalid-coordinates")
+    return value
+
+
+def _parse_affiliation(raw) -> Affiliation:
+    if not isinstance(raw, dict):
+        raise ValueError("malformed-field")
+    country = _field(raw, "country", str, "").upper()
     table = country_continent_table()
     if country not in table:
-        raise ValueError(f"invalid country code {country!r}")
-    lat = raw.get("lat")
-    lon = raw.get("lon")
+        raise ValueError("missing-or-invalid-country")
+    city = _field(raw, "city", str)
+    province = _field(raw, "province", str)
     return Affiliation(
-        institution=str(raw.get("institution", "")).strip(),
-        city=(str(raw["city"]).strip() if raw.get("city") else None),
-        province=(str(raw["province"]).strip().upper() if raw.get("province") else None),
+        institution=_field(raw, "institution", str, "").strip(),
+        city=(city.strip() if city else None),
+        province=(province.strip().upper() if province else None),
         country=country,
         continent=table[country],
-        lat=(float(lat) if lat is not None else None),
-        lon=(float(lon) if lon is not None else None),
+        lat=_coordinate(raw, "lat", 90.0),
+        lon=_coordinate(raw, "lon", 180.0),
     )
 
 
@@ -189,33 +215,36 @@ def _parse_record(raw: dict, config: CorpusConfig) -> PublicationRecord:
         raise ValueError("missing-year")
     if not (config.year_min <= year <= config.year_max):
         raise ValueError("year-out-of-range")
-    title = (raw.get("title") or "").strip()
-    abstract = (raw.get("abstract") or "").strip()
+    title = _field(raw, "title", str, "").strip()
+    abstract = _field(raw, "abstract", str, "").strip()
     if not title or not abstract:
         raise ValueError("missing-title-or-abstract")
     doc_type = raw.get("doc_type")
     if doc_type not in DOC_TYPES:
         raise ValueError("invalid-doc-type")
-    raw_authors = raw.get("authors") or []
+    keywords = _field(raw, "keywords", list, [])
+    if not all(isinstance(k, str) for k in keywords):
+        raise ValueError("malformed-field")
+    raw_authors = _field(raw, "authors", list, [])
     if not raw_authors:
         raise ValueError("no-authors")
 
     authors = []
     for a in raw_authors:
-        raw_affs = a.get("affiliations") or []
+        if not isinstance(a, dict):
+            raise ValueError("malformed-field")
+        name = _field(a, "name", str)
+        raw_affs = _field(a, "affiliations", list, [])
         if not raw_affs:
             raise ValueError("author-without-affiliation")
-        try:
-            affs = tuple(_parse_affiliation(x) for x in raw_affs)
-        except ValueError:
-            raise ValueError("missing-or-invalid-country")
+        affs = tuple(_parse_affiliation(x) for x in raw_affs)
         key = author_key_of(
-            a.get("author_key"), a.get("name"), affs[0].institution,
+            a.get("author_key"), name, affs[0].institution,
             policy=config.key_policy,
         )
         authors.append(AuthorMention(
             author_key=key,
-            display_name=str(a.get("name", "")).strip(),
+            display_name=(name or "").strip(),
             affiliations=affs,
         ))
 
@@ -224,7 +253,7 @@ def _parse_record(raw: dict, config: CorpusConfig) -> PublicationRecord:
         year=year,
         title=title,
         abstract=abstract,
-        keywords=tuple(str(k) for k in (raw.get("keywords") or [])),
+        keywords=tuple(keywords),
         doc_type=doc_type,
         authors=tuple(authors),
     )
@@ -261,8 +290,11 @@ def load_corpus(path, config: Optional[CorpusConfig] = None) -> Corpus:
     """Load and validate a JSON-lines corpus file.
 
     Invalid records are excluded and counted per reason in
-    ``corpus.exclusions``; a syntactically broken line is an error (with
-    its line number), as are duplicate pub_ids and an empty valid set.
+    ``corpus.exclusions``: among them ``malformed-field`` (a field of the
+    wrong JSON type) and ``invalid-coordinates`` (a latitude or longitude
+    that is not a finite number within +-90 / +-180). A line that is not
+    a JSON object is an error (with its line number), as are duplicate
+    pub_ids and an empty valid set.
     """
     config = config or CorpusConfig()
     records = []
@@ -281,6 +313,9 @@ def load_corpus(path, config: Optional[CorpusConfig] = None) -> Corpus:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"malformed JSON on line {lineno}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise CorpusError(f"line {lineno} holds a JSON {type(raw).__name__}, "
+                              "not a record object")
         try:
             rec = _parse_record(raw, config)
         except ValueError as exc:

@@ -85,22 +85,6 @@ class LogitFit:
     def coefficient(self, name: str) -> float:
         return float(self.beta[self.names.index(name)])
 
-    def to_json(self) -> dict:
-        return {
-            "names": list(self.names),
-            "beta": self.beta.tolist(),
-            "se": self.se.tolist(),
-            "z": self.z.tolist(),
-            "p": self.p.tolist(),
-            "loglik": self.loglik,
-            "null_loglik": self.null_loglik,
-            "pseudo_r2": self.pseudo_r2,
-            "bic": self.bic,
-            "n": self.n,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
-
 
 MAX_ITER = 100
 TOL_SCORE = 1e-8

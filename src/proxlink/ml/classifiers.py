@@ -44,56 +44,30 @@ BLOCK_BYTES = 2 ** 20
 
 def _squared_distances(Q: np.ndarray, RT: np.ndarray) -> np.ndarray:
     """``((Q[:, None, :] - R[None, :, :]) ** 2).sum(axis=-1)`` bit for bit,
-    built one feature column at a time from ``RT = R.T`` (contiguous).
+    from ``RT = R.T`` (contiguous).
 
-    The per-column terms are added in numpy's own order for a reduction
-    over a short contiguous axis: below 8 terms one after another; from 8
-    up in 8 running sums (sum j takes terms j, j + 8, ...), combined as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
-    leftover terms in order; above 128 terms the two halves (the first
-    a multiple of 8) are summed so and added. The tree is evaluated so
-    that at most five (rows of Q) x (rows of R) arrays are alive at once.
+    numpy adds fewer than 8 terms of a short contiguous axis in order, so
+    below 8 features the terms are added one column at a time, with two
+    (rows of Q) x (rows of R) arrays alive. From 8 up, where numpy sums in
+    another order, the expression itself runs on a C-ordered tensor: one
+    laid out like the strided operand ``RT.T`` sums to other last bits.
     """
-    def term(j):
+    n_features, n_ref = RT.shape
+    if n_features >= 8:
+        diff = np.subtract(Q[:, None, :], RT.T[None],
+                           out=np.empty((len(Q), n_ref, n_features)))
+        diff *= diff
+        return diff.sum(axis=-1)
+
+    def term(j):  # each term dies once it is added
         t = Q[:, j, None] - RT[j]
         t *= t
         return t
 
-    def total(cols):
-        n = len(cols)
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            acc = total(cols[:half])
-            acc += total(cols[half:])
-            return acc
-        if n < 8:
-            acc = term(cols[0])
-            for j in cols[1:]:
-                acc += term(j)
-            return acc
-        whole = n - n % 8
-
-        def running(i):  # r_i: terms i, i + 8, ... below whole
-            acc = term(cols[i])
-            for j in cols[i + 8:whole:8]:
-                acc += term(j)
-            return acc
-
-        def pair(i):
-            acc = running(i)
-            acc += running(i + 1)
-            return acc
-
-        acc = pair(0)
-        acc += pair(2)
-        upper = pair(4)
-        upper += pair(6)
-        acc += upper
-        for j in cols[whole:]:
-            acc += term(j)
-        return acc
-
-    return total(range(RT.shape[0]))
+    acc = term(0)
+    for j in range(1, n_features):
+        acc += term(j)
+    return acc
 
 
 def _nearest_in_block(Q: np.ndarray, RT: np.ndarray, k: int,
@@ -121,19 +95,19 @@ def k_nearest(R: np.ndarray, k: int, Q: np.ndarray | None = None) -> np.ndarray:
     index of ``R``. Without ``Q``, each row of ``R`` is matched against
     the others and never against itself (needs ``k < len(R)``); with
     ``Q``, needs ``k <= len(R)`` and finite ``Q``. The distances equal
-    the difference tensor's ``((q - r) ** 2).sum(-1)`` to the last bit,
-    but are built one feature column at a time (``_squared_distances``),
-    for a block of query rows at a time. A (block x ``len(R)``) float
-    array takes a third of ``BLOCK_BYTES`` (a block has at least one
-    row), and at most five are alive at once up to 128 features, so the
-    temporaries besides a transposed copy of ``R`` stay within two
-    ``BLOCK_BYTES`` whatever the row counts.
+    the difference tensor's ``((q - r) ** 2).sum(-1)`` to the last bit
+    (``_squared_distances``), for a block of query rows at a time. Below 8
+    features a (block x ``len(R)``) float array takes a third of
+    ``BLOCK_BYTES``, from 8 up the block's tensor and sums take all of it
+    (a block has at least one row), so the temporaries besides a
+    transposed copy of ``R`` stay within two ``BLOCK_BYTES``.
     """
     exclude_self = Q is None
     if exclude_self:
         Q = R
     RT = np.ascontiguousarray(R.T)
-    rows_per_block = max(1, BLOCK_BYTES // (24 * len(R)))
+    row_bytes = 24 if R.shape[1] < 8 else 8 * (R.shape[1] + 1)
+    rows_per_block = max(1, BLOCK_BYTES // (row_bytes * len(R)))
     out = np.empty((len(Q), k), dtype=np.intp)
     for start in range(0, len(Q), rows_per_block):
         stop = min(len(Q), start + rows_per_block)
@@ -406,9 +380,9 @@ class KNearestNeighbors(_ClassifierBase):
 
     Neighbours come from ``k_nearest``: distance ties resolve to the lower
     training-row index, so predictions do not depend on sort stability.
-    Queries are searched in blocks whose squared distances are built one
-    feature column at a time, with the difference tensor's bits, and whose
-    temporaries stay within two ``BLOCK_BYTES``.
+    Queries are searched in blocks, by a column loop below 8 features and
+    the difference tensor itself from 8 up, with the tensor's bits and
+    temporaries within two ``BLOCK_BYTES``.
     """
 
     kind = "k-nearest-neighbors"

@@ -14,9 +14,10 @@ class Smote(ParamsMixin):
     Each synthetic row is x + u * (nn - x) for a minority row x, one of its
     ``k`` nearest minority neighbours nn (Euclidean distance on
     per-feature standardized copies, ties to the lower row), and u drawn
-    uniformly from (0, 1). The neighbours come from ``k_nearest``, which
-    never builds the minority's difference tensor: its temporaries stay
-    within two ``BLOCK_BYTES`` whatever the minority size.
+    uniformly from (0, 1). The neighbours come from ``k_nearest`` (a column
+    loop below 8 features, the difference tensor from 8 up, a block at a
+    time): its temporaries stay within two ``BLOCK_BYTES`` whatever the
+    minority size.
     Enough rows are added to bring the minority count to ``target_ratio``
     times the majority count. Must only ever see training rows.
     """

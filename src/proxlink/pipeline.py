@@ -45,7 +45,7 @@ from .ml import (
 )
 from .network import SamplingPolicy, build_graph, make_windows
 from .report import render_beeswarm_svg, render_line_svg
-from .synthetic import write_synthetic_corpus
+from .synthetic import FIRST_YEAR, LAST_YEAR, write_synthetic_corpus
 from .topics import GibbsLda, select_k, tokenize_corpus
 
 STAGES = ("ingest", "geocode", "windows", "topics", "features", "describe",
@@ -123,7 +123,7 @@ def demo_config(corpus_path: str, out: str, scenario: int = 1, seed: int = 7) ->
     """Reduced-budget configuration sized for the bundled synthetic corpus."""
     return RunConfig(
         corpus=corpus_path, scenario=scenario, seed=seed, out=out,
-        year_min=2000, year_max=2009,
+        year_min=FIRST_YEAR, year_max=LAST_YEAR,
         sampling_kind="ratio", sampling_ratio=4.0,
         lda_k_grid=[2, 3, 4], lda_iterations=120, lda_alpha=0.1,
         classifiers=["gaussian-naive-bayes", "gradient-boosted-trees"],

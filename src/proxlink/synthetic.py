@@ -44,11 +44,12 @@ _SHARED_VOCAB = ["algorithm", "model", "system", "method", "evaluation",
 
 _DOC_TYPES = ["article", "article", "article", "conference", "conference", "chapter"]
 
+FIRST_YEAR, LAST_YEAR = 2000, 2009
+CANADIAN_SHARE = 0.45  # share of authors placed in Canadian cities
+
 
 def make_synthetic_corpus(seed: int = 7, n_authors: int = 48,
-                          first_year: int = 2000, last_year: int = 2009,
-                          pubs_per_year: int = 30,
-                          canadian_share: float = 0.45) -> list[dict]:
+                          pubs_per_year: int = 30) -> list[dict]:
     """Generate records in the JSON-lines corpus schema (as dicts)."""
     rng = random.Random(seed)
     ca_cities = [c for c in _CITIES if c[2] == "CA"]
@@ -56,7 +57,7 @@ def make_synthetic_corpus(seed: int = 7, n_authors: int = 48,
 
     authors = []
     for a in range(n_authors):
-        if a < int(round(canadian_share * n_authors)):
+        if a < int(round(CANADIAN_SHARE * n_authors)):
             city = ca_cities[a % len(ca_cities)]
         else:
             city = other_cities[a % len(other_cities)]
@@ -104,7 +105,7 @@ def make_synthetic_corpus(seed: int = 7, n_authors: int = 48,
     records = []
     past_pairs: set[tuple[str, str]] = set()
     pub_no = 0
-    for year in range(first_year, last_year + 1):
+    for year in range(FIRST_YEAR, LAST_YEAR + 1):
         for _ in range(pubs_per_year):
             lead = rng.choice(authors)
             team = [lead]

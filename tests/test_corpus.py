@@ -49,6 +49,46 @@ class TestLoadCorpus:
         assert len(corpus) == 1
         assert corpus.exclusions["missing-or-invalid-country"] == 1
 
+    @pytest.mark.parametrize("bad, reason", [
+        pytest.param({**make_record_dict("P1"), "authors": "x"}, "malformed-field",
+                     id="authors-text"),
+        pytest.param(make_record_dict("P1", title=5), "malformed-field", id="title-number"),
+        pytest.param({**make_record_dict("P1"), "keywords": "deep"}, "malformed-field",
+                     id="keywords-text"),
+        pytest.param(make_record_dict("P1", authors=["A1"]), "malformed-field",
+                     id="author-text"),
+        pytest.param(make_record_dict("P1", authors=[author_dict("A1", city=["montreal"])]),
+                     "malformed-field", id="city-list"),
+        pytest.param(make_record_dict("P1", authors=[author_dict("A1", lat=[1])]),
+                     "malformed-field", id="lat-list"),
+        pytest.param(make_record_dict("P1", authors=[author_dict("A1", lat=True)]),
+                     "malformed-field", id="lat-bool"),
+        pytest.param(make_record_dict("P1", authors=[author_dict("A1", lat="abc")]),
+                     "invalid-coordinates", id="lat-text"),
+        pytest.param(make_record_dict("P1", authors=[author_dict("A1", lat=95)]),
+                     "invalid-coordinates", id="lat-95"),
+        pytest.param(make_record_dict("P1", authors=[author_dict("A1", lon=-180.5)]),
+                     "invalid-coordinates", id="lon-beyond-180"),
+        pytest.param(make_record_dict("P1", authors=[author_dict("A1", lat=float("nan"))]),
+                     "invalid-coordinates", id="lat-nan"),
+        pytest.param(make_record_dict("P1", authors=[author_dict("A1", lon=10 ** 400)]),
+                     "invalid-coordinates", id="lon-huge-int"),
+    ])
+    def test_wrong_types_and_bad_coordinates_excluded(self, tmp_path, bad, reason):
+        # next to a valid record with coordinates on the bounds
+        valid = make_record_dict("P2", authors=[author_dict("A2", lat=-90, lon=180)])
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", [bad, valid]))
+        assert [r.pub_id for r in corpus.records] == ["P2"]
+        assert dict(corpus.exclusions) == {reason: 1}
+
+    def test_non_object_line_reports_line_number(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        with open(path, "w") as fh:
+            fh.write(json.dumps(make_record_dict("P1")) + "\n")
+            fh.write("[1, 2]\n")
+        with pytest.raises(CorpusError, match="line 2"):
+            load_corpus(path)
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with open(path, "w") as fh:

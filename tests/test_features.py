@@ -173,6 +173,13 @@ class TestAssemble:
         assert CONTIGUITY_LEVEL == {1: "province", 2: "province",
                                     3: "country", 4: "country"}
 
+    def test_every_schema_has_fewer_than_eight_features(self):
+        # SMOTE and kNN search neighbours over these columns, and
+        # k_nearest's column loop serves fewer than 8 features
+        for scenario in (1, 2, 3, 4):
+            for keep_continent in (False, True):
+                assert len(scenario_feature_names(scenario, keep_continent)) < 8
+
     def test_canonical_affiliation_earliest_pub(self):
         records = [
             make_record_dict("P2", 2002, authors=[

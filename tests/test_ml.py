@@ -224,11 +224,13 @@ class TestNeighbourKernel:
             expected = reference_knn_ids(R, Q, k)
             assert np.array_equal(classifiers_mod.k_nearest(R, k, Q), expected), k
 
-    def test_temporaries_stay_within_two_blocks(self, monkeypatch):
-        # the dense difference tensor would take 168 MB here
+    @pytest.mark.parametrize("n_features", [7, 9, 20])
+    def test_temporaries_stay_within_two_blocks(self, monkeypatch, n_features):
+        # one difference tensor would take 168 MB or more here; from 8
+        # features up each block builds its own
         rng = np.random.default_rng(15)
-        R = rng.normal(size=(2000, 7))
-        Q = rng.normal(size=(1500, 7))
+        R = rng.normal(size=(2000, n_features))
+        Q = rng.normal(size=(1500, n_features))
         monkeypatch.setattr(classifiers_mod, "BLOCK_BYTES", 2 ** 20)
         for args in ((R, 5, Q), (R, 5)):
             tracemalloc.start()

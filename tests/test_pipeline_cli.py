@@ -92,25 +92,36 @@ def six_kind_config(demo_corpus, out) -> RunConfig:
         lda_k_grid=[3], lda_iterations=20, n_random=1, max_grid_fits=1, folds=3)
 
 
-def test_pipeline_never_imports_numpy_ma(tmp_path, demo_corpus):
-    # a plain np.unique imports numpy.ma on numpy >= 2.3, which costs a run
-    # about 10 ms and 1.3 MB; the tiny six-kind demo reaches every stage
+def imported_by_fresh_run(config: RunConfig, through: str, module: str) -> bool:
+    """Whether running ``config`` through stage ``through`` in a new
+    interpreter imports ``module``."""
     script = (
-        "import dataclasses, sys\n"
-        "from proxlink.ml import CLASSIFIER_KINDS\n"
-        "from proxlink.pipeline import demo_config, run_pipeline\n"
-        "config = dataclasses.replace(\n"
-        "    demo_config(sys.argv[1], out=sys.argv[2]), classifiers=list(CLASSIFIER_KINDS),\n"
-        "    lda_k_grid=[3], lda_iterations=20, n_random=1, max_grid_fits=1, folds=3)\n"
-        "run_pipeline(config, through_stage='report')\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "import json, sys\n"
+        "from proxlink.pipeline import RunConfig, run_pipeline\n"
+        "run_pipeline(RunConfig(**json.loads(sys.argv[1])), through_stage=sys.argv[2])\n"
+        "print(sys.argv[3] in sys.modules)\n"
     )
     package_root = os.path.dirname(os.path.dirname(proxlink.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         package_root, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, demo_corpus, str(tmp_path / "out")],
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(config.to_dict()),
+                           through, module],
                           env=env, check=True, timeout=300, capture_output=True, text=True)
-    assert done.stdout.splitlines()[-1] == "False"
+    return {"True": True, "False": False}[done.stdout.splitlines()[-1]]
+
+
+def test_pipeline_never_imports_numpy_ma(tmp_path, demo_corpus):
+    # a plain np.unique imports numpy.ma on numpy >= 2.3, which costs a run
+    # about 10 ms and 1.3 MB; the tiny six-kind demo reaches every stage
+    config = six_kind_config(demo_corpus, str(tmp_path / "out"))
+    assert not imported_by_fresh_run(config, "report", "numpy.ma")
+
+
+def test_topic_run_never_imports_numpy_random(tmp_path, demo_corpus):
+    # GibbsLda draws from the stdlib Mersenne Twister: importing
+    # numpy.random would cost a run through topics about 2.3 MB
+    config = demo_config(demo_corpus, out=str(tmp_path / "out"))
+    assert not imported_by_fresh_run(config, "topics", "numpy.random")
 
 
 @pytest.mark.golden
