@@ -146,16 +146,18 @@ def author_key_of(source_id: Optional[str], name: Optional[str],
 
     "source-id" uses the upstream identifier verbatim; "name-affiliation"
     keys on normalized(name)+"|"+normalized(institution); "auto" prefers
-    the source id when present.
+    the source id when present. A mention that cannot be keyed raises a
+    ``ValueError`` with a reason tag: ``author-without-source-id`` under
+    "source-id", else ``author-without-key`` (neither id nor name).
     """
     if policy not in ("auto", "source-id", "name-affiliation"):
         raise ValueError(f"unknown key policy {policy!r}")
     if policy == "source-id" or (policy == "auto" and source_id):
         if not source_id:
-            raise ValueError("source-id policy requires an upstream author identifier")
+            raise ValueError("author-without-source-id")
         return str(source_id)
     if not name:
-        raise ValueError("author mention has neither identifier nor name")
+        raise ValueError("author-without-key")
     return _normalize_key_part(name) + "|" + _normalize_key_part(institution or "")
 
 
@@ -207,7 +209,7 @@ def _parse_affiliation(raw) -> Affiliation:
 
 def _parse_record(raw: dict, config: CorpusConfig) -> PublicationRecord:
     """Build a validated PublicationRecord; raises ValueError with a reason tag."""
-    pub_id = raw.get("pub_id")
+    pub_id = _field(raw, "pub_id", str)
     if not pub_id:
         raise ValueError("missing-pub-id")
     year = raw.get("year")
@@ -239,7 +241,7 @@ def _parse_record(raw: dict, config: CorpusConfig) -> PublicationRecord:
             raise ValueError("author-without-affiliation")
         affs = tuple(_parse_affiliation(x) for x in raw_affs)
         key = author_key_of(
-            a.get("author_key"), name, affs[0].institution,
+            _field(a, "author_key", str), name, affs[0].institution,
             policy=config.key_policy,
         )
         authors.append(AuthorMention(
@@ -249,7 +251,7 @@ def _parse_record(raw: dict, config: CorpusConfig) -> PublicationRecord:
         ))
 
     return PublicationRecord(
-        pub_id=str(pub_id),
+        pub_id=pub_id,
         year=year,
         title=title,
         abstract=abstract,

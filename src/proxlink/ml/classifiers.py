@@ -6,14 +6,17 @@ predict, and validates its hyperparameters. Scale-sensitive kinds
 their own training statistics, so a fold's validation rows never leak
 into the scaler.
 
-The two linear kinds, SGD logistic and the linear SVM, share one fit: the
-lockstep kernel ``linear_lanes``, which steps many (model, fold) lanes
-together and takes log-loss or hinge-loss steps. A model fitted alone is
-the kernel's one-lane case.
+The two linear kinds, SGD logistic and the linear SVM, share one fit,
+``linear_lanes``, which takes log-loss or hinge-loss steps for many
+(model, fold) lanes: in lockstep, or below ``FLOAT_LOOP_LANES`` lanes one
+lane at a time in Python floats, with the same bits. A model fitted alone
+is its one-lane case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -134,14 +137,25 @@ def _step_rows(seed: int, n: int, epochs: int, block: int):
         rows = rows[:0]
 
 
+# below this many lanes (and 8 features) ``linear_lanes`` fits each lane
+# on its own in Python floats, which beats the lockstep kernel's per-step
+# numpy calls there
+FLOAT_LOOP_LANES = 6
+
+
 def linear_lanes(Z: list, y: list, lanes: list, hinge: bool) -> tuple:
-    """Fit C linear SGD lanes in lockstep; returns weights (C, F) and intercepts (C,).
+    """Fit C linear SGD lanes; returns weights (C, F) and intercepts (C,).
 
     ``Z`` and ``y`` hold standardized training matrices and their 0/1
     labels. Lane c is ``(set, lr, l2, epochs, seed)``: it trains on
     ``Z[set]`` for ``epochs`` passes, each over a fresh permutation from
-    ``default_rng(seed)``, with an unpenalized intercept. All lanes take
-    step t together.
+    ``default_rng(seed)``, with an unpenalized intercept.
+
+    Below ``FLOAT_LOOP_LANES`` lanes and 8 features, each lane runs on
+    its own in Python floats (``_float_lanes``), where numpy's per-call
+    cost would outweigh a step's few flops. Every other call runs the
+    lanes in lockstep, all taking step t together. Both paths do the
+    same IEEE operations in the same order, so they give the same bits.
 
     * Log loss (``hinge=False``): step size ``lr / (1 + lr * l2 * t)``
       at the t-th step (``_sgd_steps``).
@@ -151,8 +165,9 @@ def linear_lanes(Z: list, y: list, lanes: list, hinge: bool) -> tuple:
       then adds ``eta * s`` times ``x`` to ``w`` and ``eta * s`` to ``b``
       where the margin is below 1 (``_hinge_steps``).
 
-    A lane past its last step gets step size 0 (the hinge lanes shrink by
-    1.0 and add 0.0). Every operation acts on each lane's row alone, and
+    In lockstep, a lane past its last step gets step size 0 (the hinge
+    lanes shrink by 1.0 and add 0.0), which leaves finite weights as they
+    are. Every operation acts on each lane's row alone, and
     ``(x * W).sum(axis=1)`` adds a row's F products in the same order
     whatever C is, so a lane's bits do not depend on the other lanes.
     Everything that does not depend on the weights (step sizes, shrink
@@ -161,6 +176,8 @@ def linear_lanes(Z: list, y: list, lanes: list, hinge: bool) -> tuple:
     ``BLOCK_BYTES`` (and at least one step); besides them, each distinct
     (seed, set) holds one epoch's permutation.
     """
+    if len(lanes) < FLOAT_LOOP_LANES and Z[0].shape[1] < 8:
+        return _float_lanes(Z, y, lanes, hinge)
     sets, lr, l2, epochs, seeds = zip(*lanes)
     l2 = np.array(l2, dtype=float)
     n_rows = np.array([len(labels) for labels in y])
@@ -231,6 +248,73 @@ def _hinge_steps(W, b, X_steps, s_steps, shrink, eta_s) -> None:
         b += step
 
 
+def _float_lanes(Z: list, y: list, lanes: list, hinge: bool) -> tuple:
+    """``linear_lanes`` one lane at a time in Python floats, bit for bit.
+
+    Each lane reads its rows from one ``.tolist()`` of its row set and
+    draws one ``default_rng(seed).permutation(n)`` per epoch, as
+    ``_step_rows`` does, and stops after its last step. A step repeats
+    ``_sgd_steps`` or ``_hinge_steps`` for one lane: below 8 terms numpy
+    adds ``x * w`` in order before ``+ b``, and the sigmoid's exp is
+    ``np.exp`` on a Python float, which equals the array's element
+    (``math.exp`` differs in the last bit).
+    """
+    rows: dict = {}
+    W = np.zeros((len(lanes), Z[0].shape[1]))
+    b = np.zeros(len(lanes))
+    for c, (s, lr, l2, epochs, seed) in enumerate(lanes):
+        if s not in rows:
+            targets = np.asarray(y[s], dtype=float)
+            if hinge:
+                targets = 2.0 * targets - 1.0
+            rows[s] = Z[s].tolist(), targets.tolist()
+        X, targets = rows[s]
+        rng = np.random.default_rng(seed)
+        orders = (rng.permutation(len(X)).tolist() for _ in range(epochs))
+        if hinge:
+            W[c], b[c] = _hinge_lane(X, targets, float(l2), orders)
+        else:
+            W[c], b[c] = _log_loss_lane(X, targets, float(lr), float(l2), orders)
+    return W, b
+
+
+def _log_loss_lane(X, targets, lr, l2, orders) -> tuple:
+    """One lane's ``_sgd_steps`` over the row ids of each epoch in ``orders``."""
+    lr_l2 = lr * l2
+    w, b, t = [0.0] * len(X[0]), 0.0, 0.0
+    for order in orders:
+        for i in order:
+            x = X[i]
+            t += 1.0
+            eta = lr / (1.0 + lr_l2 * t)
+            z = reduce(add, map(mul, x, w)) + b
+            if z >= 0.0:
+                e = float(np.exp(-z))
+                grad = 1.0 / (1.0 + e) - targets[i]
+            else:
+                e = float(np.exp(z))
+                grad = e / (1.0 + e) - targets[i]
+            w = [wj - eta * (grad * xj + l2 * wj) for xj, wj in zip(x, w)]
+            b -= eta * grad
+    return w, b
+
+
+def _hinge_lane(X, targets, l2, orders) -> tuple:
+    """One lane's ``_hinge_steps``, as ``_log_loss_lane``."""
+    w, b, t = [0.0] * len(X[0]), 0.0, 0.0
+    for order in orders:
+        for i in order:
+            x, s = X[i], targets[i]
+            t += 1.0
+            eta = 1.0 / (l2 * t)
+            factor = 1.0 - eta * l2
+            margin = s * (reduce(add, map(mul, x, w)) + b)
+            step = eta * s * (margin < 1.0)
+            w = [wj * factor + step * xj for xj, wj in zip(x, w)]
+            b += step
+    return w, b
+
+
 def _fit_inputs(X, y):
     X, y = check_X_y(X, y)
     check_both_classes(y)
@@ -256,12 +340,14 @@ class _ClassifierBase(ParamsMixin):
 
 
 class _LinearSgd(_ClassifierBase):
-    """A linear model fitted by the lockstep kernel ``linear_lanes``.
+    """A linear model fitted by ``linear_lanes``.
 
-    ``fit`` is ``fit_grid`` with one model and one fold, i.e. the kernel
-    with one lane, so a model fitted alone gets the same bits as when it
-    is fitted among a search's candidates. Each subclass sets ``hinge``,
-    its loss, and checks its hyperparameters.
+    ``fit`` is ``fit_grid`` with one model and one fold, i.e. one lane,
+    which ``linear_lanes`` runs in Python floats below 8 features and in
+    lockstep from 8 up. Both paths give a lane the same bits, so a model
+    fitted alone gets the same bits as when it is fitted among a search's
+    candidates. Each subclass sets ``hinge``, its loss, and checks its
+    hyperparameters.
     """
 
     hinge: bool
@@ -271,7 +357,7 @@ class _LinearSgd(_ClassifierBase):
 
     @classmethod
     def fit_grid(cls, models: list, folds: list) -> list:
-        """Fit every model on every ``(X, y)`` fold in one lockstep call.
+        """Fit every model on every ``(X, y)`` fold in one ``linear_lanes`` call.
 
         Returns ``out[m][f]``: ``models[m]`` itself where there is one
         fold, else a fitted copy per fold. The models of a fold share one

@@ -81,6 +81,35 @@ class TestLoadCorpus:
         assert [r.pub_id for r in corpus.records] == ["P2"]
         assert dict(corpus.exclusions) == {reason: 1}
 
+    @pytest.mark.parametrize("pub_id, author_key", [
+        pytest.param(5, "A1", id="pub-id-number"),
+        pytest.param(True, "A1", id="pub-id-bool"),
+        pytest.param(["P1"], "A1", id="pub-id-list"),
+        pytest.param("P1", ["x", 1], id="author-key-list"),
+        pytest.param("P1", 7, id="author-key-number"),
+        pytest.param("P1", False, id="author-key-bool"),
+        pytest.param("P1", {"id": "A1"}, id="author-key-object"),
+    ])
+    def test_ids_that_are_not_text_excluded(self, tmp_path, pub_id, author_key):
+        bad = make_record_dict(pub_id, authors=[author_dict("A9"), author_dict(author_key)])
+        records = [bad, make_record_dict("P2"), make_record_dict("P3", authors=[author_dict(7)])]
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", records))
+        assert [r.pub_id for r in corpus.records] == ["P2"]
+        assert dict(corpus.exclusions) == {"malformed-field": 2}
+
+    @pytest.mark.parametrize("policy, author, reason", [
+        ("auto", {"author_key": None, "name": None}, "author-without-key"),
+        ("auto", {"author_key": "", "name": ""}, "author-without-key"),
+        ("source-id", {"author_key": None}, "author-without-source-id"),
+    ])
+    def test_unkeyable_author_counted_under_a_tag(self, tmp_path, policy, author, reason):
+        bad = make_record_dict("P1", authors=[{**author_dict("A1"), **author}])
+        records = [bad, make_record_dict("P2")]
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", records),
+                             CorpusConfig(key_policy=policy))
+        assert [r.pub_id for r in corpus.records] == ["P2"]
+        assert dict(corpus.exclusions) == {reason: 1}
+
     def test_non_object_line_reports_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with open(path, "w") as fh:
@@ -208,7 +237,7 @@ class TestAuthorKey:
         assert author_key_of(None, "J. Smith", "MIT", "auto") == "j. smith|mit"
 
     def test_nothing_to_key_on(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^author-without-key$"):
             author_key_of(None, None, None, "auto")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^author-without-source-id$"):
             author_key_of(None, "J. Smith", "MIT", "source-id")

@@ -4,6 +4,7 @@ import os
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1220,12 +1221,12 @@ def reference_svm_fit(model, X, y):
     return w, b
 
 
-def random_lanes(n_lanes, seed=21, hinge=False):
+def random_lanes(n_lanes, seed=21, hinge=False, n_features=4):
     """Row sets of 40, 55 and 70 rows and lanes that differ in rows, lr,
     l2, epochs and seed (seeds repeat, so some lanes share a row stream).
     The hinge loss needs l2 > 0 and ignores lr."""
     rng = np.random.default_rng(seed)
-    Z = [rng.normal(size=(n, 4)) for n in (40, 55, 70)]
+    Z = [rng.normal(size=(n, n_features)) for n in (40, 55, 70)]
     y = [(z[:, 0] + rng.normal(size=len(z)) > 0).astype(float) for z in Z]
     l2_values = [1e-5, 1e-3, 1e-1] if hinge else [0.0, 1e-4, 1e-2]
     lanes = [(int(rng.integers(3)), float(np.exp(rng.uniform(np.log(0.01), 0.0))),
@@ -1274,6 +1275,36 @@ class _LaneKernelTests:
                 assert fitted.coef_.tobytes() == single.coef_.tobytes()
                 assert fitted.intercept_ == single.intercept_
                 assert fitted.predict_proba(X).tobytes() == single.predict_proba(X).tobytes()
+
+    @pytest.mark.golden
+    @pytest.mark.parametrize("n_features", [3, 7])
+    def test_float_loop_equals_the_lockstep_kernel(self, monkeypatch, n_features):
+        hinge = self.model.hinge
+        Z, y, lanes = random_lanes(classifiers_mod.FLOAT_LOOP_LANES + 4, seed=24,
+                                   hinge=hinge, n_features=n_features)
+        streams = Counter((seed, s) for s, _, _, _, seed in lanes)
+        assert len({epochs for _, _, _, epochs, _ in lanes}) > 1
+        assert 1 in streams.values() and max(streams.values()) > 1
+        monkeypatch.setattr(classifiers_mod, "FLOAT_LOOP_LANES", 0)  # lockstep only
+        for n_lanes in range(1, len(lanes) + 1):
+            W, b = classifiers_mod._float_lanes(Z, y, lanes[:n_lanes], hinge)
+            W_lock, b_lock = self.kernel(Z, y, lanes[:n_lanes])
+            assert W.tobytes() == W_lock.tobytes(), n_lanes
+            assert b.tobytes() == b_lock.tobytes(), n_lanes
+
+    @pytest.mark.parametrize("n_features", [8, 9])
+    def test_fit_equals_its_lane_in_a_wide_grid(self, n_features):
+        # from 8 features every call runs in lockstep, whatever its lanes
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(150, n_features))
+        y = (X[:, 0] + rng.normal(size=150) > 0).astype(int)
+        models = [self.model(**{**self.grid_params[i % 2], "seed": i})
+                  for i in range(classifiers_mod.FLOAT_LOOP_LANES + 2)]
+        grid = self.model.fit_grid(models, [(X, y)])
+        for model, (fitted,) in zip(models, grid):
+            single = self.model(**model.get_params()).fit(X, y)
+            assert single.coef_.tobytes() == fitted.coef_.tobytes()
+            assert single.intercept_ == fitted.intercept_
 
     def test_gathered_rows_stay_within_blocks(self, monkeypatch):
         # gathering every step at once would take 24 MB here; five seeds,
