@@ -212,8 +212,8 @@ def _parse_record(raw: dict, config: CorpusConfig) -> PublicationRecord:
     pub_id = _field(raw, "pub_id", str)
     if not pub_id:
         raise ValueError("missing-pub-id")
-    year = raw.get("year")
-    if not isinstance(year, int):
+    year = _field(raw, "year", int)
+    if year is None:
         raise ValueError("missing-year")
     if not (config.year_min <= year <= config.year_max):
         raise ValueError("year-out-of-range")

@@ -18,6 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._tables import write_table
+
 MAX_FEATURES = 15
 _CHUNK_ROWS = 200_000
 
@@ -138,12 +140,7 @@ class BeeswarmExport:
 
     def to_csv(self, path) -> None:
         cols = ("feature", "rank", "row_id", "phi", "feature_value", "normalized_value")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for p in self.points:
-                fh.write(",".join(
-                    format(p[c], ".17g") if isinstance(p[c], float) else str(p[c])
-                    for c in cols) + "\n")
+        write_table(path, cols, ([p[c] for c in cols] for p in self.points))
 
 
 def beeswarm_export(explanations: Sequence[ShapleyExplanation], X_rows,

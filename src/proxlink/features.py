@@ -24,7 +24,6 @@ applied identically in the inferential and ML models.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._tables import write_columns, write_json, write_table
 from ._validation import sorted_distinct
 from .corpus import Affiliation, Corpus
 from .geo import (
@@ -80,23 +80,6 @@ CSV_COLUMNS = ("i", "j", "window_id", "co_publication", "geo_distance_km",
 _Row = namedtuple("_Row", CSV_COLUMNS)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _column_cells(values: Optional[np.ndarray], n: int) -> list[str]:
-    """A column's CSV cells: floats as %.17g, integers and names as str."""
-    if values is None:
-        return [""] * n
-    if values.dtype.kind == "f":
-        return [format(v, ".17g") for v in values.tolist()]
-    return [str(v) for v in values.tolist()]
-
-
 @dataclass
 class Dataset:
     """One scenario's stacked observations plus its build manifest.
@@ -142,15 +125,9 @@ class Dataset:
         return self.columns.get(name) is not None
 
     def write_csv(self, path, manifest_path=None) -> None:
-        n = len(self)
-        cells = [_column_cells(self.columns[c], n) for c in CSV_COLUMNS]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        write_columns(path, CSV_COLUMNS, [self.columns[c] for c in CSV_COLUMNS], len(self))
         if manifest_path is not None:
-            with open(manifest_path, "w", encoding="utf-8") as fh:
-                json.dump(self.manifest, fh, sort_keys=True, indent=1)
-                fh.write("\n")
+            write_json(manifest_path, self.manifest)
 
 
 def canonical_affiliation_in_window(corpus: Corpus, author: str,
@@ -395,14 +372,11 @@ class DescribeResult:
     def to_csv(self, path) -> None:
         cols = ("variable", "subset", "n", "mean", "std", "min", "q25",
                 "median", "q75", "max")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-            fh.write(f"minority_share,all,,{_fmt(self.minority_share)},,,,,,\n")
-            if self.cross_country_collab_share is not None:
-                fh.write("cross_country_share,collaborations,,"
-                         f"{_fmt(self.cross_country_collab_share)},,,,,,\n")
+        shares = [("minority_share", "all", self.minority_share),
+                  ("cross_country_share", "collaborations", self.cross_country_collab_share)]
+        write_table(path, cols, [[row[c] for c in cols] for row in self.rows]
+                    + [[name, subset, None, share] + [None] * 6
+                       for name, subset, share in shares if share is not None])
 
 
 def _quantile(ordered: np.ndarray, q: float):
@@ -422,10 +396,8 @@ def describe(ds: Dataset) -> DescribeResult:
         raise ValueError("dataset is empty")
     y = ds.column("co_publication")
     out_rows = []
-    variables = [v for v in _DESCRIBE_VARS] + [
-        n for n in ds.feature_names
-        if n not in _DESCRIBE_VARS and n != "interaction"
-    ]
+    variables = list(_DESCRIBE_VARS) + [n for n in ds.feature_names
+                                        if n not in _DESCRIBE_VARS and n != "interaction"]
     for name in variables:
         values = ds.column(name)
         for subset, mask in (("all", np.ones(len(y), bool)), ("collaborations", y == 1)):
@@ -458,11 +430,8 @@ class CorrelationScreen:
     zero_variance: list[str]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("," + ",".join(self.names) + "\n")
-            for i, name in enumerate(self.names):
-                fh.write(name + "," + ",".join(_fmt(float(v)) for v in self.matrix[i]) + "\n")
-            fh.write("excluded," + ";".join(self.excluded) + "\n")
+        rows = [[name, *row] for name, row in zip(self.names, self.matrix.tolist())]
+        write_table(path, ["", *self.names], rows + [["excluded", ";".join(self.excluded)]])
 
 
 def correlation_screen(ds: Dataset) -> CorrelationScreen:

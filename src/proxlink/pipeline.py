@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from ._fork import fork_map
 from ._rng import stable_seed
+from ._tables import cell, write_json, write_table
 from .corpus import Corpus, CorpusConfig, dump_corpus, load_corpus, scenario_filter
 from .explain import beeswarm_export, explain_rows, sample_background
 from .features import Dataset, GeoContext, assemble, correlation_screen, describe
@@ -140,12 +141,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 @dataclass
 class RunState:
     """Artifacts accumulated while the stages execute."""
@@ -232,14 +227,11 @@ def _stage_topics(state: RunState) -> None:
     state.k_scores = scores
 
     out = cfg.out
-    _write_json(os.path.join(out, "lda_model.json"), model.to_json())
-    with open(os.path.join(out, "topic_vectors.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write("pub_id," + ",".join(f"w{i + 1}" for i in range(best_k)) + "\n")
-        for pub_id in sorted(state.topic_vectors):
-            weights = ",".join(format(float(w), ".17g")
-                               for w in state.topic_vectors[pub_id])
-            fh.write(f"{pub_id},{weights}\n")
+    write_json(os.path.join(out, "lda_model.json"), model.to_json())
+    write_table(os.path.join(out, "topic_vectors.csv"),
+                ["pub_id"] + [f"w{i + 1}" for i in range(best_k)],
+                ([pub_id] + state.topic_vectors[pub_id].tolist()
+                 for pub_id in sorted(state.topic_vectors)))
 
     state.stage_summary["topics"] = {
         "k": best_k,
@@ -287,8 +279,7 @@ def _stage_fit(state: RunState) -> None:
     X, y = state.dataset.to_matrix(names)
     model = LogisticIRLS()
     model.fit(X, y, feature_names=names)
-    fit = model.result_
-    state.logit_fit = fit
+    state.logit_fit = fit = model.result_
 
     out = cfg.out
     with open(os.path.join(out, "logit_table.txt"), "w", encoding="utf-8") as fh:
@@ -296,12 +287,8 @@ def _stage_fit(state: RunState) -> None:
 
     max_d = float(state.dataset.column("geo_distance_km").max())
     grid = [0.0] + list(np.geomspace(1.0, max(max_d, 10.0), 60))
-    curve = elasticity_from_fit(fit, grid)
-    state.elasticity = curve
-    with open(os.path.join(out, "elasticity.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("distance_km,elasticity\n")
-        for d, e in curve:
-            fh.write(f"{format(d, '.17g')},{format(e, '.17g')}\n")
+    state.elasticity = curve = elasticity_from_fit(fit, grid)
+    write_table(os.path.join(out, "elasticity.csv"), ["distance_km", "elasticity"], curve)
     state.stage_summary["fit"] = {
         "converged": fit.converged,
         "pseudo_r2": fit.pseudo_r2,
@@ -326,10 +313,8 @@ def _stage_ml(state: RunState) -> None:
     # known before any refit: the other kinds refit in forked workers,
     # which send back only their test AUC and seconds, and the best kind
     # refits here, where its model is kept
-    best, best_cv = None, -1.0
-    for j, (_, cv_result) in enumerate(tuned):
-        if cv_result.mean_auc > best_cv:
-            best, best_cv = j, cv_result.mean_auc
+    best = max(range(len(tuned)), key=lambda j: (tuned[j][1].mean_auc, -j))
+    best_cv = tuned[best][1].mean_auc
 
     def refit(j):
         kind, spec = cfg.classifiers[j], tuned[j][0]
@@ -344,28 +329,23 @@ def _stage_ml(state: RunState) -> None:
     others = [j for j in range(len(tuned)) if j != best]
     refits = dict(zip(others, fork_map(lambda j: refit(j)[1:], others,
                                        label=lambda j: f"refit child for {cfg.classifiers[j]}")))
-    if best is not None:
-        state.best_model, test_auc, seconds = refit(best)
-        refits[best] = test_auc, seconds
+    state.best_model, test_auc, seconds = refit(best)
+    refits[best] = test_auc, seconds
     results = {}
     for j, (kind, (_, cv_result)) in enumerate(zip(cfg.classifiers, tuned)):
         cv_result.test_auc, seconds = refits[j]
         cv_result.wall_time_s += seconds
         results[kind] = cv_result
-    best_kind = None if best is None else cfg.classifiers[best]
-    state.best_kind = best_kind
+    state.best_kind = best_kind = cfg.classifiers[best]
     state.ml_results = results
     state._split = (train_idx, test_idx)
 
     out = cfg.out
-    with open(os.path.join(out, "ml_tuning.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("stage,index,kind,hyperparameters,fold_aucs,mean_auc\n")
-        for row in log_rows:
-            fold_str = ";".join(format(a, ".17g") for a in row["fold_aucs"])
-            fh.write(f"{row['stage']},{row['index']},{row['kind']},"
-                     f"\"{row['hyperparameters']}\",{fold_str},"
-                     f"{format(row['mean_auc'], '.17g')}\n")
-    _write_json(os.path.join(out, "eval.json"), {
+    write_table(os.path.join(out, "ml_tuning.csv"),
+                ["stage", "index", "kind", "hyperparameters", "fold_aucs", "mean_auc"],
+                ([r["stage"], r["index"], r["kind"], r["hyperparameters"],
+                  ";".join(map(cell, r["fold_aucs"])), r["mean_auc"]] for r in log_rows))
+    write_json(os.path.join(out, "eval.json"), {
         "best_kind": best_kind,
         "results": {k: r.to_json() for k, r in results.items()},
     })
@@ -386,9 +366,8 @@ def _stage_explain(state: RunState) -> None:
     n_explained = min(cfg.explain_rows, len(test_idx))
     chosen = np.sort(rng.choice(test_idx, size=n_explained, replace=False))
 
-    explanations = explain_rows(state.best_model, X[chosen], background,
-                                row_ids=[str(int(i)) for i in chosen])
-    state.explanations = explanations
+    state.explanations = explanations = explain_rows(
+        state.best_model, X[chosen], background, row_ids=[str(int(i)) for i in chosen])
     export = beeswarm_export(explanations, X[chosen], state.dataset.feature_names)
     out = cfg.out
     export.to_csv(os.path.join(out, "shap.csv"))
@@ -408,11 +387,8 @@ def _stage_report(state: RunState) -> None:
     with open(os.path.join(out, "elasticity.svg"), "w", encoding="utf-8") as fh:
         fh.write(render_line_svg(state.elasticity))
 
-    outputs = {}
-    for name in BUNDLE_FILES:
-        path = os.path.join(out, name)
-        if name != "manifest.json" and os.path.exists(path):
-            outputs[name] = _sha256(path)
+    outputs = {name: _sha256(os.path.join(out, name))
+               for name in BUNDLE_FILES if name != "manifest.json"}
     manifest = {
         "version": __version__,
         "config": cfg.to_dict(),
@@ -420,7 +396,7 @@ def _stage_report(state: RunState) -> None:
         "stages": state.stage_summary,
         "outputs": outputs,
     }
-    _write_json(os.path.join(out, "manifest.json"), manifest)
+    write_json(os.path.join(out, "manifest.json"), manifest)
 
 
 _STAGE_FNS = {

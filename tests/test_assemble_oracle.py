@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from proxlink.corpus import scenario_filter
-from proxlink.features import CSV_COLUMNS, GeoContext, _fmt, assemble
+from proxlink._tables import cell
+from proxlink.features import CSV_COLUMNS, GeoContext, assemble
 from proxlink.geo import AdjacencyTable, GazetteerGeocoder
 from proxlink.network import SamplingPolicy, build_graph, make_windows
 from proxlink.synthetic import make_synthetic_corpus
@@ -106,7 +107,7 @@ def test_columns_match_row_oracle(inputs, scenario, keep_continent, kind, tmp_pa
     assert [r._asdict() for r in ds.rows] == rows  # the on-demand row view
 
     ds.write_csv(tmp_path / "dataset.csv")
-    lines = [",".join(CSV_COLUMNS)] + [",".join(_fmt(r[c]) for c in CSV_COLUMNS)
+    lines = [",".join(CSV_COLUMNS)] + [",".join(cell(r[c]) for c in CSV_COLUMNS)
                                        for r in rows]
     assert (tmp_path / "dataset.csv").read_text() == "\n".join(lines) + "\n"
 

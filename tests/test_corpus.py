@@ -53,6 +53,11 @@ class TestLoadCorpus:
         pytest.param({**make_record_dict("P1"), "authors": "x"}, "malformed-field",
                      id="authors-text"),
         pytest.param(make_record_dict("P1", title=5), "malformed-field", id="title-number"),
+        pytest.param(make_record_dict("P1", year=True), "malformed-field", id="year-bool"),
+        pytest.param(make_record_dict("P1", year="2005"), "malformed-field", id="year-text"),
+        pytest.param(make_record_dict("P1", year=None), "missing-year", id="year-null"),
+        pytest.param({k: v for k, v in make_record_dict("P1").items() if k != "year"},
+                     "missing-year", id="year-absent"),
         pytest.param({**make_record_dict("P1"), "keywords": "deep"}, "malformed-field",
                      id="keywords-text"),
         pytest.param(make_record_dict("P1", authors=["A1"]), "malformed-field",

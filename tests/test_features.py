@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -151,6 +152,33 @@ class TestAssemble:
         candidates = sum(w["candidate_pairs"] for w in ds.manifest["windows"])
         excluded = sum(ds.manifest["exclusions"].values())
         assert len(ds) == candidates - excluded
+
+    def test_comma_in_a_name_affiliation_key_reads_back(self, tmp_path):
+        # without an author_key, "auto" keys on name|institution, which
+        # here holds a comma (and a quote)
+        def mention(name, **kw):
+            return author_dict(None, name=name,
+                               institution='univ test, department of "computing"', **kw)
+
+        records = [
+            make_record_dict("P1", 2001, authors=[mention("Ann Lee"), mention("Bo Chen")]),
+            make_record_dict("P2", 2002, authors=[mention("Bo Chen"),
+                                                  mention("Cy Diaz", city="toronto",
+                                                          province="ON", lat=43.6532,
+                                                          lon=-79.3832)]),
+            make_record_dict("P3", 2003, authors=[mention("Ann Lee"), mention("Cy Diaz")]),
+        ]
+        corpus, windows, graphs = toy_setup(records)
+        ds = assemble(corpus, 1, windows, GeoContext(client=GazetteerGeocoder()),
+                      graphs, uniform_topic_vectors(corpus, spread=True), seed=3)
+        assert len(ds) and all("," in key for key in ds.columns["i"].tolist())
+        ds.write_csv(tmp_path / "dataset.csv")
+        with open(tmp_path / "dataset.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(CSV_COLUMNS)
+        assert {len(r) for r in rows} == {len(CSV_COLUMNS)} == {14}
+        assert [r[0] for r in rows] == ds.columns["i"].tolist()
+        assert [r[1] for r in rows] == ds.columns["j"].tolist()
 
     def test_window_graph_required(self):
         records = [

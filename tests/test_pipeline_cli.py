@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -37,7 +38,7 @@ GOLDEN_BUNDLE = {
     "elasticity.svg": "a73cecdfc9da63bfbe69ec4056be2ba31fa67ea6d5aa18ee3f897c621fff0c30",
     "eval.json": "7c9067db08dc8a5fc57c5ec48ee1d6e3fbf8b392c2eea80e9faee3bb744ec02b",
     "logit_table.txt": "17ce0108a37084f952382ce1d8ea044c6faf431ec1cdbf7bd6f8fdea18dc1430",
-    "ml_tuning.csv": "fcecc134c35b9138eaf5e6e203b872832364c56ada262742d4b193cb657dfcaf",
+    "ml_tuning.csv": "04d73d7aacef69f66107eb02fb37dcf31c332eb6edef41fd2221e0ae658a0992",
     "shap.csv": "5c78a8010435083ae4ef8a83e2476169963e77af081c54e40f8d89093a1220fc",
 }
 # manifest.json embeds the absolute corpus and output paths, so its own
@@ -90,6 +91,19 @@ def six_kind_config(demo_corpus, out) -> RunConfig:
     return dataclasses.replace(
         demo_config(demo_corpus, out=out), classifiers=list(CLASSIFIER_KINDS),
         lda_k_grid=[3], lda_iterations=20, n_random=1, max_grid_fits=1, folds=3)
+
+
+@pytest.mark.parametrize("make_config", [demo_config, six_kind_config],
+                         ids=["demo", "six-kind"])
+def test_tuning_log_reads_back_as_csv(tmp_path, demo_corpus, make_config):
+    config = make_config(demo_corpus, out=str(tmp_path / "out"))
+    state = run_pipeline(config, through_stage="ml")
+    with open(os.path.join(config.out, "ml_tuning.csv"), encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["stage", "index", "kind", "hyperparameters", "fold_aucs", "mean_auc"]
+    assert {len(r) for r in rows} == {6}
+    assert {r[2] for r in rows} == set(state.ml_results)
+    assert all(isinstance(json.loads(r[3]), dict) for r in rows)
 
 
 def imported_by_fresh_run(config: RunConfig, through: str, module: str) -> bool:
