@@ -9,14 +9,14 @@ into the scaler.
 The two linear kinds, SGD logistic and the linear SVM, share one fit,
 ``linear_lanes``, which takes log-loss or hinge-loss steps for many
 (model, fold) lanes: in lockstep, or below ``FLOAT_LOOP_LANES`` lanes one
-lane at a time in Python floats, with the same bits. A model fitted alone
-is its one-lane case.
+lane at a time in Python floats, by a step written out term by term for
+the feature count, with the same bits. A model fitted alone is its
+one-lane case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, mul
+from functools import cache
 
 import numpy as np
 
@@ -138,9 +138,10 @@ def _step_rows(seed: int, n: int, epochs: int, block: int):
 
 
 # below this many lanes (and 8 features) ``linear_lanes`` fits each lane
-# on its own in Python floats, which beats the lockstep kernel's per-step
-# numpy calls there
-FLOAT_LOOP_LANES = 6
+# on its own in Python floats, by steps written out for the feature count,
+# which beats the lockstep kernel's per-step numpy calls there: at 548 x 7
+# both losses break even between 16 and 18 lanes (process time)
+FLOAT_LOOP_LANES = 17
 
 
 def linear_lanes(Z: list, y: list, lanes: list, hinge: bool) -> tuple:
@@ -254,12 +255,14 @@ def _float_lanes(Z: list, y: list, lanes: list, hinge: bool) -> tuple:
     Each lane reads its rows from one ``.tolist()`` of its row set and
     draws one ``default_rng(seed).permutation(n)`` per epoch, as
     ``_step_rows`` does, and stops after its last step. A step repeats
-    ``_sgd_steps`` or ``_hinge_steps`` for one lane: below 8 terms numpy
-    adds ``x * w`` in order before ``+ b``, and the sigmoid's exp is
-    ``np.exp`` on a Python float, which equals the array's element
-    (``math.exp`` differs in the last bit).
+    ``_sgd_steps`` or ``_hinge_steps`` for one lane, written out for the
+    feature count (``_lane_steps``): below 8 terms numpy adds ``x * w`` in
+    order before ``+ b``, as ``x0 * w0 + x1 * w1 + ... + b`` does, and the
+    sigmoid's exp is ``np.exp`` on a Python float, which equals the
+    array's element (``math.exp`` differs in the last bit).
     """
     rows: dict = {}
+    log_loss_lane, hinge_lane = _lane_steps(Z[0].shape[1])
     W = np.zeros((len(lanes), Z[0].shape[1]))
     b = np.zeros(len(lanes))
     for c, (s, lr, l2, epochs, seed) in enumerate(lanes):
@@ -272,47 +275,74 @@ def _float_lanes(Z: list, y: list, lanes: list, hinge: bool) -> tuple:
         rng = np.random.default_rng(seed)
         orders = (rng.permutation(len(X)).tolist() for _ in range(epochs))
         if hinge:
-            W[c], b[c] = _hinge_lane(X, targets, float(l2), orders)
+            W[c], b[c] = hinge_lane(X, targets, float(l2), orders)
         else:
-            W[c], b[c] = _log_loss_lane(X, targets, float(lr), float(l2), orders)
+            W[c], b[c] = log_loss_lane(X, targets, float(lr), float(l2), orders)
     return W, b
 
 
-def _log_loss_lane(X, targets, lr, l2, orders) -> tuple:
-    """One lane's ``_sgd_steps`` over the row ids of each epoch in ``orders``."""
+# One source for both lane steps, formatted for a feature count F: the
+# weights are locals w0..w{F-1} and a row unpacks into x0..x{F-1}, so the
+# dot and each weight's update are written out term by term. Python runs
+# them left to right, the order of ``_sgd_steps`` and ``_hinge_steps``.
+_LANE_SOURCE = """\
+def log_loss_lane(X, targets, lr, l2, orders):
     lr_l2 = lr * l2
-    w, b, t = [0.0] * len(X[0]), 0.0, 0.0
+    {w} = b = t = 0.0
     for order in orders:
         for i in order:
-            x = X[i]
+            {x}, = X[i]
             t += 1.0
             eta = lr / (1.0 + lr_l2 * t)
-            z = reduce(add, map(mul, x, w)) + b
+            z = {dot} + b
             if z >= 0.0:
-                e = float(np.exp(-z))
+                e = float(exp(-z))
                 grad = 1.0 / (1.0 + e) - targets[i]
             else:
-                e = float(np.exp(z))
+                e = float(exp(z))
                 grad = e / (1.0 + e) - targets[i]
-            w = [wj - eta * (grad * xj + l2 * wj) for xj, wj in zip(x, w)]
+            {log_loss_updates}
             b -= eta * grad
-    return w, b
+    return [{weights}], b
 
 
-def _hinge_lane(X, targets, l2, orders) -> tuple:
-    """One lane's ``_hinge_steps``, as ``_log_loss_lane``."""
-    w, b, t = [0.0] * len(X[0]), 0.0, 0.0
+def hinge_lane(X, targets, l2, orders):
+    {w} = b = t = 0.0
     for order in orders:
         for i in order:
-            x, s = X[i], targets[i]
+            {x}, = X[i]
+            s = targets[i]
             t += 1.0
             eta = 1.0 / (l2 * t)
             factor = 1.0 - eta * l2
-            margin = s * (reduce(add, map(mul, x, w)) + b)
+            margin = s * ({dot} + b)
             step = eta * s * (margin < 1.0)
-            w = [wj * factor + step * xj for xj, wj in zip(x, w)]
+            {hinge_updates}
             b += step
-    return w, b
+    return [{weights}], b
+"""
+
+
+@cache  # one entry per feature count below 8
+def _lane_steps(n_features: int) -> tuple:
+    """``(log_loss_lane, hinge_lane)`` for rows of ``n_features`` floats.
+
+    Each runs one lane's ``_sgd_steps`` or ``_hinge_steps`` over the row
+    ids of each epoch in ``orders`` and returns ``(w, b)``. They are built
+    from ``_LANE_SOURCE``, which takes nothing but the feature count, as
+    ``namedtuple`` builds its class.
+    """
+    def terms(pattern, sep):
+        return sep.join(pattern.format(j=j) for j in range(n_features))
+
+    source = _LANE_SOURCE.format(
+        w=terms("w{j}", " = "), x=terms("x{j}", ", "), weights=terms("w{j}", ", "),
+        dot=terms("x{j} * w{j}", " + "),
+        log_loss_updates=terms("w{j} -= eta * (grad * x{j} + l2 * w{j})", "\n" + " " * 12),
+        hinge_updates=terms("w{j} = w{j} * factor + step * x{j}", "\n" + " " * 12))
+    namespace = {"exp": np.exp}
+    exec(compile(source, f"<linear lane steps, {n_features} features>", "exec"), namespace)
+    return namespace["log_loss_lane"], namespace["hinge_lane"]
 
 
 def _fit_inputs(X, y):

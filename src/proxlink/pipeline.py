@@ -152,14 +152,11 @@ class RunState:
     graphs: Optional[dict] = None
     lda: Optional[GibbsLda] = None
     topic_vectors: Optional[dict] = None
-    k_scores: Optional[dict] = None
     dataset: Optional[Dataset] = None
-    logit_fit: Optional[object] = None
     elasticity: Optional[list] = None
     ml_results: Optional[dict] = None
     best_model: Optional[object] = None
     best_kind: Optional[str] = None
-    explanations: Optional[list] = None
     stage_summary: dict = field(default_factory=dict)
     _split: Optional[tuple] = None
 
@@ -224,7 +221,6 @@ def _stage_topics(state: RunState) -> None:
     best_k, mean_coh = model.n_topics, scores[model.n_topics]
     state.lda = model
     state.topic_vectors = dict(model.doc_topic_)
-    state.k_scores = scores
 
     out = cfg.out
     write_json(os.path.join(out, "lda_model.json"), model.to_json())
@@ -279,7 +275,7 @@ def _stage_fit(state: RunState) -> None:
     X, y = state.dataset.to_matrix(names)
     model = LogisticIRLS()
     model.fit(X, y, feature_names=names)
-    state.logit_fit = fit = model.result_
+    fit = model.result_
 
     out = cfg.out
     with open(os.path.join(out, "logit_table.txt"), "w", encoding="utf-8") as fh:
@@ -366,7 +362,7 @@ def _stage_explain(state: RunState) -> None:
     n_explained = min(cfg.explain_rows, len(test_idx))
     chosen = np.sort(rng.choice(test_idx, size=n_explained, replace=False))
 
-    state.explanations = explanations = explain_rows(
+    explanations = explain_rows(
         state.best_model, X[chosen], background, row_ids=[str(int(i)) for i in chosen])
     export = beeswarm_export(explanations, X[chosen], state.dataset.feature_names)
     out = cfg.out

@@ -1277,7 +1277,7 @@ class _LaneKernelTests:
                 assert fitted.predict_proba(X).tobytes() == single.predict_proba(X).tobytes()
 
     @pytest.mark.golden
-    @pytest.mark.parametrize("n_features", [3, 7])
+    @pytest.mark.parametrize("n_features", range(1, 8))
     def test_float_loop_equals_the_lockstep_kernel(self, monkeypatch, n_features):
         hinge = self.model.hinge
         Z, y, lanes = random_lanes(classifiers_mod.FLOAT_LOOP_LANES + 4, seed=24,
