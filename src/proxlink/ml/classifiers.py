@@ -23,7 +23,7 @@ import numpy as np
 from .._base import ParamsMixin, check_fitted
 from .._validation import check_array, check_X_y, check_both_classes
 from ..logit import sigmoid
-from .tree import CartTree, grow, presort
+from .tree import CartTree, RowSetStore, grow, presort
 
 
 def _stack_proba(p1: np.ndarray) -> np.ndarray:
@@ -617,7 +617,9 @@ class GradientBoostedTrees(_ClassifierBase):
 
     Stage m fits a variance-reduction CART to the residual y - p, then sets
     each leaf to the Newton step sum(residual) / sum(p * (1 - p)) and adds
-    lr times the tree to the log-odds score.
+    lr times the tree to the log-odds score. Every round fits the same
+    rows, so the fit shares one ``presort`` and one ``RowSetStore`` across
+    its rounds and drops both when it returns.
     """
 
     kind = "gradient-boosted-trees"
@@ -641,6 +643,7 @@ class GradientBoostedTrees(_ClassifierBase):
         self.base_score_ = float(np.log(pos_rate / (1.0 - pos_rate)))
         score = np.full(len(y), self.base_score_)
         tables = presort(X)  # every round fits the same rows
+        store = RowSetStore()
         self.trees_ = []
         for _ in range(self.n_trees):
             p = sigmoid(score)
@@ -653,7 +656,7 @@ class GradientBoostedTrees(_ClassifierBase):
             tree = CartTree(max_depth=self.max_depth,
                             min_samples_leaf=self.min_samples_leaf,
                             criterion="mse")
-            score += self.lr * tree.fit_values(tables, residual, newton_leaf)
+            score += self.lr * tree.fit_values(tables, residual, newton_leaf, store)
             self.trees_.append(tree)
         return self
 

@@ -1,9 +1,12 @@
+import gc
 import hashlib
 import json
 import os
+import pickle
 import sys
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -30,6 +33,7 @@ from proxlink.ml import (
 )
 from proxlink.ml import classifiers as classifiers_mod
 from proxlink.logit import sigmoid
+from proxlink.ml import tree as tree_mod
 from proxlink.ml.tree import _MIN_GAIN, _Node, presort
 from proxlink.ml.tune import SmoteConfig, build_fold_sets, score_spec
 from synth_data import synth_logit_data
@@ -694,6 +698,147 @@ class TestTreeEnsembleMemory:
             for name, value in vars(tree).items():
                 assert not (isinstance(value, np.ndarray) and value.ndim
                             and value.shape[0] == len(y)), name
+
+
+def node_paths(tree):
+    """Each node's path of splits from the root, (feature, threshold, went
+    left) per split, flat: the keys of ``RowSetStore``."""
+    paths, stack = set(), [(0, ())]
+    while stack:
+        node_id, path = stack.pop()
+        paths.add(path)
+        node = tree.nodes[node_id]
+        if not node.is_leaf:
+            stack.append((node.left, path + (node.feature, node.threshold, True)))
+            stack.append((node.right, path + (node.feature, node.threshold, False)))
+    return paths
+
+
+def random_boosting_case(seed):
+    """Tie-free and tie-heavy columns, 0/1 labels with both classes and
+    random boosting hyperparameters."""
+    rng = np.random.default_rng(7000 + seed)
+    n = int(rng.integers(8, 160))
+    columns = []
+    for _ in range(int(rng.integers(1, 8))):
+        if rng.uniform() < 0.5:
+            columns.append(rng.normal(size=n))
+        else:
+            columns.append(rng.integers(0, int(rng.integers(2, 6)), size=n).astype(float))
+    X = np.column_stack(columns)
+    y = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(int)
+    y[rng.choice(n, size=2, replace=False)] = [0, 1]
+    params = dict(n_trees=int(rng.integers(1, 61)), lr=float(rng.uniform(0.05, 1.0)),
+                  max_depth=int(rng.integers(1, 7)), min_samples_leaf=int(rng.integers(1, 9)))
+    return X, y, params
+
+
+class TestBoostingRowSets:
+    @pytest.mark.golden
+    @pytest.mark.parametrize("block", range(4))
+    def test_stored_row_sets_move_no_bit(self, block, monkeypatch):
+        reused = 0
+        for seed in range(block * 25, block * 25 + 25):
+            X, y, params = random_boosting_case(seed)
+            model = GradientBoostedTrees(**params).fit(X, y)
+            with monkeypatch.context() as m:
+                m.setattr(tree_mod, "ROW_SET_TREES", 0)  # an empty store every round
+                fresh = GradientBoostedTrees(**params).fit(X, y)
+            assert (json.dumps(model.to_json(), sort_keys=True)
+                    == json.dumps(fresh.to_json(), sort_keys=True)), seed
+            assert (model.decision_function(X).tobytes()
+                    == fresh.decision_function(X).tobytes()), seed
+            # nodes whose row set one of the previous ROW_SET_TREES trees stored
+            paths = [node_paths(tree) for tree in model.trees_]
+            for r in range(1, len(paths)):
+                earlier = paths[max(0, r - tree_mod.ROW_SET_TREES):r]
+                reused += len(paths[r] & set().union(*earlier))
+        assert reused > 100
+
+    @pytest.mark.golden
+    def test_each_round_is_the_reference_tree_on_its_residual(self):
+        for seed in (3, 10, 41, 77):
+            X, y, params = random_boosting_case(seed)
+            model = GradientBoostedTrees(**params).fit(X, y)
+            score = np.full(len(y), model.base_score_)
+            for tree in model.trees_:
+                p = sigmoid(score)
+                residual = y - p
+                hess = np.maximum(p * (1.0 - p), 1e-12)
+                ref = ReferenceCartTree(max_depth=params["max_depth"],
+                                        min_samples_leaf=params["min_samples_leaf"]).fit(
+                    X, residual, lambda idx: float(residual[idx].sum() / hess[idx].sum()))
+                assert tree.to_dict() == ref.to_dict(), seed
+                score += model.lr * tree.predict(X)
+
+    def test_boosting_cases_cover_the_grid(self):
+        cases = [random_boosting_case(seed) for seed in range(100)]
+        params = [p for _, _, p in cases]
+        assert {p["min_samples_leaf"] for p in params} == set(range(1, 9))
+        assert {p["max_depth"] for p in params} == set(range(1, 7))
+        assert max(p["n_trees"] for p in params) >= 55
+        tie_free = [all(len(np.unique(column)) == len(X) for column in X.T)
+                    for X, _, _ in cases]
+        assert 10 <= sum(tie_free) <= 90
+
+    def test_store_keeps_the_row_sets_of_the_last_trees(self, monkeypatch):
+        X, y = synth_logit_data(n=300, seed=5)
+        kept = []
+        fit_values = CartTree.fit_values
+
+        def recording_fit_values(self, presorted, y, leaf_value_fn, store):
+            values = fit_values(self, presorted, y, leaf_value_fn, store)
+            kept.append(set(store.sets))
+            return values
+
+        monkeypatch.setattr(CartTree, "fit_values", recording_fit_values)
+        model = GradientBoostedTrees(n_trees=30, max_depth=4, min_samples_leaf=2).fit(X, y)
+        paths = [node_paths(tree) for tree in model.trees_]
+        assert len(kept) == 30 and len(set().union(*paths)) > len(kept[-1]) > len(paths[-1])
+        for r, keys in enumerate(kept):
+            assert keys == set().union(*paths[max(0, r + 1 - tree_mod.ROW_SET_TREES):r + 1]), r
+
+    def test_fitted_model_keeps_no_store(self, monkeypatch):
+        stores = []
+        fit_values = CartTree.fit_values
+
+        def recording_fit_values(self, presorted, y, leaf_value_fn, store):
+            stores.append(weakref.ref(store))
+            return fit_values(self, presorted, y, leaf_value_fn, store)
+
+        monkeypatch.setattr(CartTree, "fit_values", recording_fit_values)
+        X, y = synth_logit_data(n=200, seed=3)
+        model = GradientBoostedTrees(n_trees=8, max_depth=3).fit(X, y)
+        gc.collect()
+        assert len(stores) == 8 and all(ref() is None for ref in stores)
+        assert b"RowSetStore" not in pickle.dumps(model)
+
+    def test_store_stays_within_its_bound(self, monkeypatch):
+        # tie-free rows; the store's arrays stay within the RowSetStore
+        # docstring's bound whatever the number of trees
+        n, n_features, depth = 5000, 7, 6
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(n, n_features))
+        y = (X @ rng.normal(size=n_features) + rng.normal(size=n) > 0).astype(int)
+        bound = (tree_mod.ROW_SET_TREES + 1) * 8 * n * (depth * (2 * n_features + 1) + 1)
+
+        def traced_fit(n_trees):
+            tracemalloc.start()
+            try:
+                model = GradientBoostedTrees(n_trees=n_trees, max_depth=depth).fit(X, y)
+                size, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return model, size, peak
+
+        # the fit's own temporaries, measured without a store
+        monkeypatch.setattr(classifiers_mod, "RowSetStore", lambda: None)
+        _, size, peak = traced_fit(4)
+        scratch = peak - size
+        monkeypatch.undo()
+        model, size, peak = traced_fit(200)
+        assert len(model.trees_) == 200
+        assert peak - size - scratch < bound
 
 
 class TestClassifiers:
