@@ -43,6 +43,7 @@ from .geo import (
     resolve_affiliation,
 )
 from .network import (
+    AUTO_THRESHOLD,
     CoPubGraph,
     SamplingPolicy,
     WindowPair,
@@ -344,7 +345,7 @@ def assemble(corpus: Corpus, scenario: int, windows: Sequence[WindowPair],
         "scenario": scenario,
         "seed": seed,
         "sampling": {"kind": sampling.kind, "ratio": sampling.ratio,
-                     "auto_threshold": sampling.auto_threshold},
+                     "auto_threshold": AUTO_THRESHOLD},
         "windows": window_meta,
         "exclusions": dict(sorted(exclusions.items())),
         "degenerate_cognitive_pairs": degenerate_cognitive,

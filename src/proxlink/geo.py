@@ -187,9 +187,10 @@ class GeocodeCache:
 
     Entries round-trip bit-exactly: each line stores the point's radians,
     which JSON writes with ``repr``, so a reload rebuilds the same floats.
-    Lines that hold degrees (``lat``/``lon``, the older format) still load.
-    Reads are lock-free on the in-memory dict; writes append under a lock,
-    so a writer sees its own writes immediately.
+    Lines that hold degrees (``lat``/``lon``, the older format) still load;
+    any other line stops the load with a ``ValueError`` naming the file and
+    the line. Reads are lock-free on the in-memory dict; writes append
+    under a lock, so a writer sees its own writes immediately.
     """
 
     def __init__(self, path=None):
@@ -199,16 +200,31 @@ class GeocodeCache:
         if path is not None:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
+                    for number, line in enumerate(fh, 1):
+                        if not line.strip():
                             continue
-                        raw = json.loads(line)
-                        point = (GeoPoint(raw["lat_rad"], raw["lon_rad"]) if "lat_rad" in raw
-                                 else GeoPoint.from_degrees(raw["lat"], raw["lon"]))
-                        self._entries[raw["address"]] = (point, raw["source"], raw["ts"])
+                        try:
+                            address, entry = self._parse(line)
+                        except (ValueError, TypeError) as exc:
+                            raise ValueError(f"geocode cache {path}, line {number}: "
+                                             f"{exc}") from None
+                        self._entries[address] = entry
             except FileNotFoundError:
                 pass
+
+    @staticmethod
+    def _parse(line: str) -> tuple[str, tuple[GeoPoint, str, float]]:
+        """One cache line's address and entry."""
+        raw = json.loads(line)
+        if not (isinstance(raw, dict) and {"address", "source", "ts"} <= raw.keys()):
+            raise ValueError("not a JSON object with address, source and ts")
+        if {"lat_rad", "lon_rad"} <= raw.keys():
+            point = GeoPoint(raw["lat_rad"], raw["lon_rad"])
+        elif {"lat", "lon"} <= raw.keys():
+            point = GeoPoint.from_degrees(raw["lat"], raw["lon"])
+        else:
+            raise ValueError("neither lat_rad/lon_rad nor lat/lon")
+        return raw["address"], (point, raw["source"], raw["ts"])
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -44,19 +44,25 @@ class _Standardizer:
 # cap on the bytes of one block of the neighbour search's distance arrays
 BLOCK_BYTES = 2 ** 20
 
+# numpy adds fewer than this many terms of a short contiguous axis in
+# order, one after another, and more in another order, so a sum written
+# term by term (a column loop, a Python float step) has numpy's bits only
+# below this many features
+IN_ORDER_TERMS = 8
+
 
 def _squared_distances(Q: np.ndarray, RT: np.ndarray) -> np.ndarray:
     """``((Q[:, None, :] - R[None, :, :]) ** 2).sum(axis=-1)`` bit for bit,
     from ``RT = R.T`` (contiguous).
 
-    numpy adds fewer than 8 terms of a short contiguous axis in order, so
-    below 8 features the terms are added one column at a time, with two
-    (rows of Q) x (rows of R) arrays alive. From 8 up, where numpy sums in
-    another order, the expression itself runs on a C-ordered tensor: one
+    Below ``IN_ORDER_TERMS`` features, where numpy adds the terms in
+    order, they are added one column at a time, with two (rows of Q) x
+    (rows of R) arrays alive. From there up, where numpy sums in another
+    order, the expression itself runs on a C-ordered tensor: one
     laid out like the strided operand ``RT.T`` sums to other last bits.
     """
     n_features, n_ref = RT.shape
-    if n_features >= 8:
+    if n_features >= IN_ORDER_TERMS:
         diff = np.subtract(Q[:, None, :], RT.T[None],
                            out=np.empty((len(Q), n_ref, n_features)))
         diff *= diff
@@ -109,7 +115,7 @@ def k_nearest(R: np.ndarray, k: int, Q: np.ndarray | None = None) -> np.ndarray:
     if exclude_self:
         Q = R
     RT = np.ascontiguousarray(R.T)
-    row_bytes = 24 if R.shape[1] < 8 else 8 * (R.shape[1] + 1)
+    row_bytes = 24 if R.shape[1] < IN_ORDER_TERMS else 8 * (R.shape[1] + 1)
     rows_per_block = max(1, BLOCK_BYTES // (row_bytes * len(R)))
     out = np.empty((len(Q), k), dtype=np.intp)
     for start in range(0, len(Q), rows_per_block):
@@ -137,9 +143,9 @@ def _step_rows(seed: int, n: int, epochs: int, block: int):
         rows = rows[:0]
 
 
-# below this many lanes (and 8 features) ``linear_lanes`` fits each lane
-# on its own in Python floats, by steps written out for the feature count,
-# which beats the lockstep kernel's per-step numpy calls there: at 548 x 7
+# below this many lanes (and ``IN_ORDER_TERMS`` features) ``linear_lanes``
+# fits each lane on its own in Python floats, by steps written out for the
+# feature count, which beats the lockstep kernel's per-step numpy calls there: at 548 x 7
 # both losses break even between 16 and 18 lanes (process time)
 FLOAT_LOOP_LANES = 17
 
@@ -152,9 +158,9 @@ def linear_lanes(Z: list, y: list, lanes: list, hinge: bool) -> tuple:
     ``Z[set]`` for ``epochs`` passes, each over a fresh permutation from
     ``default_rng(seed)``, with an unpenalized intercept.
 
-    Below ``FLOAT_LOOP_LANES`` lanes and 8 features, each lane runs on
-    its own in Python floats (``_float_lanes``), where numpy's per-call
-    cost would outweigh a step's few flops. Every other call runs the
+    Below ``FLOAT_LOOP_LANES`` lanes and ``IN_ORDER_TERMS`` features, each
+    lane runs on its own in Python floats (``_float_lanes``), where
+    numpy's per-call cost would outweigh a step's few flops. Every other call runs the
     lanes in lockstep, all taking step t together. Both paths do the
     same IEEE operations in the same order, so they give the same bits.
 
@@ -177,7 +183,7 @@ def linear_lanes(Z: list, y: list, lanes: list, hinge: bool) -> tuple:
     ``BLOCK_BYTES`` (and at least one step); besides them, each distinct
     (seed, set) holds one epoch's permutation.
     """
-    if len(lanes) < FLOAT_LOOP_LANES and Z[0].shape[1] < 8:
+    if len(lanes) < FLOAT_LOOP_LANES and Z[0].shape[1] < IN_ORDER_TERMS:
         return _float_lanes(Z, y, lanes, hinge)
     sets, lr, l2, epochs, seeds = zip(*lanes)
     l2 = np.array(l2, dtype=float)
@@ -647,16 +653,11 @@ class GradientBoostedTrees(_ClassifierBase):
         self.trees_ = []
         for _ in range(self.n_trees):
             p = sigmoid(score)
-            residual = y - p
             hess = np.maximum(p * (1.0 - p), 1e-12)
-
-            def newton_leaf(idx, residual=residual, hess=hess):
-                return float(residual[idx].sum() / hess[idx].sum())
-
             tree = CartTree(max_depth=self.max_depth,
                             min_samples_leaf=self.min_samples_leaf,
                             criterion="mse")
-            score += self.lr * tree.fit_values(tables, residual, newton_leaf, store)
+            score += self.lr * tree.fit_values(tables, y - p, hess, store)
             self.trees_.append(tree)
         return self
 

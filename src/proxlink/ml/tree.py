@@ -17,9 +17,9 @@ only in their split scan and their leaf value:
 - Gini trees, used by the random forest, scan every node of a step in
   one flat search; a leaf holds the positive-class fraction.
 - Variance-reduction (mse) trees, used by gradient boosting, scan one
-  node at a time; a leaf holds the mean target or a pluggable leaf
-  value. ``fit_values`` also returns each training row's leaf value,
-  which boosting adds to its score without a predict.
+  node at a time; a leaf holds the target's sum over the hessian's sum
+  on its rows. ``fit_values`` also returns each training row's leaf
+  value, which boosting adds to its score without a predict.
 
 Boosting's rounds fit the same rows, and most of a tree's nodes hold the
 row set of a node of an earlier tree. A ``RowSetStore`` keeps, for the
@@ -32,7 +32,7 @@ the cumulative sums and gains on its current target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -96,8 +96,8 @@ class _RowSet:
 class RowSetStore:
     """Row sets of the mse trees of one boosting fit, keyed by their node's
     path of splits from the root, (feature, threshold, went left) per
-    split. The trees must grow one at a time on the same rows, with the
-    same ``min_samples_leaf`` and every feature a candidate.
+    split. The trees must grow on the same rows with the same
+    ``min_samples_leaf``.
 
     After each tree the store keeps only the row sets that one of the last
     ``ROW_SET_TREES`` trees used, so while a tree grows it holds those of at
@@ -124,10 +124,10 @@ class RowSetStore:
 class CartTree:
     """Binary decision tree; criterion "mse" or "gini".
 
-    ``max_features`` subsamples split candidates per node (random forest
-    style) using the supplied rng; None considers every feature. A leaf
-    holds the mean target (for gini, the positive-class fraction);
-    ``leaf_value_fn(indices) -> float`` overrides it for mse.
+    A leaf holds the positive-class fraction (gini) or the target's sum
+    over the hessian's sum (mse, ``fit_values``). ``max_features``
+    subsamples a gini tree's split candidates per node using the supplied
+    rng; None considers every feature, as every mse tree does.
     """
 
     def __init__(self, max_depth: int = 3, min_samples_leaf: int = 1,
@@ -137,6 +137,8 @@ class CartTree:
             raise ValueError(f"unknown criterion {criterion!r}")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if criterion == "mse" and max_features is not None:
+            raise ValueError("max_features applies to gini trees only")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.criterion = criterion
@@ -144,16 +146,15 @@ class CartTree:
         self.rng = rng
         self.nodes: list[_Node] = []
 
-    def fit_values(self, tables: Presorted, y,
-                   leaf_value_fn: Optional[Callable] = None,
+    def fit_values(self, tables: Presorted, y, hess: Optional[np.ndarray] = None,
                    store: Optional[RowSetStore] = None) -> np.ndarray:
         """Fit the tree on ``X`` given as ``tables = presort(X)`` and return
         each training row's leaf value, equal to ``predict(X)`` bit for bit:
-        ``grow`` with one tree, reusing and filling ``store`` if given."""
+        ``grow`` with one tree, ``hess`` and ``store`` as there."""
         y = np.asarray(y, dtype=float)
         out = np.empty(len(y))
         grow([self], tables, y, bootstrap=False, group=1, block=0,
-             leaf_value_fn=leaf_value_fn, out=out, store=store)
+             hess=hess, out=out, store=store)
         return out
 
     def _stops(self, depth: int, n: int) -> bool:
@@ -212,17 +213,17 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def grow(trees: list, tables: Presorted, y: np.ndarray,
          bootstrap: bool, group: int, block: int,
-         leaf_value_fn: Optional[Callable] = None,
+         hess: Optional[np.ndarray] = None,
          out: Optional[np.ndarray] = None,
          store: Optional[RowSetStore] = None) -> None:
     """Grow ``trees``, all of one criterion, in lockstep on ``X`` given as
     ``tables = presort(X)``, ``group`` trees at a time. Each tree grows on a
     bootstrap sample drawn from its own rng when its group starts, or on
-    every row without ``bootstrap``. Gini trees take 0/1 labels ``y``; an
-    mse leaf holds ``leaf_value_fn(rows)``, by default the mean of ``y``
-    over its rows. ``out``, if given, receives each row's leaf value (one
-    tree, no bootstrap). ``store``, if given, serves and receives the mse
-    row sets (one tree, no bootstrap, every feature a candidate).
+    every row without ``bootstrap``. Gini trees take 0/1 labels ``y``. Mse
+    trees grow one at a time on every row, through ``store`` (a fresh
+    ``RowSetStore`` if None); a leaf holds ``y``'s sum over ``hess``'s sum
+    on its rows, ``hess`` None meaning ones (the mean). ``out``, if given,
+    receives each row's leaf value (one tree, no bootstrap).
 
     Each step pops the next depth-first node of every tree, making leaves
     of those too small or too deep to split, until one per tree needs a
@@ -250,31 +251,28 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
       candidates and takes the first argmax. Those are the elementwise
       operations, in the same order, of scoring the whole table and
       masking the other positions, so a stored row set moves no bit. A
-      node's totals and leaf value sum over its rows in ascending order,
+      node's totals and leaf sums run over its rows in ascending order,
       as the bits of a pairwise sum depend on its order.
 
-    Each tree draws its candidate features from its own rng in its own
-    preorder and appends its nodes in preorder, so its draws and
-    ``to_dict()`` are those of growing it alone.
+    Each gini tree draws its candidate features from its own rng in its
+    own preorder, and every tree appends its nodes in preorder, so a
+    tree's draws and ``to_dict()`` are those of growing it alone.
     """
     n_rows, n_features = tables.shape
     size = n_rows * n_features
     gini = trees[0].criterion == "gini"
     if gini:
-        if leaf_value_fn is not None:
-            raise ValueError("leaf_value_fn applies to mse trees only")
+        if hess is not None:
+            raise ValueError("hess applies to mse trees only")
         if not np.isin(y, (0.0, 1.0)).all():
             raise ValueError("gini trees need 0/1 labels")
-    elif leaf_value_fn is None:
-        leaf_value_fn = lambda idx: float(y[idx].mean())
-    if store is not None and (gini or bootstrap or len(trees) > 1
-                              or trees[0].max_features is not None):
-        raise ValueError("a RowSetStore takes mse trees grown one at a time "
-                         "on every row, every feature a candidate")
+    else:
+        hess = np.ones(n_rows) if hess is None else hess
+        store = RowSetStore() if store is None else store
     sorted_rows, sorted_x, code = tables.rows, tables.x, tables.code
     sorted_y = y[sorted_rows] if gini else None
     every = np.arange(n_features)
-    paths = []  # with a store: each node's path of splits, by node id
+    paths = []  # mse: each node's path of splits, by node id
 
     def gini_splits(chunk) -> dict:
         """Split of each node of ``chunk`` that has one, by position in
@@ -339,8 +337,6 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
 
     def row_set(node_id, start, stop) -> _RowSet:
         """The mse node's row set, from ``store`` if it holds its path."""
-        if store is None:
-            return _RowSet(np.sort(buf[start:stop]))
         found = store.sets.get(paths[node_id])
         if found is None:
             found = store.sets[paths[node_id]] = _RowSet(np.sort(buf[start:stop]))
@@ -401,7 +397,8 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
         if gini:
             node.value = positives / (stop - start)
         else:
-            node.value = leaf_value_fn(row_set(node_id, start, stop).rows)
+            rows = row_set(node_id, start, stop).rows
+            node.value = float(y[rows].sum() / hess[rows].sum())
         if out is not None:
             out[buf[start:stop]] = node.value
 
@@ -438,7 +435,7 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
                             nodes[parent].left = node_id
                         else:
                             nodes[parent].right = node_id
-                    if store is not None:
+                    if not gini:
                         paths.append(paths[parent] + (nodes[parent].feature,
                                                       nodes[parent].threshold, is_left)
                                      if parent >= 0 else ())
@@ -466,5 +463,5 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
                     stacks[t].append((mid, stop, depth + 1, pos - left_pos, node_id, False))
                     stacks[t].append((start, mid, depth + 1, left_pos, node_id, True))
             live = [t for t in live if stacks[t]]
-    if store is not None:
+    if not gini:
         store.end_tree()

@@ -137,22 +137,25 @@ def tenb(graph: CoPubGraph, i: str, j: str) -> float:
     return total
 
 
+# eligible authors per window up to which "auto" sampling keeps every pair
+AUTO_THRESHOLD = 50_000
+
+
 @dataclass
 class SamplingPolicy:
     """Negative-pair sampling for the candidate universe.
 
     kind "all" keeps every eligible pair; "ratio" keeps all positives plus
     ``ratio`` sampled negatives per positive; "auto" uses "all" up to
-    ``auto_threshold`` eligible authors per window and "ratio" beyond it.
+    ``AUTO_THRESHOLD`` eligible authors per window and "ratio" beyond it.
     """
 
     kind: str = "auto"
     ratio: float = 5.0
-    auto_threshold: int = 50_000
 
     def resolved_kind(self, n_eligible: int) -> str:
         if self.kind == "auto":
-            return "all" if n_eligible <= self.auto_threshold else "ratio"
+            return "all" if n_eligible <= AUTO_THRESHOLD else "ratio"
         if self.kind not in ("all", "ratio"):
             raise ValueError(f"unknown sampling kind {self.kind!r}")
         return self.kind

@@ -17,7 +17,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,6 +57,14 @@ BUNDLE_FILES = ("manifest.json", "dataset.csv", "describe.csv", "corr.csv",
                 "eval.json", "shap.csv", "beeswarm.svg", "elasticity.svg")
 
 
+def _is_a(value, kind) -> bool:
+    """Whether a JSON value is of type ``kind``; a bool is no int, and an
+    int will do for a float."""
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         self.stage = stage
@@ -81,14 +89,14 @@ class RunConfig:
     sampling_kind: str = "auto"
     sampling_ratio: float = 5.0
     # topic model
-    lda_k_grid: list = field(default_factory=lambda: [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15])
+    lda_k_grid: list[int] = field(default_factory=lambda: [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15])
     lda_iterations: int = 1000
     lda_alpha: Optional[float] = None
     lda_beta: float = 0.01
     coherence_top_m: int = 10
     coherence_window: int = 10
     # ML protocol
-    classifiers: list = field(default_factory=lambda: [
+    classifiers: list[str] = field(default_factory=lambda: [
         "logistic-sgd", "gaussian-naive-bayes", "k-nearest-neighbors",
         "linear-svm", "random-forest", "gradient-boosted-trees"])
     n_random: int = 200
@@ -108,12 +116,32 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
+        """Load a config, rejecting unknown keys and any value not of its
+        field's type (null only where the field is Optional)."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        valid = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - valid
+        if not isinstance(raw, dict):
+            raise ValueError(f"config {path} must hold a JSON object, "
+                             f"not {type(raw).__name__}")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        hints = get_type_hints(cls)
+        for key, value in raw.items():
+            kind = hints[key]
+            if get_origin(kind) is Union:  # Optional[kind]
+                if value is None:
+                    continue
+                kind = get_args(kind)[0]
+            if get_origin(kind) is list:
+                item = get_args(kind)[0]
+                ok = _is_a(value, list) and all(_is_a(v, item) for v in value)
+                expected = f"a list of {item.__name__}"
+            else:
+                ok, expected = _is_a(value, kind), kind.__name__
+            if not ok:
+                raise ValueError(f"config key {key!r} must be {expected}, "
+                                 f"not {json.dumps(value)}")
         return cls(**raw)
 
     def to_dict(self) -> dict:

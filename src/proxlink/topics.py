@@ -293,9 +293,10 @@ class GibbsLda(ParamsMixin):
         input ordering, and make no BLAS call, so they do not depend on
         the BLAS thread count.
 
-    Fitted state: ``vocab_`` (term -> column), ``topic_term_`` (K x V,
-    rows summing to 1), ``doc_topic_`` (pub_id -> length-K simplex
-    vector, non-empty docs only), ``skipped_`` (pub_ids of empty docs).
+    Fitted state: ``vocab_`` (term -> column, in column order),
+    ``topic_term_`` (K x V, rows summing to 1), ``doc_topic_`` (pub_id ->
+    length-K simplex vector, non-empty docs only), ``skipped_`` (pub_ids
+    of empty docs).
     """
 
     def __init__(self, n_topics: int = 9, alpha: Optional[float] = None,
@@ -387,7 +388,7 @@ class GibbsLda(ParamsMixin):
 
     def top_words(self, top_m: int = 10) -> list[list[str]]:
         check_fitted(self, "topic_term_")
-        terms = sorted(self.vocab_, key=self.vocab_.get)
+        terms = list(self.vocab_)  # built in column order
         out = []
         for k in range(self.n_topics):
             order = np.argsort(-self.topic_term_[k])[:top_m]
@@ -402,7 +403,7 @@ class GibbsLda(ParamsMixin):
             "beta": self.beta,
             "iterations": self.iterations,
             "seed": self.seed,
-            "vocab": sorted(self.vocab_, key=self.vocab_.get),
+            "vocab": list(self.vocab_),
             "topic_term": [[float(v) for v in row] for row in self.topic_term_],
         }
 

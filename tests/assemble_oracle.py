@@ -20,7 +20,7 @@ from proxlink.features import (
     scenario_feature_names,
 )
 from proxlink.geo import UnresolvedAddressError, haversine_km
-from proxlink.network import SamplingPolicy, eligible_authors, tenb
+from proxlink.network import AUTO_THRESHOLD, SamplingPolicy, eligible_authors, tenb
 from proxlink.topics import has_zero_variance, knowledge_vector
 
 _FLOAT_COLUMNS = ("geo_distance_km", "ln_geo", "tenb", "ln_tenb", "interaction",
@@ -201,7 +201,7 @@ def assemble_rows(corpus, scenario, windows, geo, graphs, topic_vectors,
         "scenario": scenario,
         "seed": seed,
         "sampling": {"kind": sampling.kind, "ratio": sampling.ratio,
-                     "auto_threshold": sampling.auto_threshold},
+                     "auto_threshold": AUTO_THRESHOLD},
         "windows": window_meta,
         "exclusions": dict(sorted(exclusions.items())),
         "degenerate_cognitive_pairs": degenerate,

@@ -252,6 +252,25 @@ class TestGeocode:
                                     "source": "test", "ts": 0.0}) + "\n")
         assert GeocodeCache(path).get("addr one") == GeoPoint.from_degrees(45.5019, -73.5674)
 
+    def test_truncated_cache_line_is_named(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps({"address": "addr one", "lat_rad": 0.5, "lon_rad": -1.0,
+                           "source": "test", "ts": 0.0})
+        path.write_text(good + "\n\n" + good[:17] + "\n")
+        with pytest.raises(ValueError, match=r"cache\.jsonl, line 3: "):
+            GeocodeCache(path)
+
+    @pytest.mark.parametrize("entry", [
+        {"address": "addr one", "lat_rad": 0.5, "lon_rad": -1.0, "ts": 0.0},
+        {"address": "addr one", "lat_rad": 0.5, "lat": 45.0, "source": "test", "ts": 0.0},
+        ["addr one", 0.5, -1.0],
+    ], ids=["no-source", "no-longitude", "not-an-object"])
+    def test_cache_line_without_its_fields_is_named(self, tmp_path, entry):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(entry) + "\n")
+        with pytest.raises(ValueError, match=r"cache\.jsonl, line 1: "):
+            GeocodeCache(path)
+
     def test_gazetteer_lookup(self):
         gaz = GazetteerGeocoder()
         hit = gaz.lookup("Montreal", "QC", "CA")

@@ -407,11 +407,16 @@ class TestCartTree:
             CartTree(criterion="gini").fit_values(presort(X), np.array([0.0, 2.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="mse trees only"):
             CartTree(criterion="gini").fit_values(presort(X), np.array([0.0, 1.0, 1.0, 0.0]),
-                                                  lambda idx: 0.0)
+                                                  np.ones(4))
 
     def test_rejects_empty_leaves(self):
         with pytest.raises(ValueError, match="min_samples_leaf"):
             CartTree(min_samples_leaf=0)
+
+    def test_mse_tree_takes_every_feature(self):
+        with pytest.raises(ValueError, match="gini trees only"):
+            CartTree(criterion="mse", max_features=1)
+        CartTree(criterion="gini", max_features=1)
 
 
 class ReferenceCartTree(CartTree):
@@ -419,14 +424,18 @@ class ReferenceCartTree(CartTree):
     full-sample argsort filtered by a membership mask at every node, and
     a Python loop over the candidate features."""
 
-    def fit(self, X, y, leaf_value_fn=None):
+    def fit(self, X, y, hess=None):
+        """Grow on ``X``; a leaf holds the mean of ``y`` over its rows, or
+        with ``hess``, ``y``'s sum over ``hess``'s sum (the Newton step)."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         self.n_features_ = X.shape[1]
         self._order = np.argsort(X, axis=0, kind="mergesort")
         self.nodes = []
-        if leaf_value_fn is None:
+        if hess is None:
             leaf_value_fn = lambda idx: float(y[idx].mean())
+        else:
+            leaf_value_fn = lambda idx: float(y[idx].sum() / hess[idx].sum())
         self._build(X, y, np.arange(len(y)), 0, leaf_value_fn)
         del self._order
         return self
@@ -504,7 +513,8 @@ class ReferenceCartTree(CartTree):
 def random_tree_case(seed):
     """Features mixing continuous, integer-grid (heavy ties), constant and
     adjacent-float (1.9999999999999998 / 2.0) columns, with a random
-    criterion, depth, leaf size and feature subset."""
+    criterion, depth and leaf size, a feature subset for some gini trees
+    and a hessian for some mse trees; returns (X, y, params, hess)."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 150))
     n_features = int(rng.integers(1, 8))
@@ -532,12 +542,13 @@ def random_tree_case(seed):
                   criterion=criterion)
     rng.integers(2, 6)  # once min_samples_split; drawn so later draws stay put
     if n_features > 1 and rng.uniform() < 0.5:
-        params["max_features"] = int(rng.integers(1, n_features))
-    leaf_value_fn = None
+        max_features = int(rng.integers(1, n_features))
+        if criterion == "gini":  # an mse tree takes every feature
+            params["max_features"] = max_features
+    hess = None
     if criterion == "mse" and rng.uniform() < 0.5:
         hess = rng.uniform(0.05, 0.25, size=n)
-        leaf_value_fn = lambda idx: float(y[idx].sum() / hess[idx].sum())
-    return X, y, params, leaf_value_fn
+    return X, y, params, hess
 
 
 class TestCartTreeKernel:
@@ -545,12 +556,12 @@ class TestCartTreeKernel:
     @pytest.mark.parametrize("block", range(8))
     def test_matches_reference_split_search(self, block):
         for seed in range(block * 30, block * 30 + 30):
-            X, y, params, leaf_value_fn = random_tree_case(seed)
+            X, y, params, hess = random_tree_case(seed)
             ref_rng = np.random.default_rng(seed)
             new_rng = np.random.default_rng(seed)
-            ref = ReferenceCartTree(**params, rng=ref_rng).fit(X, y, leaf_value_fn)
+            ref = ReferenceCartTree(**params, rng=ref_rng).fit(X, y, hess)
             tree = CartTree(**params, rng=new_rng)
-            values = tree.fit_values(presort(X), y, leaf_value_fn)
+            values = tree.fit_values(presort(X), y, hess)
             assert tree.to_dict() == ref.to_dict(), seed
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state, seed
             assert values.tobytes() == tree.predict(X).tobytes(), seed
@@ -562,6 +573,7 @@ class TestCartTreeKernel:
         assert {p["min_samples_leaf"] for p in params} == set(range(1, 9))
         assert {p["max_depth"] for p in params} == set(range(1, 13))
         assert sum("max_features" in p for p in params) >= 50
+        assert sum(hess is not None for *_, hess in cases) >= 50
         assert sum(bool(np.isin(X, [np.nextafter(2.0, 0.0)]).any())
                    for X, _, _, _ in cases) >= 50
 
@@ -569,7 +581,8 @@ class TestCartTreeKernel:
         X, y, params, _ = random_tree_case(0)
         tree = CartTree(**params, rng=np.random.default_rng(0))
         tree.fit_values(presort(X), y)
-        assert not any(isinstance(v, np.ndarray) for v in vars(tree).values())
+        assert not any(isinstance(v, (np.ndarray, tree_mod.RowSetStore))
+                       for v in vars(tree).values())
 
 
 def reference_forest(forest, X, y):
@@ -733,6 +746,21 @@ def random_boosting_case(seed):
     return X, y, params
 
 
+class ForgetfulStore(tree_mod.RowSetStore):
+    """A store that keeps no row set, so every node sorts its rows again."""
+
+    class _Sets(dict):
+        def __setitem__(self, path, row_set):
+            pass
+
+    def __init__(self):
+        super().__init__()
+        self.sets = self._Sets()
+
+    def end_tree(self):
+        self.trees += 1
+
+
 class TestBoostingRowSets:
     @pytest.mark.golden
     @pytest.mark.parametrize("block", range(4))
@@ -767,7 +795,7 @@ class TestBoostingRowSets:
                 hess = np.maximum(p * (1.0 - p), 1e-12)
                 ref = ReferenceCartTree(max_depth=params["max_depth"],
                                         min_samples_leaf=params["min_samples_leaf"]).fit(
-                    X, residual, lambda idx: float(residual[idx].sum() / hess[idx].sum()))
+                    X, residual, hess)
                 assert tree.to_dict() == ref.to_dict(), seed
                 score += model.lr * tree.predict(X)
 
@@ -786,8 +814,8 @@ class TestBoostingRowSets:
         kept = []
         fit_values = CartTree.fit_values
 
-        def recording_fit_values(self, presorted, y, leaf_value_fn, store):
-            values = fit_values(self, presorted, y, leaf_value_fn, store)
+        def recording_fit_values(self, presorted, y, hess, store):
+            values = fit_values(self, presorted, y, hess, store)
             kept.append(set(store.sets))
             return values
 
@@ -802,9 +830,9 @@ class TestBoostingRowSets:
         stores = []
         fit_values = CartTree.fit_values
 
-        def recording_fit_values(self, presorted, y, leaf_value_fn, store):
+        def recording_fit_values(self, presorted, y, hess, store):
             stores.append(weakref.ref(store))
-            return fit_values(self, presorted, y, leaf_value_fn, store)
+            return fit_values(self, presorted, y, hess, store)
 
         monkeypatch.setattr(CartTree, "fit_values", recording_fit_values)
         X, y = synth_logit_data(n=200, seed=3)
@@ -831,8 +859,8 @@ class TestBoostingRowSets:
                 tracemalloc.stop()
             return model, size, peak
 
-        # the fit's own temporaries, measured without a store
-        monkeypatch.setattr(classifiers_mod, "RowSetStore", lambda: None)
+        # the fit's own temporaries, measured with a store that keeps nothing
+        monkeypatch.setattr(classifiers_mod, "RowSetStore", ForgetfulStore)
         _, size, peak = traced_fit(4)
         scratch = peak - size
         monkeypatch.undo()

@@ -41,6 +41,12 @@ GOLDEN_BUNDLE = {
     "ml_tuning.csv": "04d73d7aacef69f66107eb02fb37dcf31c332eb6edef41fd2221e0ae658a0992",
     "shap.csv": "5c78a8010435083ae4ef8a83e2476169963e77af081c54e40f8d89093a1220fc",
 }
+# sha256 of the topic stage's own files in the same run; they are not
+# bundle files, so GOLDEN_BUNDLE covers them only through what they feed.
+GOLDEN_TOPICS = {
+    "lda_model.json": "edb9f15b78d03a0b70d3aa7d5466be0a172fef5fffd022a230879262cc615899",
+    "topic_vectors.csv": "90c1a3417ef1d2fbd418c75620e3d65d3246dd04bcc620561ec79a4260f8e9b2",
+}
 # manifest.json embeds the absolute corpus and output paths, so its own
 # digest varies by directory; its "stages" field is pinned instead, as the
 # sha256 of its sort_keys JSON.
@@ -243,6 +249,45 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="bogus_knob"):
             RunConfig.from_json(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("lda_k_grid", 5),
+        ("lda_k_grid", [2, "3"]),
+        ("lda_k_grid", [2, True]),
+        ("n_random", "4"),
+        ("n_random", 4.0),
+        ("seed", True),
+        ("sampling_ratio", "4"),
+        ("lda_beta", None),
+        ("lda_alpha", "0.1"),
+        ("ai_phrase_filter", 0),
+        ("classifiers", "linear-svm"),
+        ("classifiers", ["linear-svm", 3]),
+        ("corpus", None),
+        ("gazetteer", 1),
+    ])
+    def test_mistyped_value_names_its_key(self, tmp_path, key, value):
+        path = tmp_path / "config.json"
+        with open(path, "w") as fh:
+            json.dump({"corpus": "x.jsonl", key: value}, fh)
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            RunConfig.from_json(path)
+
+    def test_int_for_float_and_null_for_optional_load(self, tmp_path):
+        path = tmp_path / "config.json"
+        with open(path, "w") as fh:
+            json.dump({"corpus": "x.jsonl", "sampling_ratio": 4, "lda_beta": 1,
+                       "lda_alpha": None, "gazetteer": None, "lda_k_grid": []}, fh)
+        config = RunConfig.from_json(path)
+        assert (config.sampling_ratio, config.lda_beta, config.lda_alpha) == (4, 1, None)
+
+    @pytest.mark.parametrize("raw", [[{"corpus": "x.jsonl"}], "x.jsonl", None])
+    def test_top_level_must_be_an_object(self, tmp_path, raw):
+        path = tmp_path / "config.json"
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            RunConfig.from_json(path)
+
 
 class TestPipelineStages:
     def test_partial_run_through_windows(self, tmp_path, demo_corpus):
@@ -288,6 +333,8 @@ class TestPipelineStages:
                    for name in BUNDLE_FILES if name != "manifest.json"}
         assert digests == GOLDEN_BUNDLE
         assert manifest["outputs"] == GOLDEN_BUNDLE
+        assert {name: _file_sha256(os.path.join(config.out, name))
+                for name in GOLDEN_TOPICS} == GOLDEN_TOPICS
         stages = json.dumps(manifest["stages"], sort_keys=True).encode()
         assert hashlib.sha256(stages).hexdigest() == GOLDEN_STAGES
 
