@@ -65,27 +65,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
+    overrides = {"corpus": args.corpus or None, "seed": args.seed,
+                 "scenario": args.scenario, "out": args.out or None}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     if args.config:
-        config = RunConfig.from_json(args.config)
-    elif args.demo:
+        return RunConfig.from_json(args.config, overrides)
+    if args.demo:
         if not args.corpus:
             raise SystemExit("--demo requires --corpus")
-        config = demo_config(args.corpus, out=args.out or "out",
-                             scenario=args.scenario or 1,
-                             seed=args.seed if args.seed is not None else 7)
-    else:
-        if not args.corpus:
-            raise SystemExit("provide --config or --corpus")
-        config = RunConfig(corpus=args.corpus)
-    if args.corpus:
-        config.corpus = args.corpus
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.scenario is not None:
-        config.scenario = args.scenario
-    if args.out:
-        config.out = args.out
-    return config
+        return demo_config(args.corpus, out=args.out or "out",
+                           scenario=args.scenario or 1,
+                           seed=args.seed if args.seed is not None else 7)
+    if not args.corpus:
+        raise SystemExit("provide --config or --corpus")
+    return RunConfig(**overrides)
 
 
 def main(argv=None) -> int:

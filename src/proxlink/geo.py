@@ -188,9 +188,11 @@ class GeocodeCache:
     Entries round-trip bit-exactly: each line stores the point's radians,
     which JSON writes with ``repr``, so a reload rebuilds the same floats.
     Lines that hold degrees (``lat``/``lon``, the older format) still load;
-    any other line stops the load with a ``ValueError`` naming the file and
-    the line. Reads are lock-free on the in-memory dict; writes append
-    under a lock, so a writer sees its own writes immediately.
+    any other line, or one whose address is not a string, stops the load
+    with a ``ValueError`` naming the file and the line. Each line is keyed
+    by its normalized address, the key ``get`` and ``put`` use. Reads are
+    lock-free on the in-memory dict; writes append under a lock, so a
+    writer sees its own writes immediately.
     """
 
     def __init__(self, path=None):
@@ -214,7 +216,8 @@ class GeocodeCache:
 
     @staticmethod
     def _parse(line: str) -> tuple[str, tuple[GeoPoint, str, float]]:
-        """One cache line's address and entry."""
+        """One cache line's address, normalized as ``get`` looks it up, and
+        its entry."""
         raw = json.loads(line)
         if not (isinstance(raw, dict) and {"address", "source", "ts"} <= raw.keys()):
             raise ValueError("not a JSON object with address, source and ts")
@@ -224,7 +227,9 @@ class GeocodeCache:
             point = GeoPoint.from_degrees(raw["lat"], raw["lon"])
         else:
             raise ValueError("neither lat_rad/lon_rad nor lat/lon")
-        return raw["address"], (point, raw["source"], raw["ts"])
+        if not isinstance(raw["address"], str):
+            raise ValueError(f"address {json.dumps(raw['address'])} is not a string")
+        return normalize_address(raw["address"]), (point, raw["source"], raw["ts"])
 
     def __len__(self) -> int:
         return len(self._entries)

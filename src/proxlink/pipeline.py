@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -115,14 +115,16 @@ class RunConfig:
     geocode_cache: Optional[str] = None
 
     @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        """Load a config, rejecting unknown keys and any value not of its
-        field's type (null only where the field is Optional)."""
+    def from_json(cls, path, overrides: Optional[dict] = None) -> "RunConfig":
+        """Load a config, its keys replaced by ``overrides`` if given,
+        rejecting unknown keys, any value not of its field's type (null
+        only where the field is Optional) and a missing required key."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"config {path} must hold a JSON object, "
                              f"not {type(raw).__name__}")
+        raw = {**raw, **(overrides or {})}
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -142,6 +144,9 @@ class RunConfig:
             if not ok:
                 raise ValueError(f"config key {key!r} must be {expected}, "
                                  f"not {json.dumps(value)}")
+        for f in cls.__dataclass_fields__.values():
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+                raise ValueError(f"config {path} lacks the required key {f.name!r}")
         return cls(**raw)
 
     def to_dict(self) -> dict:

@@ -264,12 +264,22 @@ class TestGeocode:
         {"address": "addr one", "lat_rad": 0.5, "lon_rad": -1.0, "ts": 0.0},
         {"address": "addr one", "lat_rad": 0.5, "lat": 45.0, "source": "test", "ts": 0.0},
         ["addr one", 0.5, -1.0],
-    ], ids=["no-source", "no-longitude", "not-an-object"])
+        {"address": 5, "lat_rad": 0.5, "lon_rad": -1.0, "source": "test", "ts": 0.0},
+    ], ids=["no-source", "no-longitude", "not-an-object", "address-not-a-string"])
     def test_cache_line_without_its_fields_is_named(self, tmp_path, entry):
         path = tmp_path / "cache.jsonl"
         path.write_text(json.dumps(entry) + "\n")
         with pytest.raises(ValueError, match=r"cache\.jsonl, line 1: "):
             GeocodeCache(path)
+
+    def test_cache_line_is_found_under_its_normalized_address(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps({"address": "Lab,  Montreal, QC, CA", "lat_rad": 0.5,
+                                    "lon_rad": -1.0, "source": "test", "ts": 0.0}) + "\n")
+        cache = GeocodeCache(path)
+        assert len(cache) == 1
+        assert cache.get("Lab,  Montreal, QC, CA") == GeoPoint(0.5, -1.0)
+        assert cache.get("lab, montreal, qc, ca") == GeoPoint(0.5, -1.0)
 
     def test_gazetteer_lookup(self):
         gaz = GazetteerGeocoder()

@@ -440,6 +440,16 @@ class ReferenceCartTree(CartTree):
         del self._order
         return self
 
+    def _candidate_features(self) -> np.ndarray:
+        """This node's candidate features, ascending: one ``rng.choice``
+        per scanned node, the draws ``tree.grow`` makes in bulk."""
+        if self.max_features is None or self.max_features >= self.n_features_:
+            return np.arange(self.n_features_)
+        if self.rng is None:
+            raise ValueError("max_features requires an rng")
+        picked = self.rng.choice(self.n_features_, size=self.max_features, replace=False)
+        return np.sort(picked)
+
     def _build(self, X, y, idx, depth, leaf_value_fn):
         n = len(idx)
         if depth >= self.max_depth or n < 2 * self.min_samples_leaf:
@@ -583,6 +593,66 @@ class TestCartTreeKernel:
         tree.fit_values(presort(X), y)
         assert not any(isinstance(v, (np.ndarray, tree_mod.RowSetStore))
                        for v in vars(tree).values())
+
+
+def draw_against_choice(n_features, k, seed):
+    """One forest tree's candidate features drawn both ways from equal rngs:
+    a random bootstrap draw first, then a random number of scanned nodes,
+    per node with ``np.sort(rng.choice(...))`` and in blocks through
+    ``tree._FeatureDraws`` (first block size as set); returns (per-node
+    features, bulk features, per-node rng, bulk rng, blocks drawn)."""
+    case = np.random.default_rng(seed)
+    nodes = int(case.integers(1, 41))
+    boot = int(case.integers(0, 9))  # an odd count leaves half a 64-bit word
+    ref_rng = np.random.default_rng(seed + 10_000)
+    new_rng = np.random.default_rng(seed + 10_000)
+    ref_rng.integers(0, 150, size=boot)
+    new_rng.integers(0, 150, size=boot)
+    ref = [np.sort(ref_rng.choice(n_features, size=k, replace=False)) for _ in range(nodes)]
+    draws = tree_mod._FeatureDraws(CartTree(criterion="gini", max_features=k, rng=new_rng),
+                                   n_features)
+    got, blocks, last = [], 0, None
+    for _ in range(nodes):
+        got.append(draws.take())
+        blocks += draws.picks is not last
+        last = draws.picks
+    draws.rewind()
+    return ref, got, ref_rng, new_rng, blocks
+
+
+class TestFeatureDraws:
+    @pytest.mark.golden
+    @pytest.mark.parametrize("first_block", [1, 2, 3, 16])
+    @pytest.mark.parametrize("n_features", range(2, 16))
+    def test_bulk_draws_are_the_per_node_choices(self, monkeypatch, n_features, first_block):
+        monkeypatch.setattr(tree_mod, "FIRST_DRAW_NODES", first_block)
+        half_words = several_blocks = 0
+        for k in range(1, n_features):
+            for seed in range(8):
+                ref, got, ref_rng, new_rng, blocks = draw_against_choice(n_features, k, seed)
+                assert [f.tolist() for f in got] == [f.tolist() for f in ref], (k, seed)
+                assert new_rng.bit_generator.state == ref_rng.bit_generator.state, (k, seed)
+                half_words += new_rng.bit_generator.state["has_uint32"]
+                several_blocks += blocks > 1
+        # the grid ends blocks, and with them the rng, halfway through a word
+        assert half_words >= (n_features - 1) * 2
+        assert several_blocks >= (n_features - 1) * (2 if first_block < 16 else 1)
+
+    @pytest.mark.parametrize("k", [200, 201])
+    def test_bulk_draws_follow_choice_above_ten_thousand_features(self, k):
+        # choice shuffles the tail of arange(F) where F > 10,000 and k > F // 50
+        for seed in range(4):
+            ref, got, ref_rng, new_rng, _ = draw_against_choice(10_001, k, seed)
+            assert [f.tolist() for f in got] == [f.tolist() for f in ref], seed
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state, seed
+
+    def test_feature_subset_needs_an_rng(self):
+        X = np.arange(8.0).reshape(4, 2)
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="requires an rng"):
+            CartTree(criterion="gini", max_features=1).fit_values(presort(X), y)
+        # with every feature a candidate, the tree draws nothing
+        CartTree(criterion="gini", max_features=2).fit_values(presort(X), y)
 
 
 def reference_forest(forest, X, y):

@@ -10,6 +10,7 @@ import pytest
 
 import proxlink
 from proxlink._rng import stable_seed
+from proxlink import cli as cli_mod
 from proxlink.cli import build_parser, main
 from proxlink.ml import CLASSIFIER_KINDS
 from proxlink.pipeline import (
@@ -411,6 +412,28 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stages"]["ingest"]["records_in_scenario"] == 300
+
+    def test_flags_complete_a_config_file_before_it_loads(self, tmp_path, demo_corpus, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 3, "out": "elsewhere"}))
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config_path), "--corpus", demo_corpus,
+                     "--out", str(out)]) == 0
+        dump = capsys.readouterr().out.strip().split(": ", 1)[1]
+        assert os.path.dirname(dump) == str(out) and os.path.getsize(dump) > 0
+        args = build_parser().parse_args(["ingest", "--config", str(config_path),
+                                          "--corpus", "x.jsonl", "--seed", "5", "--scenario", "2"])
+        config = cli_mod._resolve_config(args)
+        assert (config.corpus, config.seed, config.scenario, config.out) == (
+            "x.jsonl", 5, 2, "elsewhere")
+
+    def test_config_file_without_corpus_names_it(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 3}))
+        with pytest.raises(ValueError, match="required key 'corpus'"):
+            main(["ingest", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        with pytest.raises(ValueError, match="required key 'corpus'"):
+            RunConfig.from_json(config_path)
 
     def test_failure_exit_code(self, tmp_path, capsys):
         code = main(["run", "--demo", "--corpus", str(tmp_path / "missing.jsonl"),
