@@ -89,16 +89,17 @@ def main(argv=None) -> int:
         print(f"wrote {n} synthetic records to {args.out}")
         return 0
 
-    config = _resolve_config(args)
-    os.makedirs(config.out, exist_ok=True)
     try:
+        config = _resolve_config(args)
+        os.makedirs(config.out, exist_ok=True)
         if args.command == "ingest":
             path = write_canonical_dump(config)
             print(f"canonical dump: {path}")
             return 0
         stage = "report" if args.command == "run" else args.command
         state = run_pipeline(config, through_stage=stage)
-    except StageError as exc:
+    except (StageError, ValueError, OSError) as exc:
+        # a bad config or corpus file (ValueError, OSError), or a failed stage
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps({"out": config.out, "stages": state.stage_summary}, indent=1,

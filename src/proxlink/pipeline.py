@@ -120,7 +120,10 @@ class RunConfig:
         rejecting unknown keys, any value not of its field's type (null
         only where the field is Optional) and a missing required key."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"config {path} must hold a JSON object, "
                              f"not {type(raw).__name__}")

@@ -100,6 +100,11 @@ _STEP3 = (("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
 _STEP4 = ("al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
           "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize")
 
+# each step's suffixes as one tuple: a word that ends in none of them (one
+# str.endswith call) skips the step's table walk
+_STEP2_ANY = tuple(suffix for suffix, _ in _STEP2)
+_STEP3_ANY = tuple(suffix for suffix, _ in _STEP3)
+
 
 def porter_stem(word: str) -> str:
     """Classic Porter suffix-stripping; input must be lowercase alphabetic."""
@@ -142,30 +147,33 @@ def porter_stem(word: str) -> str:
         w = w[:-1] + "i"
 
     # step 2
-    for suffix, repl in _STEP2:
-        if w.endswith(suffix):
-            stem = w[: -len(suffix)]
-            if _measure(stem) > 0:
-                w = stem + repl
-            break
+    if w.endswith(_STEP2_ANY):
+        for suffix, repl in _STEP2:
+            if w.endswith(suffix):
+                stem = w[: -len(suffix)]
+                if _measure(stem) > 0:
+                    w = stem + repl
+                break
 
     # step 3
-    for suffix, repl in _STEP3:
-        if w.endswith(suffix):
-            stem = w[: -len(suffix)]
-            if _measure(stem) > 0:
-                w = stem + repl
-            break
+    if w.endswith(_STEP3_ANY):
+        for suffix, repl in _STEP3:
+            if w.endswith(suffix):
+                stem = w[: -len(suffix)]
+                if _measure(stem) > 0:
+                    w = stem + repl
+                break
 
     # step 4
-    for suffix in _STEP4:
-        if w.endswith(suffix):
-            stem = w[: -len(suffix)]
-            if _measure(stem) > 1:
-                if suffix == "ion" and not stem.endswith(("s", "t")):
-                    break
-                w = stem
-            break
+    if w.endswith(_STEP4):
+        for suffix in _STEP4:
+            if w.endswith(suffix):
+                stem = w[: -len(suffix)]
+                if _measure(stem) > 1:
+                    if suffix == "ion" and not stem.endswith(("s", "t")):
+                        break
+                    w = stem
+                break
 
     # step 5a
     if w.endswith("e"):
@@ -230,8 +238,24 @@ def tokenize_corpus(records: Iterable[PublicationRecord]) -> list[TokenizedDoc]:
 # peak RSS.
 
 def _uniforms(rng: random.Random, n: int) -> np.ndarray:
-    """``n`` doubles in [0, 1): the top 53 bits of rng's next 64-bit words."""
+    """``n`` doubles in [0, 1): the top 53 bits of rng's next 64-bit words.
+
+    ``randbytes`` hands out whole 32-bit words in order, so
+    ``_uniforms(rng, a)`` followed by ``_uniforms(rng, b)`` yields the
+    values of ``_uniforms(rng, a + b)`` and leaves rng in the same state.
+    """
     return (np.frombuffer(rng.randbytes(8 * n), dtype="<u8") >> 11) * 2.0 ** -53
+
+
+DRAW_CHUNK = 1 << 16  # values per randbytes call: 0.5 MB of bytes and of big int
+
+
+def _fill_uniforms(rng: random.Random, out: np.ndarray) -> None:
+    """Fill the 1-d ``out`` with ``_uniforms(rng, len(out))``, drawn in
+    chunks of ``DRAW_CHUNK`` values so no transient grows with ``out``."""
+    for lo in range(0, len(out), DRAW_CHUNK):
+        chunk = out[lo:lo + DRAW_CHUNK]
+        chunk[:] = _uniforms(rng, len(chunk))
 
 
 def _gamma(shape: np.ndarray, rng: random.Random) -> np.ndarray:
@@ -283,6 +307,13 @@ class GibbsLda(ParamsMixin):
     step. It is an exact MCMC for the same posterior p(z | w) as fully
     collapsed Gibbs sampling, along a different sample path.
 
+    Layout: n_dk is doc-major (D x K) and every token keeps its flat entry
+    d * K + z, so a step updates its documents' counts with one fancy
+    index. phi reads n_wk only at the start of a sweep, so n_wk is
+    recounted from the assignments once per sweep rather than per step.
+    The initial topics and each sweep's token uniforms are one draw each,
+    the same numbers in the same order as one draw per step.
+
     Parameters
     ----------
     n_topics : K, at least 2.
@@ -318,6 +349,8 @@ class GibbsLda(ParamsMixin):
             raise ValueError("n_topics must be >= 2")
         if not (self.alpha_ > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
+        if self.iterations < 1:  # no sweep would return the random initial state
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         used = [d for d in docs if not d.is_empty]
         self.skipped_ = tuple(d.pub_id for d in docs if d.is_empty)
         if not used:
@@ -340,47 +373,49 @@ class GibbsLda(ParamsMixin):
         order = sorted(range(D), key=lambda d: -len(used[d].tokens))
         lengths = np.array([len(used[d].tokens) for d in order])
         active = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # docs longer than j
-        steps = list(zip((np.cumsum(active) - active).tolist(), active.tolist()))
         texts = [used[d].tokens for d in order]
+        n_tokens = int(lengths.sum())
         words = np.fromiter((self.vocab_[t[j]] for j, n in enumerate(active.tolist())
-                             for t in texts[:n]), dtype=np.intp, count=int(lengths.sum()))
-        doc_ids = np.arange(D)
+                             for t in texts[:n]), dtype=np.intp, count=n_tokens)
 
-        # counts are topic-major (K x D and K x V), so the cumulative sum
-        # over topics adds whole rows
+        # ``entry`` holds each token's flat index d * K + z into the
+        # doc-major counts n_dk; ``u`` is the buffer each phase (the initial
+        # topics, then every sweep) fills with its uniforms in one draw, and
+        # step j reads its own slice. Each step's views are built once.
         rng = random.Random(self.seed)
-        z = np.empty_like(words)
-        ndk_flat = np.zeros(K * D, dtype=np.intp)
-        ndk = ndk_flat.reshape(K, D)
-        nwk = np.zeros((K, V), dtype=np.intp)
-        for start, n in steps:
-            zj = z[start:start + n]
-            zj[:] = _uniforms(rng, n) * K
-            ndk_flat[zj * D + doc_ids[:n]] += 1
-            np.add.at(nwk, (zj, words[start:start + n]), 1)
+        u = np.empty(n_tokens)
+        _fill_uniforms(rng, u)
+        z = (u * K).astype(np.intp)
+        base = np.arange(D) * K
+        entry = np.concatenate([base[:n] for n in active.tolist()]) + z
+        ndk_flat = np.bincount(entry, minlength=D * K)
+        ndk = ndk_flat.reshape(D, K)
+        nwk = np.bincount(z * V + words, minlength=K * V).reshape(K, V)
+        steps = []
+        for start, n in zip((np.cumsum(active) - active).tolist(), active.tolist()):
+            cut = slice(start, start + n)
+            steps.append((words[cut], z[cut], entry[cut], u[cut], ndk[:n].T, base[:n]))
         for _ in range(self.iterations):
             # phi_k ~ Dir(beta + n_wk): given phi the documents are
             # independent, so position j of every document is one step
             phi = _gamma((nwk + self.beta).ravel(), rng).reshape(K, V)
             phi /= phi.sum(axis=1, keepdims=True)
-            nwk[:] = 0  # recounted from the new assignments
-            for start, n in steps:
-                w = words[start:start + n]
-                zj = z[start:start + n]
-                ndk_flat[zj * D + doc_ids[:n]] -= 1
+            _fill_uniforms(rng, u)
+            for w, zj, e, uj, ndk_j, base_j in steps:
+                ndk_flat[e] -= 1
                 p = phi.take(w, axis=1)
-                p *= ndk[:, :n] + alpha
-                np.cumsum(p, axis=0, out=p)
-                u = _uniforms(rng, n) * p[-1]
-                zj[:] = (p < u).sum(axis=0)
-                ndk_flat[zj * D + doc_ids[:n]] += 1
-                np.add.at(nwk, (zj, w), 1)
+                p *= ndk_j + alpha
+                np.add.accumulate(p, axis=0, out=p)
+                np.add.reduce(p < uj * p[-1], axis=0, out=zj)
+                np.add(base_j, zj, out=e)
+                ndk_flat[e] += 1
+            nwk = np.bincount(z * V + words, minlength=K * V).reshape(K, V)
 
         topic_term = nwk + self.beta
         topic_term /= topic_term.sum(axis=1, keepdims=True)
         self.topic_term_ = topic_term
 
-        theta = (np.ascontiguousarray(ndk.T) + alpha) / (lengths[:, None] + K * alpha)
+        theta = (ndk + alpha) / (lengths[:, None] + K * alpha)
         theta /= theta.sum(axis=1, keepdims=True)
         row_of = dict(zip(order, theta))
         self.doc_topic_ = {doc.pub_id: row_of[d] for d, doc in enumerate(used)}
@@ -470,7 +505,16 @@ def npmi(p_joint: float, p_i: float, p_j: float) -> float:
 
 def coherence(model: GibbsLda, docs: Sequence[TokenizedDoc],
               top_m: int = 10, window: int = 10) -> tuple[list[float], float]:
-    """Mean NPMI over top-word pairs per topic; returns (per-topic, mean)."""
+    """Mean NPMI over top-word pairs per topic; returns (per-topic, mean).
+
+    ``top_m`` must be at least 2 (one word has no pair to score) and
+    ``window`` at least 1: smaller values give every topic the same score,
+    so ``select_k`` would silently take the smallest K.
+    """
+    if top_m < 2:
+        raise ValueError(f"top_m must be >= 2, got {top_m}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     check_fitted(model, "topic_term_")
     if top_m > len(model.vocab_):
         raise ValueError(f"top_m={top_m} exceeds vocabulary size {len(model.vocab_)}")

@@ -308,6 +308,20 @@ class TestPipelineStages:
         assert os.path.exists(marker)
         assert "ingest" in open(marker).read()
 
+    @pytest.mark.parametrize("override, message", [
+        ({"coherence_window": 0}, "window must be >= 1, got 0"),
+        ({"coherence_top_m": 1}, "top_m must be >= 2, got 1"),
+        ({"lda_iterations": -5}, "iterations must be >= 1, got -5"),
+    ], ids=["window", "top-m", "iterations"])
+    def test_misleading_topic_parameter_fails_the_topics_stage(self, tmp_path, demo_corpus,
+                                                             override, message):
+        short_fits = {"lda_k_grid": [2, 3], "lda_iterations": 2}
+        config = dataclasses.replace(demo_config(demo_corpus, out=str(tmp_path / "out")),
+                                     **{**short_fits, **override})
+        with pytest.raises(StageError, match=message) as err:
+            run_pipeline(config, through_stage="topics")
+        assert err.value.stage == "topics"
+
     def test_canonical_dump_written(self, tmp_path, demo_corpus):
         config = demo_config(demo_corpus, out=str(tmp_path / "out"))
         path = write_canonical_dump(config)
@@ -427,13 +441,34 @@ class TestCli:
         assert (config.corpus, config.seed, config.scenario, config.out) == (
             "x.jsonl", 5, 2, "elsewhere")
 
-    def test_config_file_without_corpus_names_it(self, tmp_path):
+    def test_config_file_without_corpus_names_it(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"seed": 3}))
-        with pytest.raises(ValueError, match="required key 'corpus'"):
-            main(["ingest", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert main(["ingest", "--config", str(config_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "required key 'corpus'" in capsys.readouterr().err
         with pytest.raises(ValueError, match="required key 'corpus'"):
             RunConfig.from_json(config_path)
+
+    @pytest.mark.parametrize("config_text, corpus, message", [
+        ('{"seed": 3}', None, "required key 'corpus'"),
+        ("{bad", None, "is not valid JSON"),
+        (None, None, "No such file"),
+        (None, "missing.jsonl", "cannot read corpus file"),
+    ], ids=["no-corpus-key", "invalid-json", "missing-config", "missing-corpus"])
+    def test_bad_input_ends_in_an_error_line(self, tmp_path, capsys, config_text, corpus,
+                                             message):
+        argv = ["ingest", "--out", str(tmp_path / "out")]
+        config_path = tmp_path / "config.json"
+        if config_text is not None:
+            config_path.write_text(config_text)
+        if corpus is None:
+            argv += ["--config", str(config_path)]
+        else:
+            argv += ["--corpus", str(tmp_path / corpus)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_failure_exit_code(self, tmp_path, capsys):
         code = main(["run", "--demo", "--corpus", str(tmp_path / "missing.jsonl"),

@@ -2,14 +2,17 @@ import collections
 import errno
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import proxlink.topics as topics_mod
+from proxlink.pipeline import make_demo_corpus
 from proxlink.topics import (
     GibbsLda,
     TokenizedDoc,
@@ -27,11 +30,98 @@ from proxlink.topics import (
 
 import assemble_oracle
 from conftest import make_record_dict, corpus_from_dicts, pair_distance
-from reference_lda import ReferenceGibbsLda
+from reference_lda import ReferenceGibbsLda, StepwiseGibbsLda
 
 # sha256 of topic_term_ then doc_topic_ (in document order) for
 # test_pinned_fit_digest's fit
 PINNED_FIT_SHA256 = "5655cc0792bf94e3eac265f4429e511234f32c5ddf28791c9aba7c5f7d514874"
+
+
+def unscreened_porter_stem(word):
+    """``porter_stem`` walking every step's suffix table for every word."""
+    if len(word) <= 2:
+        return word
+    w = word
+    if w.endswith("sses"):
+        w = w[:-2]
+    elif w.endswith("ies"):
+        w = w[:-2]
+    elif w.endswith("ss"):
+        pass
+    elif w.endswith("s"):
+        w = w[:-1]
+    if w.endswith("eed"):
+        if topics_mod._measure(w[:-3]) > 0:
+            w = w[:-1]
+    else:
+        fired = False
+        if w.endswith("ed") and topics_mod._has_vowel(w[:-2]):
+            w = w[:-2]
+            fired = True
+        elif w.endswith("ing") and topics_mod._has_vowel(w[:-3]):
+            w = w[:-3]
+            fired = True
+        if fired:
+            if w.endswith(("at", "bl", "iz")):
+                w += "e"
+            elif topics_mod._ends_double_cons(w) and w[-1] not in "lsz":
+                w = w[:-1]
+            elif topics_mod._measure(w) == 1 and topics_mod._ends_cvc(w):
+                w += "e"
+    if w.endswith("y") and topics_mod._has_vowel(w[:-1]):
+        w = w[:-1] + "i"
+    for suffix, repl in topics_mod._STEP2:
+        if w.endswith(suffix):
+            stem = w[: -len(suffix)]
+            if topics_mod._measure(stem) > 0:
+                w = stem + repl
+            break
+    for suffix, repl in topics_mod._STEP3:
+        if w.endswith(suffix):
+            stem = w[: -len(suffix)]
+            if topics_mod._measure(stem) > 0:
+                w = stem + repl
+            break
+    for suffix in topics_mod._STEP4:
+        if w.endswith(suffix):
+            stem = w[: -len(suffix)]
+            if topics_mod._measure(stem) > 1:
+                if suffix == "ion" and not stem.endswith(("s", "t")):
+                    break
+                w = stem
+            break
+    if w.endswith("e"):
+        stem = w[:-1]
+        m = topics_mod._measure(stem)
+        if m > 1 or (m == 1 and not topics_mod._ends_cvc(stem)):
+            w = stem
+    if topics_mod._measure(w) > 1 and topics_mod._ends_double_cons(w) and w.endswith("l"):
+        w = w[:-1]
+    return w
+
+
+def text_like_raw_tokens(tmp_path):
+    """Every distinct raw token of the demo corpus, plus stopwords and
+    pseudo-words built to end in each suffix the stemmer knows, alone and
+    after an inflection."""
+    path = tmp_path / "demo.jsonl"
+    make_demo_corpus(path)
+    tokens = set()
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        tokens.update(topics_mod._TOKEN_RE.findall((rec["title"] + " " + rec["abstract"]).lower()))
+    tokens |= topics_mod.default_stopwords()
+    suffixes = ({s for s, _ in topics_mod._STEP2} | {s for s, _ in topics_mod._STEP3}
+                | set(topics_mod._STEP4) | {"e", "l", "y", "at", "bl", "iz"})
+    rng = random.Random(0)
+    roots = ["".join(rng.choice("bcdfglmnprstvz") + rng.choice("aeiouy")
+                     for _ in range(rng.randint(1, 3))) for _ in range(60)]
+    roots += ["tr", "a", "sy", "feed", "hop", "conflat", "relat", "formal"]
+    for root in roots:
+        for suffix in suffixes:
+            for ending in ("", "s", "es", "ed", "ing", "ly", "y", "ies", "ness"):
+                tokens.add(root + suffix + ending)
+    return sorted(tokens)
 
 
 def tokenize_text(title, abstract):
@@ -69,6 +159,11 @@ class TestPorterStemmer:
     def test_short_words_untouched(self):
         assert porter_stem("ai") == "ai"
         assert porter_stem("is") == "is"
+
+    def test_screened_steps_match_the_table_walks(self, tmp_path):
+        words = list(self.CASES) + text_like_raw_tokens(tmp_path)
+        assert len(words) > 20000
+        assert [porter_stem(w) for w in words] == [unscreened_porter_stem(w) for w in words]
 
 
 class TestTokenize:
@@ -252,6 +347,104 @@ class TestGibbsLda:
             h.update(model.doc_topic_[doc.pub_id].tobytes())
         assert h.hexdigest() == PINNED_FIT_SHA256
 
+    @staticmethod
+    def _reference_cases():
+        """(docs, GibbsLda params) over K 2-15, documents of 0-60 tokens
+        (some empty, some of one shared length), both priors and 1-25 sweeps."""
+        rng = random.Random(2018)
+        cases = []
+        for K in range(2, 16):
+            for variant in range(3):
+                n_docs = K + rng.randint(0, 25)
+                pool = [f"w{i}" for i in range(K + rng.randint(0, 60))]
+                if variant == 0:  # every document one length
+                    lengths = [rng.randint(K, 60)] * n_docs
+                else:
+                    lengths = [rng.choice([0, 0, 1, rng.randint(1, 60), rng.randint(1, 60)])
+                               for _ in range(n_docs)]
+                lengths[:K] = [max(n, K if i == 0 else 1) for i, n in enumerate(lengths[:K])]
+                docs = []
+                for d, n in enumerate(lengths):
+                    tokens = pool[:K] if d == 0 else []  # the vocabulary reaches K
+                    tokens = tokens + [rng.choice(pool) for _ in range(n - len(tokens))]
+                    docs.append(TokenizedDoc(f"D{d}", tuple(tokens)))
+                rng.shuffle(docs)
+                params = {"n_topics": K, "alpha": rng.choice([None, 0.1]),
+                          "beta": rng.choice([0.01, 0.5]), "iterations": rng.randint(1, 25),
+                          "seed": rng.randint(0, 2 ** 32)}
+                cases.append((docs, params))
+        return cases
+
+    @pytest.mark.golden
+    def test_matches_the_stepwise_sampler_bit_for_bit(self):
+        # one draw per phase, doc-major counts and n_wk recounted per sweep
+        # must leave every draw and every count of the per-step sweep as is
+        cases = self._reference_cases()
+        assert any(len({len(d.tokens) for d in docs}) == 1 for docs, _ in cases)
+        assert any(any(d.is_empty for d in docs) for docs, _ in cases)
+        for docs, params in cases:
+            model = GibbsLda(**params).fit(docs)
+            reference = StepwiseGibbsLda(**params).fit(docs)
+            assert list(model.vocab_.items()) == list(reference.vocab_.items()), params
+            assert model.skipped_ == reference.skipped_, params
+            assert model.topic_term_.tobytes() == reference.topic_term_.tobytes(), params
+            assert list(model.doc_topic_) == list(reference.doc_topic_), params
+            for pub_id, row in reference.doc_topic_.items():
+                assert model.doc_topic_[pub_id].tobytes() == row.tobytes(), (params, pub_id)
+
+    @pytest.mark.golden
+    def test_uniform_draws_concatenate(self):
+        sizes = random.Random(9)
+        pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 7), (5, 0)]
+        pairs += [(sizes.randint(0, 3000), sizes.randint(0, 3000)) for _ in range(40)]
+        for a, b in pairs:
+            split, whole = random.Random(a * 7919 + b), random.Random(a * 7919 + b)
+            parts = np.concatenate([topics_mod._uniforms(split, a), topics_mod._uniforms(split, b)])
+            assert parts.tobytes() == topics_mod._uniforms(whole, a + b).tobytes(), (a, b)
+            assert split.getstate() == whole.getstate(), (a, b)
+
+    @pytest.mark.golden
+    def test_chunked_fill_is_one_draw(self):
+        chunk = topics_mod.DRAW_CHUNK
+        for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+            filled, whole = random.Random(n), random.Random(n)
+            out = np.empty(n)
+            topics_mod._fill_uniforms(filled, out)
+            assert out.tobytes() == topics_mod._uniforms(whole, n).tobytes(), n
+            assert filled.getstate() == whole.getstate(), n
+
+    # words, z, entry and the uniform buffer (8 B each), the 8 B key of each
+    # sweep's n_wk recount, and per-document state on 50-token documents
+    FIT_BYTES_PER_TOKEN = 44
+    # four draw-chunk transients: randbytes' big int and bytes, the shifted
+    # words and their doubles
+    FIT_FIXED_BYTES = 4 * 8 * topics_mod.DRAW_CHUNK
+
+    def test_fit_memory_grows_with_tokens_only(self):
+        # a sweep's uniforms are drawn in chunks: one draw of every token's
+        # uniforms at once would add about 10 B per token at 200k tokens
+        rng = random.Random(0)
+        pool = [f"w{i}" for i in range(500)]
+        peaks = {}
+        for n_tokens in (50_000, 200_000):
+            docs = [TokenizedDoc(f"D{d}", tuple(rng.choice(pool) for _ in range(50)))
+                    for d in range(n_tokens // 50)]
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                GibbsLda(n_topics=5, iterations=2, seed=1).fit(docs)
+                peaks[n_tokens] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peaks[n_tokens] <= self.FIT_BYTES_PER_TOKEN * n_tokens + self.FIT_FIXED_BYTES
+        assert (peaks[200_000] - peaks[50_000]) / 150_000 <= self.FIT_BYTES_PER_TOKEN
+
+    @pytest.mark.parametrize("iterations", [0, -5])
+    def test_iterations_below_one_rejected(self, iterations):
+        docs, _, _ = synthetic_topic_docs(n_docs=30)
+        with pytest.raises(ValueError, match=f"iterations must be >= 1, got {iterations}"):
+            GibbsLda(n_topics=3, iterations=iterations).fit(docs)
+
     def test_preconditions(self):
         docs, _, _ = synthetic_topic_docs(n_docs=30)
         with pytest.raises(ValueError, match="at least K"):
@@ -300,6 +493,22 @@ class TestCoherence:
         per_topic, mean = coherence(model, docs, top_m=4, window=10)
         # top-4 words of each topic include a never-co-occurring pair
         assert mean < 1.0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"window": 0}, "window must be >= 1, got 0"),
+        ({"window": -3}, "window must be >= 1, got -3"),
+        ({"top_m": 0}, "top_m must be >= 2, got 0"),
+        ({"top_m": 1}, "top_m must be >= 2, got 1"),
+    ])
+    def test_parameters_that_score_every_topic_alike_rejected(self, kwargs, message):
+        # window 0 scored every topic -1.0 and top_m 0 or 1 every topic 0.0,
+        # so select_k took the smallest K; window -3 died with IndexError
+        docs, _, _ = synthetic_topic_docs(n_docs=30)
+        model = GibbsLda(n_topics=3, iterations=5, seed=0).fit(docs)
+        with pytest.raises(ValueError, match=message):
+            coherence(model, docs, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            select_k(docs, [2, 3], iterations=5, **kwargs)
 
     def test_top_m_exceeding_vocab_errors(self):
         docs = [TokenizedDoc(f"D{i}", ("x", "y")) for i in range(5)]
