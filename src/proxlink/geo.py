@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import pathlib
 import threading
 import time
 from dataclasses import dataclass
@@ -142,25 +143,50 @@ class GazetteerGeocoder:
 
     An address resolves when one of its comma-separated fields is a known
     city name and, if the address names a country code, the city lies in it.
+    A file without a city, country, lat or lon column, or a row without a
+    city or country or with a latitude or longitude that is not a finite
+    number within [-90, 90] or [-180, 180], stops the load with a
+    ``ValueError`` naming the file and the line.
     """
 
     def __init__(self, path=None):
-        if path is None:
-            text = resources.files("proxlink.data").joinpath("gazetteer.csv").read_text()
-            rows = list(csv.DictReader(text.splitlines()))
-        else:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                rows = list(csv.DictReader(fh))
+        source = (resources.files("proxlink.data").joinpath("gazetteer.csv")
+                  if path is None else pathlib.Path(path))
         self._by_city_prov_country: dict[tuple, tuple[float, float]] = {}
         self._by_city_country: dict[tuple, tuple[float, float]] = {}
-        for row in rows:
-            city = normalize_address(row["city"])
-            country = row["country"].strip().upper()
-            point = (float(row["lat"]), float(row["lon"]))
-            prov = (row.get("province") or "").strip().upper()
-            if prov:
-                self._by_city_prov_country[(city, prov, country)] = point
-            self._by_city_country.setdefault((city, country), point)
+        with source.open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = sorted({"city", "country", "lat", "lon"} - set(reader.fieldnames or ()))
+            if missing:
+                raise ValueError(f"gazetteer {source}, line 1: no column {', '.join(missing)}")
+            for row in reader:
+                try:
+                    city, prov, country, point = self._parse(row)
+                except ValueError as exc:
+                    raise ValueError(f"gazetteer {source}, line {reader.line_num}: "
+                                     f"{exc}") from None
+                if prov:
+                    self._by_city_prov_country[(city, prov, country)] = point
+                self._by_city_country.setdefault((city, country), point)
+
+    @staticmethod
+    def _parse(row: dict) -> tuple[str, str, str, tuple[float, float]]:
+        """One row's city, province and country as looked up, and its point."""
+        fields = {key: (value or "").strip() for key, value in row.items() if key is not None}
+        for key in ("city", "country"):
+            if not fields[key]:
+                raise ValueError(f"empty {key}")
+        point = []
+        for key, bound in (("lat", 90.0), ("lon", 180.0)):
+            try:
+                value = float(fields[key])
+            except ValueError:
+                raise ValueError(f"{key} {fields[key]!r} is not a number") from None
+            if not -bound <= value <= bound:  # also rejects nan
+                raise ValueError(f"{key} {fields[key]} is outside [-{bound:g}, {bound:g}]")
+            point.append(value)
+        return (normalize_address(fields["city"]), fields.get("province", "").upper(),
+                fields["country"].upper(), (point[0], point[1]))
 
     def lookup(self, city: str, province: Optional[str], country: str
                ) -> Optional[tuple[float, float]]:

@@ -33,10 +33,11 @@ the cumulative sums and gains on its current target.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+from .._base import check_fitted
 
 _MIN_GAIN = 1e-12
 
@@ -52,19 +53,6 @@ ROW_SET_TREES = 4
 # 8 to 64 nodes grew forests of 60-200 trees, depth 6-12, on 560 x 7 rows
 # in the same time within noise (2-core Xeon VM); 4 was a little slower.
 FIRST_DRAW_NODES = 16
-
-
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
 
 
 class Presorted(NamedTuple):
@@ -199,8 +187,12 @@ class _FeatureDraws:
 class CartTree:
     """Binary decision tree; criterion "mse" or "gini".
 
-    A leaf holds the positive-class fraction (gini) or the target's sum
-    over the hessian's sum (mse, ``fit_values``). ``max_features``
+    A fitted tree is four arrays indexed by node id in preorder:
+    ``feature`` (-1 at a leaf), ``threshold``, ``right`` (the right
+    child's id, -1 at a leaf) and ``value``; a node's left child is the
+    next node, ``node_id + 1``. A leaf holds the positive-class fraction
+    (gini) or the target's sum over the hessian's sum (mse,
+    ``fit_values``). ``max_features``
     subsamples a gini tree's split candidates per node from the supplied
     rng; ``grow`` draws them for blocks of nodes, with the bits of per-node
     ``np.sort(rng.choice(F, max_features, replace=False))`` and a few
@@ -222,7 +214,7 @@ class CartTree:
         self.criterion = criterion
         self.max_features = max_features
         self.rng = rng
-        self.nodes: list[_Node] = []
+        self.feature = self.threshold = self.right = self.value = None
 
     def fit_values(self, tables: Presorted, y, hess: Optional[np.ndarray] = None,
                    store: Optional[RowSetStore] = None) -> np.ndarray:
@@ -245,7 +237,14 @@ class CartTree:
         neg = n - pos
         return n - (pos * pos + neg * neg) / n
 
+    def _lists(self) -> tuple:
+        """The four node arrays as lists, which index faster per node."""
+        check_fitted(self, "value")
+        return (self.feature.tolist(), self.threshold.tolist(),
+                self.right.tolist(), self.value.tolist())
+
     def predict(self, X) -> np.ndarray:
+        feature, threshold, right, value = self._lists()
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape[0], dtype=float)
         stack = [(0, np.arange(X.shape[0]))]
@@ -253,24 +252,19 @@ class CartTree:
             node_id, idx = stack.pop()
             if len(idx) == 0:
                 continue
-            node = self.nodes[node_id]
-            if node.is_leaf:
-                out[idx] = node.value
+            f = feature[node_id]
+            if f < 0:
+                out[idx] = value[node_id]
             else:
-                mask = X[idx, node.feature] <= node.threshold
-                stack.append((node.left, idx[mask]))
-                stack.append((node.right, idx[~mask]))
+                mask = X[idx, f] <= threshold[node_id]
+                stack.append((node_id + 1, idx[mask]))
+                stack.append((right[node_id], idx[~mask]))
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "nodes": [
-                {"feature": n.feature, "threshold": n.threshold,
-                 "left": n.left, "right": n.right, "value": n.value}
-                for n in self.nodes
-            ],
-        }
+        return {"criterion": self.criterion, "nodes": [
+            {"feature": f, "threshold": t, "left": -1 if f < 0 else i + 1, "right": r, "value": v}
+            for i, (f, t, r, v) in enumerate(zip(*self._lists()))]}
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -329,9 +323,10 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
     ``_FeatureDraws``: blocks of nodes, one ``rng.integers`` call each,
     with the draws of per-node ``rng.choice(F, k, replace=False)`` calls.
     A block holds k 8-byte picks per node, at most about twice the nodes
-    the tree scans. When a tree has no node left, its rng is rewound to
-    where per-node draws leave it and its block goes. Such a tree without
-    an rng raises ``ValueError`` before any tree grows.
+    the tree scans. When a tree has no node left, its node lists become
+    its four arrays, its rng is rewound to where per-node draws leave it
+    and its block goes. Such a tree without an rng raises ``ValueError``
+    before any tree grows.
     """
     n_rows, n_features = tables.shape
     size = n_rows * n_features
@@ -467,15 +462,14 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
             splits[j] = (int(feats[f]), mid if mid < upper else lower, i + 1, 0)
         return splits
 
-    def make_leaf(node_id, nodes, start, stop, positives):
-        node = nodes[node_id]
+    def make_leaf(values, node_id, start, stop, positives):
         if gini:
-            node.value = positives / (stop - start)
+            values[node_id] = positives / (stop - start)
         else:
             rows = row_set(node_id, start, stop).rows
-            node.value = float(y[rows].sum() / hess[rows].sum())
+            values[node_id] = float(y[rows].sum() / hess[rows].sum())
         if out is not None:
-            out[buf[start:stop]] = node.value
+            out[buf[start:stop]] = values[node_id]
 
     best_splits = gini_splits if gini else mse_splits
     # per tree: its candidate-feature draws, or None where every feature is one
@@ -487,14 +481,15 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
         samples = [tree.rng.integers(0, n_rows, size=n_rows) if bootstrap
                    else np.arange(n_rows) for tree in grove]
         buf = np.concatenate(samples)
-        # per tree: (start, stop, depth, positives (0 for mse), parent, is_left)
-        stacks = []
+        # per tree: a stack of (start, stop, depth, positives (0 for mse),
+        # parent) and its nodes' feature, threshold, right and value lists
+        stacks, nodes = [], []
         start = 0
-        for tree, rows in zip(grove, samples):
-            tree.nodes = []
+        for rows in samples:
             stop = start + len(rows)
             positives = int(np.count_nonzero(y[rows])) if gini else 0
-            stacks.append([(start, stop, 0, positives, -1, False)])
+            stacks.append([(start, stop, 0, positives, -1)])
+            nodes.append(([], [], [], []))
             start = stop
         del samples
         live = list(range(len(grove)))
@@ -503,22 +498,21 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
             entries = 0
             for t in live:
                 tree, stack = grove[t], stacks[t]
-                nodes = tree.nodes
+                feature, threshold, right, value = nodes[t]
                 while stack:
-                    start, stop, depth, positives, parent, is_left = stack.pop()
-                    node_id = len(nodes)
-                    nodes.append(_Node())
-                    if parent >= 0:
-                        if is_left:
-                            nodes[parent].left = node_id
-                        else:
-                            nodes[parent].right = node_id
+                    start, stop, depth, positives, parent = stack.pop()
+                    node_id = len(feature)
+                    for column, blank in zip(nodes[t], (-1, 0.0, -1, 0.0)):
+                        column.append(blank)
+                    # a left child is popped right after its parent's split
+                    is_left = node_id == parent + 1
+                    if parent >= 0 and not is_left:
+                        right[parent] = node_id
                     if not gini:
-                        paths.append(paths[parent] + (nodes[parent].feature,
-                                                      nodes[parent].threshold, is_left)
+                        paths.append(paths[parent] + (feature[parent], threshold[parent], is_left)
                                      if parent >= 0 else ())
                     if tree._stops(depth, stop - start):
-                        make_leaf(node_id, nodes, start, stop, positives)
+                        make_leaf(value, node_id, start, stop, positives)
                         continue
                     feats = every if draws[t] is None else draws[t].take()
                     entries += len(feats) * (stop - start)
@@ -532,17 +526,20 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
                     continue
                 splits = best_splits(chunk)
                 for j, (t, node_id, start, stop, depth, pos, _) in enumerate(chunk):
-                    scanned = grove[t].nodes[node_id]
+                    feature, threshold, _, value = nodes[t]
                     if j not in splits:
-                        make_leaf(node_id, grove[t].nodes, start, stop, pos)
+                        make_leaf(value, node_id, start, stop, pos)
                         continue
-                    scanned.feature, scanned.threshold, left_n, left_pos = splits[j]
+                    feature[node_id], threshold[node_id], left_n, left_pos = splits[j]
                     mid = start + left_n
-                    stacks[t].append((mid, stop, depth + 1, pos - left_pos, node_id, False))
-                    stacks[t].append((start, mid, depth + 1, left_pos, node_id, True))
+                    stacks[t].append((mid, stop, depth + 1, pos - left_pos, node_id))
+                    stacks[t].append((start, mid, depth + 1, left_pos, node_id))
             for t in live:
-                if not stacks[t] and draws[t] is not None:
-                    draws[t].rewind()
+                if not stacks[t]:
+                    if draws[t] is not None:
+                        draws[t].rewind()
+                    tree = grove[t]
+                    tree.feature, tree.threshold, tree.right, tree.value = map(np.array, nodes[t])
             live = [t for t in live if stacks[t]]
     if not gini:
         store.end_tree()

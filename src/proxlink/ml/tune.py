@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -59,6 +60,10 @@ class SmoteConfig:
     k: int = 5
     target_ratio: float = 1.0
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"smote_k (SMOTE's k) must be >= 1, not {self.k}")
+
 
 @dataclass
 class TunePlan:
@@ -72,6 +77,17 @@ class TunePlan:
     max_grid_fits: int = 512
     folds: int = 5
     smote: Optional[SmoteConfig] = field(default_factory=SmoteConfig)
+
+    def __post_init__(self):
+        """Reject a value that would break the search or shrink it silently."""
+        if self.n_random < 1:
+            raise ValueError(f"n_random must be >= 1: the random stage needs at least "
+                             f"one fit, not {self.n_random}")
+        for name, least in (("grid_points", 1), ("max_grid_fits", 1), ("folds", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, not {getattr(self, name)}")
+        if not 1 < self.grid_span < math.inf:
+            raise ValueError(f"grid_span must be a finite number above 1, not {self.grid_span}")
 
 
 @dataclass
@@ -288,8 +304,9 @@ def tune_kinds(kinds: Sequence[str], X, y, seeds: Sequence[int],
     plan = plan or TunePlan()
     if not kinds:
         raise ValueError("kinds is empty: name at least one classifier kind")
-    if plan.n_random < 1:
-        raise ValueError("random stage needs at least one fit")
+    twice = sorted({kind for kind in kinds if kinds.count(kind) > 1})
+    if twice:
+        raise ValueError(f"classifier kinds listed more than once: {twice}")
     if len(seeds) != len(kinds):
         raise ValueError("seeds must hold one seed per kind")
     searches = []

@@ -329,13 +329,18 @@ def _stage_fit(state: RunState) -> None:
     }
 
 
-def _stage_ml(state: RunState) -> None:
-    cfg = state.config
-    X, y = state.dataset.to_matrix()
-    plan = TunePlan(n_random=cfg.n_random, grid_span=cfg.grid_span,
+def _tune_plan(cfg: RunConfig) -> TunePlan:
+    """The run's search plan; a bad value raises ValueError naming its key."""
+    return TunePlan(n_random=cfg.n_random, grid_span=cfg.grid_span,
                     grid_points=cfg.grid_points, max_grid_fits=cfg.max_grid_fits,
                     folds=cfg.folds,
                     smote=SmoteConfig(k=cfg.smote_k, target_ratio=cfg.smote_ratio))
+
+
+def _stage_ml(state: RunState) -> None:
+    cfg = state.config
+    X, y = state.dataset.to_matrix()
+    plan = _tune_plan(cfg)
     train_idx, test_idx = stratified_split(y, seed=stable_seed(cfg.seed, "split"))
     log_rows: list = []
     tuned = tune_kinds(cfg.classifiers, X[train_idx], y[train_idx], plan=plan,
@@ -448,11 +453,13 @@ _STAGE_FNS = {
 def run_pipeline(config: RunConfig, through_stage: str = "report") -> RunState:
     """Execute stages in order up to ``through_stage`` (inclusive).
 
-    On failure the output directory gets an INCOMPLETE marker naming the
-    stage, and a StageError propagates.
+    A bad tuning-plan value raises ValueError before the first stage. On a
+    stage's failure the output directory gets an INCOMPLETE marker naming
+    the stage, and a StageError propagates.
     """
     if through_stage not in STAGES:
         raise ValueError(f"unknown stage {through_stage!r}; choose from {STAGES}")
+    _tune_plan(config)
     os.makedirs(config.out, exist_ok=True)
     marker = os.path.join(config.out, "INCOMPLETE")
     state = RunState(config=config)

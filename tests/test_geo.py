@@ -295,6 +295,39 @@ class TestGeocode:
         assert gaz.resolve("Lab, Montreal, QC, CA") == (45.5019, -73.5674)
         assert gaz.resolve("institut de paris, FR") is None
 
+    @pytest.mark.parametrize("rows, message", [
+        (["montreal,QC,CA,abc,-73.5"], "line 2: lat 'abc' is not a number"),
+        (["montreal,QC,CA,95,-73.5"], "line 2: lat 95 is outside [-90, 90]"),
+        (["montreal,QC,CA,45.5,-180.5"], "line 2: lon -180.5 is outside [-180, 180]"),
+        (["montreal,QC,CA,nan,-73.5"], "line 2: lat nan is outside [-90, 90]"),
+        (["montreal,QC,CA,45.5,inf"], "line 2: lon inf is outside [-180, 180]"),
+        (["montreal,QC,CA,45.5,-73.5", "", " ,ON,CA,43.7,-79.4"], "line 4: empty city"),
+        (["montreal,QC,,45.5,-73.5"], "line 2: empty country"),
+        (["montreal,QC,CA,45.5"], "line 2: lon '' is not a number"),
+    ], ids=["text-lat", "lat-95", "lon-beyond", "nan-lat", "inf-lon", "no-city",
+            "no-country", "short-row"])
+    def test_gazetteer_row_is_checked_when_loaded(self, tmp_path, rows, message):
+        path = tmp_path / "gazetteer.csv"
+        path.write_text("\n".join(["city,province,country,lat,lon", *rows]) + "\n")
+        with pytest.raises(ValueError) as err:
+            GazetteerGeocoder(path)
+        assert str(err.value) == f"gazetteer {path}, {message}"
+
+    def test_gazetteer_needs_its_columns(self, tmp_path):
+        path = tmp_path / "gazetteer.csv"
+        path.write_text("town,province,country,lat\nmontreal,QC,CA,45.5\n")
+        with pytest.raises(ValueError, match=r"gazetteer\.csv, line 1: no column city, lon$"):
+            GazetteerGeocoder(path)
+
+    def test_gazetteer_file_round_trips_the_bundled_points(self, tmp_path):
+        text = resources.files("proxlink.data").joinpath("gazetteer.csv").read_text()
+        path = tmp_path / "gazetteer.csv"
+        path.write_text(text)
+        bundled, copy = GazetteerGeocoder(), GazetteerGeocoder(path)
+        assert copy._by_city_country == bundled._by_city_country
+        assert copy._by_city_prov_country == bundled._by_city_prov_country
+        assert bundled.lookup("Toronto", "ON", "CA") == (43.6532, -79.3832)
+
     def test_normalize_address(self):
         assert normalize_address("  A  B ,  C ") == "a b , c"
 

@@ -34,14 +34,14 @@ from proxlink.ml import (
 from proxlink.ml import classifiers as classifiers_mod
 from proxlink.logit import sigmoid
 from proxlink.ml import tree as tree_mod
-from proxlink.ml.tree import _MIN_GAIN, _Node, presort
+from proxlink.ml.tree import _MIN_GAIN, presort
 from proxlink.ml.tune import SmoteConfig, build_fold_sets, score_spec
 from synth_data import synth_logit_data
 
 
 def root_split(tree):
     """(feature, threshold) of a fitted tree's root split."""
-    return tree.nodes[0].feature, tree.nodes[0].threshold
+    return int(tree.feature[0]), float(tree.threshold[0])
 
 
 def separable_dataset(n=2000, seed=0, margin=0.5):
@@ -422,7 +422,8 @@ class TestCartTree:
 class ReferenceCartTree(CartTree):
     """The per-feature split search the vectorized kernel replaced: one
     full-sample argsort filtered by a membership mask at every node, and
-    a Python loop over the candidate features."""
+    a Python loop over the candidate features. It builds the four node
+    arrays in its own recursive preorder."""
 
     def fit(self, X, y, hess=None):
         """Grow on ``X``; a leaf holds the mean of ``y`` over its rows, or
@@ -431,14 +432,21 @@ class ReferenceCartTree(CartTree):
         y = np.asarray(y, dtype=float)
         self.n_features_ = X.shape[1]
         self._order = np.argsort(X, axis=0, kind="mergesort")
-        self.nodes = []
+        self._columns = ([], [], [], [])  # feature, threshold, right, value
         if hess is None:
             leaf_value_fn = lambda idx: float(y[idx].mean())
         else:
             leaf_value_fn = lambda idx: float(y[idx].sum() / hess[idx].sum())
         self._build(X, y, np.arange(len(y)), 0, leaf_value_fn)
-        del self._order
+        self.feature, self.threshold, self.right, self.value = map(np.array, self._columns)
+        del self._order, self._columns
         return self
+
+    def _add(self, feature=-1, threshold=0.0, value=0.0) -> int:
+        """Append a node, without its right child; returns its id."""
+        for column, entry in zip(self._columns, (feature, threshold, -1, value)):
+            column.append(entry)
+        return len(self._columns[0]) - 1
 
     def _candidate_features(self) -> np.ndarray:
         """This node's candidate features, ascending: one ``rng.choice``
@@ -453,18 +461,15 @@ class ReferenceCartTree(CartTree):
     def _build(self, X, y, idx, depth, leaf_value_fn):
         n = len(idx)
         if depth >= self.max_depth or n < 2 * self.min_samples_leaf:
-            self.nodes.append(_Node(value=leaf_value_fn(idx)))
-            return len(self.nodes) - 1
+            return self._add(value=leaf_value_fn(idx))
         best = self._best_split(X, y, idx)
         if best is None:
-            self.nodes.append(_Node(value=leaf_value_fn(idx)))
-            return len(self.nodes) - 1
+            return self._add(value=leaf_value_fn(idx))
         feature, threshold = best
         mask = X[idx, feature] <= threshold
-        node_id = len(self.nodes)
-        self.nodes.append(_Node(feature=feature, threshold=threshold))
-        self.nodes[node_id].left = self._build(X, y, idx[mask], depth + 1, leaf_value_fn)
-        self.nodes[node_id].right = self._build(X, y, idx[~mask], depth + 1, leaf_value_fn)
+        node_id = self._add(feature, threshold)
+        self._build(X, y, idx[mask], depth + 1, leaf_value_fn)  # node_id + 1
+        self._columns[2][node_id] = self._build(X, y, idx[~mask], depth + 1, leaf_value_fn)
         return node_id
 
     def _best_split(self, X, y, idx):
@@ -591,8 +596,18 @@ class TestCartTreeKernel:
         X, y, params, _ = random_tree_case(0)
         tree = CartTree(**params, rng=np.random.default_rng(0))
         tree.fit_values(presort(X), y)
-        assert not any(isinstance(v, (np.ndarray, tree_mod.RowSetStore))
+        arrays = {name: v for name, v in vars(tree).items() if isinstance(v, np.ndarray)}
+        assert sorted(arrays) == ["feature", "right", "threshold", "value"]
+        assert {len(v) for v in arrays.values()} == {len(tree.to_dict()["nodes"])}
+        assert not any(isinstance(v, (tree_mod.Presorted, tree_mod.RowSetStore))
                        for v in vars(tree).values())
+
+    def test_unfitted_tree_says_so(self):
+        tree = CartTree()
+        with pytest.raises(RuntimeError, match="CartTree is not fitted"):
+            tree.predict(np.zeros((2, 1)))
+        with pytest.raises(RuntimeError, match="CartTree is not fitted"):
+            tree.to_dict()
 
 
 def draw_against_choice(n_features, k, seed):
@@ -724,9 +739,9 @@ class TestForestLockstep:
         X = np.arange(6.0)[:, None]
         y = np.array([0, 0, 0, 0, 0, 1])
         forest = RandomForest(n_trees=20, max_depth=4, max_features=None, seed=3).fit(X, y)
-        roots = [tree.nodes[0] for tree in forest.trees_]
-        assert any(root.is_leaf and root.value == 0.0 for root in roots)
-        assert any(not root.is_leaf for root in roots)
+        roots = [(tree.feature[0], tree.value[0]) for tree in forest.trees_]
+        assert any(feature < 0 and value == 0.0 for feature, value in roots)
+        assert any(feature >= 0 for feature, _ in roots)
         for tree, (ref, _) in zip(forest.trees_, reference_forest(forest, X, y)):
             assert tree.to_dict() == ref.to_dict()
 
@@ -786,15 +801,77 @@ class TestTreeEnsembleMemory:
 def node_paths(tree):
     """Each node's path of splits from the root, (feature, threshold, went
     left) per split, flat: the keys of ``RowSetStore``."""
+    feature, threshold, right = tree.feature.tolist(), tree.threshold.tolist(), tree.right.tolist()
     paths, stack = set(), [(0, ())]
     while stack:
         node_id, path = stack.pop()
         paths.add(path)
-        node = tree.nodes[node_id]
-        if not node.is_leaf:
-            stack.append((node.left, path + (node.feature, node.threshold, True)))
-            stack.append((node.right, path + (node.feature, node.threshold, False)))
+        if feature[node_id] >= 0:
+            split = (feature[node_id], threshold[node_id])
+            stack.append((node_id + 1, path + split + (True,)))
+            stack.append((right[node_id], path + split + (False,)))
     return paths
+
+
+def leaf_ids(tree, X):
+    """Each row's leaf, walked one row and one node at a time, the left
+    child at ``node_id + 1``."""
+    ids = []
+    for row in X.tolist():
+        i = 0
+        while tree.feature[i] >= 0:
+            i = i + 1 if row[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+        ids.append(i)
+    return np.array(ids, dtype=int)
+
+
+def subtree_end(tree, node_id):
+    """One past the last node of ``node_id``'s subtree, asserting that each
+    internal node's left subtree starts at ``node_id + 1`` and ends where
+    its right subtree starts."""
+    if tree.feature[node_id] < 0:
+        return node_id + 1
+    assert subtree_end(tree, node_id + 1) == tree.right[node_id]
+    return subtree_end(tree, tree.right[node_id])
+
+
+@pytest.mark.golden
+def test_ensemble_trees_are_preorder_arrays():
+    depths, root_leaves, one_row_leaves = set(), 0, 0
+    for seed in range(36):
+        X, _, _, _ = random_tree_case(seed)  # constant and tied columns included
+        if len(X) < 2 or seed % 9 == 0:  # constant rows: every tree is a root leaf
+            X = np.ones((6, X.shape[1]))
+        n, n_features = X.shape
+        rng = np.random.default_rng(3000 + seed)
+        y = (rng.uniform(size=n) < 0.4).astype(int)
+        y[:2] = [0, 1]
+        depth = seed % 12 + 1
+        models = [RandomForest(n_trees=5, max_depth=depth, min_samples_leaf=1,
+                               max_features=[None, "sqrt", 1][seed % 3],
+                               bootstrap=seed % 2 == 0, seed=seed),
+                  GradientBoostedTrees(n_trees=5, max_depth=depth, min_samples_leaf=1,
+                                       seed=seed)]
+        for model in models:
+            model.fit(X, y)
+            for tree in model.trees_:
+                nodes = len(tree.feature)
+                assert [len(a) for a in (tree.threshold, tree.right, tree.value)] == [nodes] * 3
+                assert subtree_end(tree, 0) == nodes
+                assert ((tree.feature < 0) == (tree.right < 0)).all()
+                # queries on the training rows, on each threshold, random and none
+                at_thresholds = np.repeat(X[:1], nodes, axis=0)
+                split = np.flatnonzero(tree.feature >= 0)
+                at_thresholds[split, tree.feature[split]] = tree.threshold[split]
+                queries = (X, at_thresholds, rng.normal(size=(20, n_features)),
+                           np.empty((0, n_features)))
+                for Q in queries:
+                    assert tree.predict(Q).tobytes() == tree.value[leaf_ids(tree, Q)].tobytes()
+                depths.add(depth)
+                root_leaves += nodes == 1
+                one_row_leaves += 1 in Counter(leaf_ids(tree, X).tolist()).values()
+    assert depths == set(range(1, 13))
+    assert root_leaves >= 10 and one_row_leaves >= 10
 
 
 def random_boosting_case(seed):
@@ -1192,6 +1269,26 @@ class TestCrossValAndTune:
         X, y = separable_dataset(n=60, seed=4)
         with pytest.raises(ValueError, match=message):
             tune_kinds(kinds, X, y, seeds, plan=TunePlan(n_random=n_random))
+
+    @pytest.mark.parametrize("values", [
+        {"grid_span": 0}, {"grid_span": -2}, {"grid_span": 1}, {"grid_span": float("nan")},
+        {"grid_span": float("inf")}, {"max_grid_fits": 0}, {"grid_points": 0},
+        {"folds": 1}, {"n_random": 0},
+    ], ids=lambda values: "{}={}".format(*next(iter(values.items()))))
+    def test_plan_rejects_a_value_that_breaks_the_search(self, values):
+        (key, _), = values.items()
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            TunePlan(**values)
+
+    def test_smote_needs_a_neighbour(self):
+        with pytest.raises(ValueError, match="smote_k .* must be >= 1, not 0"):
+            SmoteConfig(k=0)
+
+    def test_tune_rejects_a_kind_listed_twice(self):
+        X, y = separable_dataset(n=60, seed=4)
+        kinds = ["gaussian-naive-bayes", "k-nearest-neighbors", "gaussian-naive-bayes"]
+        with pytest.raises(ValueError, match="more than once: .'gaussian-naive-bayes'.$"):
+            tune_kinds(kinds, X, y, [0, 1, 2], plan=TunePlan(n_random=1))
 
     @pytest.mark.parametrize("n_random", [1, 6])
     def test_tune_resamples_each_fold_once(self, monkeypatch, n_random):

@@ -475,3 +475,53 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "ingest" in capsys.readouterr().err
+
+
+def cli_error(argv, capsys) -> str:
+    """The stderr of a CLI call that must fail with status 1 and one error line."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestConfigValuesFailEarly:
+    @pytest.mark.parametrize("key, value", [
+        ("grid_span", 0), ("grid_span", -2), ("max_grid_fits", 0), ("grid_points", 0),
+        ("smote_k", 0), ("folds", 1), ("n_random", 0),
+    ])
+    def test_bad_plan_value_fails_before_ingest(self, tmp_path, capsys, key, value):
+        # the corpus does not exist, so only a check before ingest names the key
+        corpus, out = str(tmp_path / "missing.jsonl"), tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{key} .*must be") as err:
+            run_pipeline(RunConfig(corpus=corpus, out=str(out), **{key: value}))
+        assert not isinstance(err.value, StageError)
+        assert not (out / "INCOMPLETE").exists()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"corpus": corpus, key: value}))
+        assert cli_error(["run", "--config", str(path), "--out", str(out)],
+                         capsys).startswith(f"error: {key} ")
+
+    def test_kind_listed_twice_fails_the_ml_stage(self, tmp_path, demo_corpus, capsys):
+        config = dataclasses.replace(
+            demo_config(demo_corpus, out=str(tmp_path / "out")), lda_k_grid=[3],
+            lda_iterations=20, classifiers=["gaussian-naive-bayes"] * 2)
+        with pytest.raises(StageError, match="more than once: .'gaussian-naive-bayes'.$"):
+            run_pipeline(config, through_stage="ml")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        err = cli_error(["ml", "--config", str(path)], capsys)
+        assert "'ml' failed" in err and "gaussian-naive-bayes" in err
+
+    def test_bad_gazetteer_fails_the_geocode_stage(self, tmp_path, demo_corpus, capsys):
+        gazetteer = tmp_path / "gazetteer.csv"
+        gazetteer.write_text("city,province,country,lat,lon\nmontreal,QC,CA,95,-73.5\n")
+        config = dataclasses.replace(demo_config(demo_corpus, out=str(tmp_path / "out")),
+                                     gazetteer=str(gazetteer))
+        with pytest.raises(StageError, match="line 2: lat 95 is outside") as err:
+            run_pipeline(config, through_stage="geocode")
+        assert err.value.stage == "geocode"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        assert f"gazetteer {gazetteer}, line 2" in cli_error(["geocode", "--config", str(path)],
+                                                            capsys)
