@@ -14,6 +14,10 @@ import re
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
+# write_columns formats and writes this many lines at a time, so the
+# cells of only one block are alive
+BLOCK_ROWS = 512
+
 
 def quote(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
@@ -27,7 +31,8 @@ def cell(value) -> str:
 
 def column_cells(values, n: int) -> list:
     """:func:`cell` of each of ``n`` values in an array (None: empty cells).
-    A float column is never scanned for quoting, any other once, whole."""
+    A float column is never scanned for quoting, any other once, whole;
+    a slice of a column gets the slice of its cells."""
     if values is None:
         return [""] * n
     if values.dtype.kind == "f":
@@ -48,8 +53,15 @@ def write_table(path, header, rows) -> None:
 
 
 def write_columns(path, header, columns, n: int) -> None:
-    """A CSV of ``header`` and ``n`` lines given as columns (arrays or None)."""
-    _write_lines(path, header, zip(*(column_cells(c, n) for c in columns)))
+    """A CSV of ``header`` and ``n`` lines given as columns (arrays or None),
+    formatted ``BLOCK_ROWS`` lines at a time."""
+    def rows():
+        for start in range(0, n, BLOCK_ROWS):
+            stop = min(n, start + BLOCK_ROWS)
+            yield from zip(*(column_cells(None if c is None else c[start:stop], stop - start)
+                             for c in columns))
+
+    _write_lines(path, header, rows())
 
 
 def write_json(path, payload) -> None:

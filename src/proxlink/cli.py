@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .pipeline import (
@@ -91,7 +90,6 @@ def main(argv=None) -> int:
 
     try:
         config = _resolve_config(args)
-        os.makedirs(config.out, exist_ok=True)
         if args.command == "ingest":
             path = write_canonical_dump(config)
             print(f"canonical dump: {path}")

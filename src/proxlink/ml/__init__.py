@@ -20,6 +20,7 @@ from .tune import (
     SmoteConfig,
     TunePlan,
     apply_smote_train_only,
+    check_kinds,
     tune_kinds,
 )
 
@@ -29,5 +30,5 @@ __all__ = [
     "SgdLogistic", "make_classifier", "model_size", "auc", "Smote",
     "stratified_folds", "stratified_split", "CartTree",
     "EvalResult", "SmoteConfig", "TunePlan", "apply_smote_train_only",
-    "tune_kinds",
+    "check_kinds", "tune_kinds",
 ]

@@ -463,14 +463,33 @@ class GaussianNaiveBayes(_ClassifierBase):
         self.theta_ = None
 
     def fit(self, X, y):
-        X, y = self._check_fit_inputs(X, y)
-        self.classes_ = np.array([0, 1])
-        floor = self.var_smoothing * X.var(axis=0).max()
-        self.theta_ = np.stack([X[y == c].mean(axis=0) for c in (0, 1)])
-        self.var_ = np.stack([X[y == c].var(axis=0) for c in (0, 1)]) + floor
-        self.var_ = np.maximum(self.var_, 1e-300)
-        self.log_prior_ = np.log(np.array([(y == c).mean() for c in (0, 1)]))
-        return self
+        return type(self).fit_grid([self], [(X, y)])[0][0]
+
+    @classmethod
+    def fit_grid(cls, models: list, folds: list) -> list:
+        """Fit every model on every ``(X, y)`` fold.
+
+        Returns ``out[m][f]``: ``models[m]`` itself where there is one
+        fold, else a fitted copy per fold. Models differ only in
+        ``var_smoothing``, so a fold's class means, variances and log
+        priors and its largest feature variance are computed once, and
+        its models share ``theta_`` and ``log_prior_``; each model gets
+        its own floored ``var_``.
+        """
+        out = [[] for _ in models]
+        for X, y in folds:
+            X, y = _fit_inputs(X, y)
+            top = X.var(axis=0).max()
+            theta = np.stack([X[y == c].mean(axis=0) for c in (0, 1)])
+            var = np.stack([X[y == c].var(axis=0) for c in (0, 1)])
+            log_prior = np.log(np.array([(y == c).mean() for c in (0, 1)]))
+            for model, row in zip(models, out):
+                fitted = model if len(folds) == 1 else cls(**model.get_params())
+                fitted.n_features_in_, fitted.classes_ = X.shape[1], np.array([0, 1])
+                fitted.theta_, fitted.log_prior_ = theta, log_prior
+                fitted.var_ = np.maximum(var + model.var_smoothing * top, 1e-300)
+                row.append(fitted)
+        return out
 
     def _log_joint(self, X):
         X = self._check_query(X)

@@ -11,9 +11,10 @@ model, then the earlier candidate.
 
 Candidates are scored in one place, ``_score_stage``: the fits of a
 stage run in forked workers, one per usable CPU, each serving units one
-at a time, for every kind searched together. The two linear kinds fit a
-stage's candidates on every fold in one lockstep unit each;
-``score_spec`` scores one spec of any other kind on given fold sets.
+at a time, for every kind searched together. The two linear kinds and
+naive Bayes fit a stage's candidates on every fold in one lockstep unit
+each; ``score_spec`` scores one spec of any other kind on given fold
+sets.
 """
 from __future__ import annotations
 
@@ -28,13 +29,24 @@ import numpy as np
 
 from .._fork import fork_map
 from .._rng import stable_seed
-from .classifiers import ClassifierSpec, LinearSvm, SgdLogistic, make_classifier, model_size
+from .classifiers import (
+    CLASSIFIER_KINDS,
+    ClassifierSpec,
+    GaussianNaiveBayes,
+    LinearSvm,
+    SgdLogistic,
+    make_classifier,
+    model_size,
+)
 from .metrics import auc
 from .smote import Smote
 from .split import stratified_folds
 
-# kinds whose candidates x folds are fitted in one lockstep unit per stage
-_LOCKSTEP_KINDS = (SgdLogistic.kind, LinearSvm.kind)
+# kinds whose candidates x folds are fitted in one lockstep unit per stage,
+# through the class's fit_grid: the linear kinds run every (candidate, fold)
+# as a lane of one linear_lanes call, and naive Bayes computes each fold's
+# class statistics once for all its candidates
+_LOCKSTEP_KINDS = (SgdLogistic.kind, LinearSvm.kind, GaussianNaiveBayes.kind)
 
 # (name, sampler, lo, hi) per kind; samplers: int / int_log / float_log
 PARAM_SPACES = {
@@ -63,6 +75,9 @@ class SmoteConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"smote_k (SMOTE's k) must be >= 1, not {self.k}")
+        if not 0 < self.target_ratio < math.inf:
+            raise ValueError(f"smote_ratio (SMOTE's target_ratio) must be a finite "
+                             f"number above 0, not {self.target_ratio}")
 
 
 @dataclass
@@ -147,6 +162,19 @@ def build_fold_sets(X, y, folds: int = 5, smote: Optional[SmoteConfig] = None,
             arr.flags.writeable = False
         out.append(fold)
     return out
+
+
+def check_kinds(kinds: Sequence[str]) -> None:
+    """Reject a classifier kind that is unknown or listed more than once;
+    the ValueError starts with the config key, ``classifiers``."""
+    unknown = [kind for kind in kinds if kind not in CLASSIFIER_KINDS]
+    if unknown:
+        raise ValueError(f"classifiers must be kinds from {CLASSIFIER_KINDS}, "
+                         f"not {unknown}")
+    twice = sorted({kind for kind in kinds if kinds.count(kind) > 1})
+    if twice:
+        raise ValueError(f"classifiers must name each of {CLASSIFIER_KINDS} at most "
+                         f"once; listed more than once: {twice}")
 
 
 def _validation_auc(model, X_va, y_va) -> float:
@@ -246,11 +274,12 @@ def _score_stage(searches: list[_Search], stage_specs: list[list]) -> None:
     workers (``fork_map``).
 
     A unit is one fit and validation AUC of one (spec, fold), except for
-    the two linear kinds (logistic-sgd and linear-svm): their unscored
-    specs are fitted on every fold in one lockstep unit, through the
-    class's ``fit_grid``. Units reach the workers through ``fork`` and
-    only their AUCs and seconds come back, so no fold set or model is
-    pickled.
+    the ``_LOCKSTEP_KINDS`` (logistic-sgd, linear-svm and
+    gaussian-naive-bayes): their unscored specs are fitted on every fold
+    in one lockstep unit, through the class's ``fit_grid``, which shares
+    each fold's work between the specs. Units reach the workers through
+    ``fork`` and only their AUCs and seconds come back, so no fold set or
+    model is pickled; a stage with one unit runs in-process.
     """
     units = []
     for s, specs in zip(searches, stage_specs):
@@ -304,9 +333,7 @@ def tune_kinds(kinds: Sequence[str], X, y, seeds: Sequence[int],
     plan = plan or TunePlan()
     if not kinds:
         raise ValueError("kinds is empty: name at least one classifier kind")
-    twice = sorted({kind for kind in kinds if kinds.count(kind) > 1})
-    if twice:
-        raise ValueError(f"classifier kinds listed more than once: {twice}")
+    check_kinds(kinds)
     if len(seeds) != len(kinds):
         raise ValueError("seeds must hold one seed per kind")
     searches = []

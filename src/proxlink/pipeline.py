@@ -39,6 +39,7 @@ from .ml import (
     SmoteConfig,
     TunePlan,
     apply_smote_train_only,
+    check_kinds,
     make_classifier,
     auc,
     stratified_split,
@@ -330,7 +331,9 @@ def _stage_fit(state: RunState) -> None:
 
 
 def _tune_plan(cfg: RunConfig) -> TunePlan:
-    """The run's search plan; a bad value raises ValueError naming its key."""
+    """The run's search plan; a bad value of it or of ``classifiers``
+    raises ValueError naming its key."""
+    check_kinds(cfg.classifiers)
     return TunePlan(n_random=cfg.n_random, grid_span=cfg.grid_span,
                     grid_points=cfg.grid_points, max_grid_fits=cfg.max_grid_fits,
                     folds=cfg.folds,
@@ -453,9 +456,10 @@ _STAGE_FNS = {
 def run_pipeline(config: RunConfig, through_stage: str = "report") -> RunState:
     """Execute stages in order up to ``through_stage`` (inclusive).
 
-    A bad tuning-plan value raises ValueError before the first stage. On a
-    stage's failure the output directory gets an INCOMPLETE marker naming
-    the stage, and a StageError propagates.
+    A bad tuning-plan value or an unknown or repeated classifier kind
+    raises ValueError before the first stage and before the output
+    directory is made. On a stage's failure the output directory gets an
+    INCOMPLETE marker naming the stage, and a StageError propagates.
     """
     if through_stage not in STAGES:
         raise ValueError(f"unknown stage {through_stage!r}; choose from {STAGES}")

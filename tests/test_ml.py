@@ -1264,7 +1264,9 @@ class TestCrossValAndTune:
         ([], [], 4, "kinds is empty"),
         (["gaussian-naive-bayes"], [0], 0, "at least one fit"),
         (["gaussian-naive-bayes"], [0, 1], 4, "one seed per kind"),
-    ], ids=["no kinds", "no random fits", "seed count"])
+        (["random-forrest"], [0], 4,
+         r"^classifiers must be kinds from \('logistic-sgd', .*\), not \['random-forrest'\]$"),
+    ], ids=["no kinds", "no random fits", "seed count", "unknown kind"])
     def test_tune_rejects_an_empty_or_mismatched_search(self, kinds, seeds, n_random, message):
         X, y = separable_dataset(n=60, seed=4)
         with pytest.raises(ValueError, match=message):
@@ -1283,6 +1285,12 @@ class TestCrossValAndTune:
     def test_smote_needs_a_neighbour(self):
         with pytest.raises(ValueError, match="smote_k .* must be >= 1, not 0"):
             SmoteConfig(k=0)
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_smote_ratio_must_be_finite_and_positive(self, ratio):
+        with pytest.raises(ValueError, match=f"^smote_ratio .* must be a finite number "
+                                             f"above 0, not {ratio}$"):
+            SmoteConfig(target_ratio=ratio)
 
     def test_tune_rejects_a_kind_listed_twice(self):
         X, y = separable_dataset(n=60, seed=4)
@@ -1445,6 +1453,25 @@ class TestCrossValAndTune:
             random = {r["hyperparameters"] for r in log if r["stage"] == "random"}
             grid = {r["hyperparameters"] for r in log if r["stage"] == "grid"}
             assert calls == [(3 * len(random), hinge), (3 * len(grid - random), hinge)], kind
+
+    @pytest.mark.usefixtures("one_cpu")
+    def test_tune_fits_nb_candidates_in_one_call_per_stage(self, monkeypatch):
+        calls = []
+        original = GaussianNaiveBayes.fit_grid.__func__
+
+        def counting(cls, models, folds):
+            calls.append((len(models), len(folds)))
+            return original(cls, models, folds)
+
+        monkeypatch.setattr(GaussianNaiveBayes, "fit_grid", classmethod(counting))
+        X, y = overlapping_blobs()
+        log = []
+        tune_kinds(["gaussian-naive-bayes"], X, y, [5],
+                   plan=TunePlan(n_random=6, max_grid_fits=4, folds=3, smote=SmoteConfig(k=3)),
+                   log=log)
+        random = {r["hyperparameters"] for r in log if r["stage"] == "random"}
+        grid = {r["hyperparameters"] for r in log if r["stage"] == "grid"}
+        assert calls == [(len(random), 3), (len(grid - random), 3)]
 
     @pytest.mark.parametrize("kind, n_random, max_grid_fits, digest", TUNE_LOG_CASES)
     def test_tune_log_rows_pinned(self, kind, n_random, max_grid_fits, digest):
@@ -1702,6 +1729,61 @@ class TestHingeLockstep(_LaneKernelTests):
             w, b = reference_svm_fit(LinearSvm(**params), X, y)
             assert model.coef_.tobytes() == w.tobytes()
             assert model.intercept_ == b
+
+
+def reference_nb_fit(var_smoothing, X, y) -> tuple:
+    """``(theta_, var_, log_prior_)`` of one naive-Bayes model fitted on its
+    own: the fit body from before ``fit_grid``, kept as the oracle."""
+    floor = var_smoothing * X.var(axis=0).max()
+    theta = np.stack([X[y == c].mean(axis=0) for c in (0, 1)])
+    var = np.stack([X[y == c].var(axis=0) for c in (0, 1)]) + floor
+    var = np.maximum(var, 1e-300)
+    log_prior = np.log(np.array([(y == c).mean() for c in (0, 1)]))
+    return theta, var, log_prior
+
+
+class TestNaiveBayesGrid:
+    SMOOTHING = (0.0, 1e-12, 3e-9, 1e-6, 0.5)
+
+    @staticmethod
+    def folds() -> list:
+        X, y = overlapping_blobs()
+        constant = X.copy()
+        constant[:, 1] = 2.5  # zero variance in both classes
+        return [(X[:130], y[:130]), (X[60:], y[60:]), (constant[::2], y[::2])]
+
+    @pytest.mark.parametrize("n_folds", [1, 3])
+    def test_fit_grid_equals_one_fit_per_model_and_fold(self, n_folds):
+        folds = self.folds()[-n_folds:]
+        models = [GaussianNaiveBayes(var_smoothing=v) for v in self.SMOOTHING]
+        grid = GaussianNaiveBayes.fit_grid(models, folds)
+        assert [len(row) for row in grid] == [n_folds] * len(models)
+        for model, row in zip(models, grid):
+            for (X, y), fitted in zip(folds, row):
+                assert (fitted is model) == (n_folds == 1)
+                assert fitted.get_params() == model.get_params()
+                reference = GaussianNaiveBayes(var_smoothing=model.var_smoothing)
+                reference.n_features_in_ = X.shape[1]
+                reference.theta_, reference.var_, reference.log_prior_ = reference_nb_fit(
+                    model.var_smoothing, X, y)
+                for name in ("theta_", "var_", "log_prior_"):
+                    assert getattr(fitted, name).tobytes() == getattr(reference, name).tobytes()
+                assert (fitted.predict_proba(X).tobytes()
+                        == reference.predict_proba(X).tobytes())
+
+    def test_fit_is_the_grid_of_one(self):
+        X, y = overlapping_blobs()
+        model = GaussianNaiveBayes(var_smoothing=1e-6)
+        assert model.fit(X, y) is model
+        theta, var, log_prior = reference_nb_fit(1e-6, X, y)
+        assert model.theta_.tobytes() == theta.tobytes()
+        assert model.var_.tobytes() == var.tobytes()
+        assert model.log_prior_.tobytes() == log_prior.tobytes()
+
+    def test_fit_grid_checks_each_fold(self):
+        X, y = overlapping_blobs()
+        with pytest.raises(ValueError):
+            GaussianNaiveBayes.fit_grid([GaussianNaiveBayes()], [(X, y), (X, np.zeros_like(y))])
 
 
 @pytest.fixture(scope="module")

@@ -488,7 +488,9 @@ def cli_error(argv, capsys) -> str:
 class TestConfigValuesFailEarly:
     @pytest.mark.parametrize("key, value", [
         ("grid_span", 0), ("grid_span", -2), ("max_grid_fits", 0), ("grid_points", 0),
-        ("smote_k", 0), ("folds", 1), ("n_random", 0),
+        ("smote_k", 0), ("folds", 1), ("n_random", 0), ("smote_ratio", 0),
+        ("smote_ratio", -1), ("smote_ratio", float("nan")), ("smote_ratio", float("inf")),
+        ("classifiers", ["random-forrest"]),
     ])
     def test_bad_plan_value_fails_before_ingest(self, tmp_path, capsys, key, value):
         # the corpus does not exist, so only a check before ingest names the key
@@ -496,22 +498,27 @@ class TestConfigValuesFailEarly:
         with pytest.raises(ValueError, match=f"^{key} .*must be") as err:
             run_pipeline(RunConfig(corpus=corpus, out=str(out), **{key: value}))
         assert not isinstance(err.value, StageError)
-        assert not (out / "INCOMPLETE").exists()
+        assert not out.exists()
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"corpus": corpus, key: value}))
         assert cli_error(["run", "--config", str(path), "--out", str(out)],
                          capsys).startswith(f"error: {key} ")
+        assert not out.exists()
 
-    def test_kind_listed_twice_fails_the_ml_stage(self, tmp_path, demo_corpus, capsys):
-        config = dataclasses.replace(
-            demo_config(demo_corpus, out=str(tmp_path / "out")), lda_k_grid=[3],
-            lda_iterations=20, classifiers=["gaussian-naive-bayes"] * 2)
-        with pytest.raises(StageError, match="more than once: .'gaussian-naive-bayes'.$"):
+    def test_kind_listed_twice_fails_before_ingest(self, tmp_path, capsys):
+        corpus, out = str(tmp_path / "missing.jsonl"), tmp_path / "out"
+        config = RunConfig(corpus=corpus, out=str(out),
+                           classifiers=["gaussian-naive-bayes"] * 2)
+        with pytest.raises(ValueError, match="^classifiers .*more than once: "
+                                             ".'gaussian-naive-bayes'.$") as err:
             run_pipeline(config, through_stage="ml")
+        assert not isinstance(err.value, StageError)
+        assert not out.exists()
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config.to_dict()))
         err = cli_error(["ml", "--config", str(path)], capsys)
-        assert "'ml' failed" in err and "gaussian-naive-bayes" in err
+        assert err.startswith("error: classifiers ") and "gaussian-naive-bayes" in err
+        assert not out.exists()
 
     def test_bad_gazetteer_fails_the_geocode_stage(self, tmp_path, demo_corpus, capsys):
         gazetteer = tmp_path / "gazetteer.csv"

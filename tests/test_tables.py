@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from proxlink import _tables
 from proxlink._tables import cell, column_cells, quote, write_columns, write_json, write_table
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -68,6 +69,34 @@ def test_columns_equal_rows_and_round_trip(tmp_path):
     assert header_back == header
     assert [r[0] for r in back] == AWKWARD
     assert {len(r) for r in back} == {len(header)}
+
+
+def write_columns_at_once(path, header, columns, n: int) -> None:
+    """The one-shot writer: every column's cells made before the first line."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(map(quote, header)) + "\n")
+        fh.writelines(",".join(row) + "\n"
+                      for row in zip(*(column_cells(c, n) for c in columns)))
+
+
+@pytest.mark.parametrize("block", [3, _tables.BLOCK_ROWS])
+@pytest.mark.parametrize("n_of_block", [lambda b: 0, lambda b: 1, lambda b: b - 1, lambda b: b,
+                                        lambda b: b + 1, lambda b: 2 * b + 3],
+                         ids=["0", "1", "B-1", "B", "B+1", "2B+3"])
+def test_block_writer_equals_the_one_shot_writer(tmp_path, monkeypatch, block, n_of_block):
+    n = n_of_block(block)
+    monkeypatch.setattr(_tables, "BLOCK_ROWS", block)
+    names = [f"a{i:05d}" for i in range(n)]
+    if n:
+        names[-1] = 'say "hi", then'  # the only cell that needs quotes, in the last block
+    columns = [np.array(names, dtype=object), np.arange(n, dtype=np.int64),
+               np.resize(np.array(SPECIAL_FLOATS), n), None, np.full(n, "2000-2004")]
+    header = ["name", "n", "x", "none", "window"]
+    write_columns(tmp_path / "blocks.csv", header, columns, n)
+    write_columns_at_once(tmp_path / "once.csv", header, columns, n)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
+    rows = read_rows(tmp_path / "blocks.csv")
+    assert len(rows) == n + 1 and rows[-1][0] == (names[-1] if n else "name")
 
 
 def test_text_column_without_special_characters_is_not_quoted():
