@@ -9,19 +9,19 @@ and splits at the midpoint (or the lower value where the midpoint rounds
 onto the upper one). Equal gains resolve to the lower feature index,
 then the lower threshold, making every fit reproducible.
 
-One grower, ``grow``, builds every tree: it steps the next depth-first
-node of each tree of a group together, each node a range of one row
-buffer that a split reorders, left child first. The two criteria differ
-only in their split scan and their leaf value:
+Each criterion has its own grower, and both append a tree's nodes in
+preorder, left child first:
 
-- Gini trees, used by the random forest, scan every node of a step in
+- ``grow`` builds the random forest's gini trees. It steps the next
+  depth-first node of each tree of a group together, each node a range of
+  one row buffer that a split reorders, and scans every node of a step in
   one flat search; a leaf holds the positive-class fraction. A tree that
   takes k of the F features per node draws them for a block of nodes at a
   time (``_FeatureDraws``), with the bits of one ``rng.choice`` per node.
-- Variance-reduction (mse) trees, used by gradient boosting, scan one
-  node at a time; a leaf holds the target's sum over the hessian's sum
-  on its rows. ``fit_values`` also returns each training row's leaf
-  value, which boosting adds to its score without a predict.
+- ``grow_regression`` builds one variance-reduction (mse) tree of
+  gradient boosting on every row, one node at a time; a leaf holds the
+  target's sum over the hessian's sum on its rows. ``CartTree.fit_values``
+  also returns each row's leaf value, which boosting adds to its score.
 
 Boosting's rounds fit the same rows, and most of a tree's nodes hold the
 row set of a node of an earlier tree. A ``RowSetStore`` keeps, for the
@@ -110,6 +110,15 @@ class RowSetStore:
     def __init__(self):
         self.sets: dict = {}
         self.trees = 0  # trees grown so far; the index of the growing one
+
+    def row_set(self, path: tuple, rows: np.ndarray) -> _RowSet:
+        """The row set at ``path``, made from the node's ``rows`` (in any
+        order) if the store lacks it, marked as used by the growing tree."""
+        found = self.sets.get(path)
+        if found is None:
+            found = self.sets[path] = _RowSet(np.sort(rows))
+        found.tree = self.trees
+        return found
 
     def end_tree(self) -> None:
         self.trees += 1
@@ -220,11 +229,17 @@ class CartTree:
                    store: Optional[RowSetStore] = None) -> np.ndarray:
         """Fit the tree on ``X`` given as ``tables = presort(X)`` and return
         each training row's leaf value, equal to ``predict(X)`` bit for bit:
-        ``grow`` with one tree, ``hess`` and ``store`` as there."""
+        an mse tree through ``grow_regression`` (``hess`` None meaning ones,
+        ``store`` None a fresh store), a gini tree through ``grow``."""
         y = np.asarray(y, dtype=float)
         out = np.empty(len(y))
-        grow([self], tables, y, bootstrap=False, group=1, block=0,
-             hess=hess, out=out, store=store)
+        if self.criterion == "mse":
+            grow_regression(self, tables, y, np.ones(len(y)) if hess is None else hess,
+                            RowSetStore() if store is None else store, out)
+        elif hess is not None:
+            raise ValueError("hess applies to mse trees only")
+        else:
+            grow([self], tables, y, bootstrap=False, group=1, block=0, out=out)
         return out
 
     def _stops(self, depth: int, n: int) -> bool:
@@ -273,76 +288,46 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
 
 
-def grow(trees: list, tables: Presorted, y: np.ndarray,
-         bootstrap: bool, group: int, block: int,
-         hess: Optional[np.ndarray] = None,
-         out: Optional[np.ndarray] = None,
-         store: Optional[RowSetStore] = None) -> None:
-    """Grow ``trees``, all of one criterion, in lockstep on ``X`` given as
-    ``tables = presort(X)``, ``group`` trees at a time. Each tree grows on a
-    bootstrap sample drawn from its own rng when its group starts, or on
-    every row without ``bootstrap``. Gini trees take 0/1 labels ``y``. Mse
-    trees grow one at a time on every row, through ``store`` (a fresh
-    ``RowSetStore`` if None); a leaf holds ``y``'s sum over ``hess``'s sum
-    on its rows, ``hess`` None meaning ones (the mean). ``out``, if given,
-    receives each row's leaf value (one tree, no bootstrap).
+def grow(trees: list, tables: Presorted, y: np.ndarray, bootstrap: bool,
+         group: int, block: int, out: Optional[np.ndarray] = None) -> None:
+    """Grow the gini ``trees`` in lockstep on ``X`` given as ``tables =
+    presort(X)`` and 0/1 labels ``y``, ``group`` trees at a time. Each tree
+    grows on a bootstrap sample drawn from its own rng when its group
+    starts, or on every row without ``bootstrap``. ``out``, if given,
+    receives each row's leaf value (one tree, no bootstrap). An mse tree
+    raises ``ValueError``; it grows through ``grow_regression``.
 
     Each step pops the next depth-first node of every tree, making leaves
     of those too small or too deep to split, until one per tree needs a
     scan. A node is a range of its tree's row buffer. The step scans its
     nodes in chunks of about ``block`` (rows x candidate features)
-    entries; a node larger than ``block`` is a chunk of its own. Both
-    scans list a node's rows on each candidate feature in presort order
-    by sorting their ranks, keep the positions whose adjacent values
-    differ and which leave ``min_samples_leaf`` rows on each side, and
-    take a node's first best gain in (feature, position) order. The
-    winning feature's sorted rows become the node's range, left child
-    first.
+    entries; a node larger than ``block`` is a chunk of its own. One sort
+    of (segment, rank) keys lists a chunk's rows on each candidate feature
+    of their node, and one flat cumsum counts positives. The scan keeps the
+    positions whose adjacent values differ and which leave
+    ``min_samples_leaf`` rows on each side, and takes a node's first best
+    gain in (feature, position) order; the winning feature's sorted rows
+    become the node's range, left child first. A segment's tie order is
+    not presort order, but at a position between distinct values the left
+    count is the number of positives up to that value whatever the tie
+    order, and counts of 0/1 labels are exact.
 
-    - The gini scan covers a whole chunk with one sort of (segment, rank)
-      keys and one flat cumsum of positive counts. Its tie order within a
-      segment is not presort order, but at a position between distinct
-      values the left count is the number of positives up to that value
-      whatever the tie order, and counts of 0/1 labels are exact.
-    - The mse scan takes one node at a time. Its row set holds the
-      node's rows in ascending order, an F x n table of its rows sorted
-      on each feature and the table's candidate positions, row-major. A
-      node whose path of splits is in ``store`` takes its row set from
-      there and skips the sort; either way the scan gathers the target
-      through the table, takes cumulative sums along each row, scores the
-      candidates and takes the first argmax. Those are the elementwise
-      operations, in the same order, of scoring the whole table and
-      masking the other positions, so a stored row set moves no bit. A
-      node's totals and leaf sums run over its rows in ascending order,
-      as the bits of a pairwise sum depend on its order.
-
-    Each gini tree draws its candidate features from its own rng in its
-    own preorder, and every tree appends its nodes in preorder, so a
-    tree's draws and ``to_dict()`` are those of growing it alone. A tree
-    with ``max_features`` k below the F features takes them from a
-    ``_FeatureDraws``: blocks of nodes, one ``rng.integers`` call each,
-    with the draws of per-node ``rng.choice(F, k, replace=False)`` calls.
-    A block holds k 8-byte picks per node, at most about twice the nodes
-    the tree scans. When a tree has no node left, its node lists become
-    its four arrays, its rng is rewound to where per-node draws leave it
-    and its block goes. Such a tree without an rng raises ``ValueError``
-    before any tree grows.
+    Each tree draws its candidate features from its own rng in its own
+    preorder, and every tree appends its nodes in preorder, so a tree's
+    draws and ``to_dict()`` are those of growing it alone. A tree with
+    ``max_features`` k below the F features takes them from a
+    ``_FeatureDraws``, which it rewinds when it has no node left; such a
+    tree without an rng raises ``ValueError`` before any tree grows.
     """
+    if any(tree.criterion != "gini" for tree in trees):
+        raise ValueError("grow grows gini trees only; mse trees grow through grow_regression")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("gini trees need 0/1 labels")
     n_rows, n_features = tables.shape
     size = n_rows * n_features
-    gini = trees[0].criterion == "gini"
-    if gini:
-        if hess is not None:
-            raise ValueError("hess applies to mse trees only")
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise ValueError("gini trees need 0/1 labels")
-    else:
-        hess = np.ones(n_rows) if hess is None else hess
-        store = RowSetStore() if store is None else store
     sorted_rows, sorted_x, code = tables.rows, tables.x, tables.code
-    sorted_y = y[sorted_rows] if gini else None
+    sorted_y = y[sorted_rows]
     every = np.arange(n_features)
-    paths = []  # mse: each node's path of splits, by node id
 
     def gini_splits(chunk) -> dict:
         """Split of each node of ``chunk`` that has one, by position in
@@ -405,73 +390,11 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
             seg_feat[seg[win]].tolist(), thresholds.tolist(),
             n_l[win].astype(np.intp).tolist(), pos_l[win].astype(np.intp).tolist())))
 
-    def row_set(node_id, start, stop) -> _RowSet:
-        """The mse node's row set, from ``store`` if it holds its path."""
-        found = store.sets.get(paths[node_id])
-        if found is None:
-            found = store.sets[paths[node_id]] = _RowSet(np.sort(buf[start:stop]))
-        found.tree = store.trees
-        return found
-
-    def mse_splits(chunk) -> dict:
-        """As ``gini_splits``, with 0 left positives."""
-        splits = {}
-        for j, (t, node_id, start, stop, _, _, feats) in enumerate(chunk):
-            found = row_set(node_id, start, stop)
-            idx = found.rows
-            n = len(idx)
-            if found.table is None:
-                min_leaf = grove[t].min_samples_leaf
-                lo, hi = min_leaf - 1, n - min_leaf
-                # row f: the node's entries in ascending order of feature feats[f]
-                entry = code[(feats * n_rows)[:, None] + idx]
-                entry.sort(axis=1)
-                values = sorted_x[entry]
-                # a split after column i of a row: between distinct values,
-                # min_leaf rows on each side
-                cand = np.zeros(entry.shape, dtype=bool)
-                cand[:, lo:hi] = values[:, lo:hi] != values[:, lo + 1:hi + 1]
-                found.table, found.cands = sorted_rows[entry], np.flatnonzero(cand)
-                del entry, values, cand
-            at = found.cands
-            if not len(at):
-                continue
-            y_node = y[idx]
-            total_sum = float(y_node.sum())
-            total_sq = float((y_node ** 2).sum())
-            parent_impurity = total_sq - total_sum * total_sum / n
-            ys = y[found.table]
-            s_l = ys.cumsum(axis=1).ravel()[at]
-            sq_l = (ys ** 2).cumsum(axis=1).ravel()[at]
-            n_l = at % n + 1.0
-            n_r = n - n_l
-            imp_l = sq_l - s_l * s_l / n_l
-            s_r = total_sum - s_l
-            imp_r = (total_sq - sq_l) - s_r * s_r / n_r
-            gains = parent_impurity - imp_l - imp_r
-            # the candidates are row-major: first the lower feature, then
-            # the lower threshold
-            k = int(np.argmax(gains))
-            if not gains[k] > _MIN_GAIN:
-                continue
-            f, i = divmod(int(at[k]), n)
-            rows = found.table[f]
-            buf[start:stop] = rows
-            lower, upper = sorted_x[code[feats[f] * n_rows + rows[i:i + 2]]].tolist()
-            mid = (lower + upper) / 2.0  # as in gini_splits
-            splits[j] = (int(feats[f]), mid if mid < upper else lower, i + 1, 0)
-        return splits
-
     def make_leaf(values, node_id, start, stop, positives):
-        if gini:
-            values[node_id] = positives / (stop - start)
-        else:
-            rows = row_set(node_id, start, stop).rows
-            values[node_id] = float(y[rows].sum() / hess[rows].sum())
+        values[node_id] = positives / (stop - start)
         if out is not None:
             out[buf[start:stop]] = values[node_id]
 
-    best_splits = gini_splits if gini else mse_splits
     # per tree: its candidate-feature draws, or None where every feature is one
     all_draws = [_FeatureDraws(tree, n_features)
                  if tree.max_features is not None and tree.max_features < n_features
@@ -481,14 +404,13 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
         samples = [tree.rng.integers(0, n_rows, size=n_rows) if bootstrap
                    else np.arange(n_rows) for tree in grove]
         buf = np.concatenate(samples)
-        # per tree: a stack of (start, stop, depth, positives (0 for mse),
-        # parent) and its nodes' feature, threshold, right and value lists
+        # per tree: a stack of (start, stop, depth, positives, parent) and
+        # its nodes' feature, threshold, right and value lists
         stacks, nodes = [], []
         start = 0
         for rows in samples:
             stop = start + len(rows)
-            positives = int(np.count_nonzero(y[rows])) if gini else 0
-            stacks.append([(start, stop, 0, positives, -1)])
+            stacks.append([(start, stop, 0, int(np.count_nonzero(y[rows])), -1)])
             nodes.append(([], [], [], []))
             start = stop
         del samples
@@ -505,12 +427,8 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
                     for column, blank in zip(nodes[t], (-1, 0.0, -1, 0.0)):
                         column.append(blank)
                     # a left child is popped right after its parent's split
-                    is_left = node_id == parent + 1
-                    if parent >= 0 and not is_left:
+                    if parent >= 0 and node_id != parent + 1:
                         right[parent] = node_id
-                    if not gini:
-                        paths.append(paths[parent] + (feature[parent], threshold[parent], is_left)
-                                     if parent >= 0 else ())
                     if tree._stops(depth, stop - start):
                         make_leaf(value, node_id, start, stop, positives)
                         continue
@@ -524,7 +442,7 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
             for chunk in chunks:
                 if not chunk:
                     continue
-                splits = best_splits(chunk)
+                splits = gini_splits(chunk)
                 for j, (t, node_id, start, stop, depth, pos, _) in enumerate(chunk):
                     feature, threshold, _, value = nodes[t]
                     if j not in splits:
@@ -541,5 +459,77 @@ def grow(trees: list, tables: Presorted, y: np.ndarray,
                     tree = grove[t]
                     tree.feature, tree.threshold, tree.right, tree.value = map(np.array, nodes[t])
             live = [t for t in live if stacks[t]]
-    if not gini:
-        store.end_tree()
+
+
+def grow_regression(tree: CartTree, tables: Presorted, y: np.ndarray, hess: np.ndarray,
+                    store: RowSetStore, out: np.ndarray) -> None:
+    """Grow the mse ``tree`` on every row of ``X`` given as ``tables =
+    presort(X)``, through ``store``, and write each row's leaf value, ``y``'s
+    sum over ``hess``'s sum on its rows, into ``out``. The stack holds
+    (rows, depth, parent, path) per node, ``path`` its splits from the
+    root, (feature, threshold, went left) each, flat. A node looks up its
+    row set in ``store`` once; a split hands its children the two parts of
+    the winning feature's table row. The scan's operations are, in order,
+    the elementwise ones of scoring the whole table, so a stored row set
+    moves no bit. Totals and leaf sums run over a node's rows in ascending
+    order, as the bits of a pairwise sum depend on its order.
+    """
+    n_rows, n_features = tables.shape
+    offsets = (np.arange(n_features) * n_rows)[:, None]
+    lo = tree.min_samples_leaf - 1
+    nodes = []  # [feature, threshold, right, value] per node, in preorder
+    stack = [(np.arange(n_rows), 0, -1, ())]
+    while stack:
+        rows, depth, parent, path = stack.pop()
+        node_id = len(nodes)
+        if parent >= 0 and node_id != parent + 1:
+            nodes[parent][2] = node_id
+        found = store.row_set(path, rows)
+        rows = found.rows
+        n = len(rows)
+        best = -1
+        if not tree._stops(depth, n):
+            if found.table is None:
+                hi = n - tree.min_samples_leaf
+                # row f: the node's entries in ascending order of feature f
+                entry = tables.code[offsets + rows]
+                entry.sort(axis=1)
+                values = tables.x[entry]
+                # a split after column i: between distinct values, min_leaf rows each side
+                cand = np.zeros(entry.shape, dtype=bool)
+                cand[:, lo:hi] = values[:, lo:hi] != values[:, lo + 1:hi + 1]
+                found.table, found.cands = tables.rows[entry], np.flatnonzero(cand)
+                del entry, values, cand
+            at = found.cands
+            if len(at):
+                y_node = y[rows]
+                total_sum = float(y_node.sum())
+                total_sq = float((y_node ** 2).sum())
+                parent_impurity = total_sq - total_sum * total_sum / n
+                ys = y[found.table]
+                s_l = ys.cumsum(axis=1).ravel()[at]
+                sq_l = (ys ** 2).cumsum(axis=1).ravel()[at]
+                n_l = at % n + 1.0
+                n_r = n - n_l
+                imp_l = sq_l - s_l * s_l / n_l
+                s_r = total_sum - s_l
+                imp_r = (total_sq - sq_l) - s_r * s_r / n_r
+                gains = parent_impurity - imp_l - imp_r
+                k = int(np.argmax(gains))
+                if gains[k] > _MIN_GAIN:
+                    best = int(at[k])
+        if best < 0:
+            leaf = float(y[rows].sum() / hess[rows].sum())
+            out[rows] = leaf
+            nodes.append([-1, 0.0, -1, leaf])
+            continue
+        f, i = divmod(best, n)
+        ordered = found.table[f]
+        lower, upper = tables.x[tables.code[f * n_rows + ordered[i:i + 2]]].tolist()
+        mid = (lower + upper) / 2.0  # as in grow
+        split = (f, mid if mid < upper else lower)
+        nodes.append([*split, -1, 0.0])
+        stack.append((ordered[i + 1:], depth + 1, node_id, path + split + (False,)))
+        stack.append((ordered[:i + 1], depth + 1, node_id, path + split + (True,)))
+    tree.feature, tree.threshold, tree.right, tree.value = map(np.array, zip(*nodes))
+    store.end_tree()

@@ -153,11 +153,15 @@ class SamplingPolicy:
     kind: str = "auto"
     ratio: float = 5.0
 
+    def __post_init__(self):
+        if self.kind not in ("auto", "all", "ratio"):
+            raise ValueError(f"sampling_kind must be auto, all or ratio, not {self.kind!r}")
+        if not 0 < self.ratio < np.inf:
+            raise ValueError(f"sampling_ratio must be a finite number above 0, not {self.ratio}")
+
     def resolved_kind(self, n_eligible: int) -> str:
         if self.kind == "auto":
             return "all" if n_eligible <= AUTO_THRESHOLD else "ratio"
-        if self.kind not in ("all", "ratio"):
-            raise ValueError(f"unknown sampling kind {self.kind!r}")
         return self.kind
 
 

@@ -456,14 +456,18 @@ _STAGE_FNS = {
 def run_pipeline(config: RunConfig, through_stage: str = "report") -> RunState:
     """Execute stages in order up to ``through_stage`` (inclusive).
 
-    A bad tuning-plan value or an unknown or repeated classifier kind
-    raises ValueError before the first stage and before the output
-    directory is made. On a stage's failure the output directory gets an
-    INCOMPLETE marker naming the stage, and a StageError propagates.
+    A bad tuning-plan, sampling or explanation value or classifier kind
+    raises ValueError naming its key before any stage runs or the output
+    directory exists. A failed stage leaves an INCOMPLETE marker naming it
+    in the output directory and raises StageError.
     """
     if through_stage not in STAGES:
         raise ValueError(f"unknown stage {through_stage!r}; choose from {STAGES}")
     _tune_plan(config)
+    SamplingPolicy(kind=config.sampling_kind, ratio=config.sampling_ratio)
+    for key in ("explain_rows", "explain_background"):
+        if getattr(config, key) < 1:
+            raise ValueError(f"{key} must be >= 1, not {getattr(config, key)}")
     os.makedirs(config.out, exist_ok=True)
     marker = os.path.join(config.out, "INCOMPLETE")
     state = RunState(config=config)

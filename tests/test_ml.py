@@ -409,6 +409,14 @@ class TestCartTree:
             CartTree(criterion="gini").fit_values(presort(X), np.array([0.0, 1.0, 1.0, 0.0]),
                                                   np.ones(4))
 
+    def test_lockstep_grower_takes_gini_trees_only(self):
+        # mse trees grow one at a time through grow_regression
+        X, y = np.arange(6.0)[:, None], np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        trees = [CartTree(criterion="gini"), CartTree(criterion="mse")]
+        with pytest.raises(ValueError, match="gini trees only"):
+            tree_mod.grow(trees, presort(X), y, bootstrap=False, group=2, block=0)
+        assert all(tree.value is None for tree in trees)
+
     def test_rejects_empty_leaves(self):
         with pytest.raises(ValueError, match="min_samples_leaf"):
             CartTree(min_samples_leaf=0)

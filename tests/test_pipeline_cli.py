@@ -490,7 +490,10 @@ class TestConfigValuesFailEarly:
         ("grid_span", 0), ("grid_span", -2), ("max_grid_fits", 0), ("grid_points", 0),
         ("smote_k", 0), ("folds", 1), ("n_random", 0), ("smote_ratio", 0),
         ("smote_ratio", -1), ("smote_ratio", float("nan")), ("smote_ratio", float("inf")),
-        ("classifiers", ["random-forrest"]),
+        ("classifiers", ["random-forrest"]), ("explain_rows", 0), ("explain_rows", -1),
+        ("explain_background", 0), ("sampling_ratio", 0), ("sampling_ratio", -1),
+        ("sampling_ratio", float("nan")), ("sampling_ratio", float("inf")),
+        ("sampling_kind", "bogus"),
     ])
     def test_bad_plan_value_fails_before_ingest(self, tmp_path, capsys, key, value):
         # the corpus does not exist, so only a check before ingest names the key
