@@ -15,7 +15,8 @@ here: great-circle distance, once per distinct pair of points, and
 bridging paths. The cognitive-distance column comes whole from
 :func:`proxlink.topics.cognitive_distances`. Each value uses the same
 expressions a single pair would, so the bytes written do not depend on
-how many pairs are built together.
+how many pairs are built together. The windows' columns are built in
+forked workers, one window per item; geocoding stays in the parent.
 
 Distance and network proximity enter as ln(1 + x): both are frequently
 zero (co-located pairs, no bridging path), so a plain log is undefined.
@@ -25,12 +26,13 @@ applied identically in the inferential and ML models.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._fork import fork_map
 from ._tables import write_columns, write_json, write_table
 from ._validation import sorted_distinct
 from .corpus import Affiliation, Corpus
@@ -186,38 +188,47 @@ def _codes(values: list) -> tuple[np.ndarray, list]:
     return codes, list(index)
 
 
-def _window_columns(corpus: Corpus, window: WindowPair, graph: CoPubGraph,
-                    authors: list[str], pairs: np.ndarray, scenario: int,
-                    adjacency: AdjacencyTable, geo: GeoContext,
-                    topic_vectors: dict[str, np.ndarray],
-                    exclusions: dict[str, int]) -> tuple[dict, int]:
-    """One window's columns, its exclusions added to ``exclusions``.
-
-    ``authors`` are the window's sorted eligible authors and ``pairs`` the
-    (n, 2) indices into them from :func:`candidate_pairs`. Returns the
-    columns of the kept pairs, in pair order, and how many of them have a
-    zero-variance knowledge vector on either side.
-    """
-    span = window.feature_span
-    m = len(authors)
-    I, J = pairs[:, 0], pairs[:, 1]
-    keep = np.ones(len(pairs), dtype=bool)
-
-    def exclude(reason: str, ok: np.ndarray) -> None:
-        lost = int(np.count_nonzero(keep & ~ok))
-        if lost:
-            exclusions[reason] = exclusions.get(reason, 0) + lost
-        keep[:] &= ok
-
-    # geocode authors in the order the pair list first names them
-    points: list = [None] * m
-    affs: list = [None] * m
+def _geocode_window(corpus: Corpus, authors: list[str], pairs: np.ndarray,
+                    span: tuple[int, int], geo: GeoContext) -> tuple[list, list]:
+    """(GeoPoint, Affiliation) lists indexed like ``authors``, None where
+    unresolved, geocoding authors in the order the pair list first names
+    them."""
+    points: list = [None] * len(authors)
+    affs: list = [None] * len(authors)
     seen, first = np.unique(pairs.ravel(), return_index=True)
     for a in seen[np.argsort(first)].tolist():
         try:
             points[a], affs[a] = _author_geo(corpus, authors[a], span, geo)
         except (UnresolvedAddressError, ValueError):
             pass
+    return points, affs
+
+
+def _window_columns(corpus: Corpus, window: WindowPair, graph: CoPubGraph,
+                    authors: list[str], pairs: np.ndarray, points: list, affs: list,
+                    scenario: int, adjacency: AdjacencyTable,
+                    topic_vectors: dict[str, np.ndarray]) -> tuple[dict, dict, int]:
+    """One window's columns.
+
+    ``authors`` are the window's sorted eligible authors, ``pairs`` the
+    (n, 2) indices into them from :func:`candidate_pairs`, and ``points``
+    and ``affs`` their geocoding (:func:`_geocode_window`). Returns the
+    columns of the kept pairs, in pair order, the number of pairs excluded
+    per reason, and how many kept pairs have a zero-variance knowledge
+    vector on either side.
+    """
+    span = window.feature_span
+    m = len(authors)
+    I, J = pairs[:, 0], pairs[:, 1]
+    keep = np.ones(len(pairs), dtype=bool)
+    exclusions: dict[str, int] = {}
+
+    def exclude(reason: str, ok: np.ndarray) -> None:
+        lost = int(np.count_nonzero(keep & ~ok))
+        if lost:
+            exclusions[reason] = lost
+        keep[:] &= ok
+
     located = np.array([p is not None for p in points], dtype=bool)
     exclude("unresolved-geocode", located[I] & located[J])
 
@@ -296,7 +307,7 @@ def _window_columns(corpus: Corpus, window: WindowPair, graph: CoPubGraph,
     if scenario in (3, 4):
         continent, _ = _codes([f and f.continent for f in affs])
         columns["different_continent"] = (continent[I] != continent[J]).astype(np.int64)
-    return columns, int(np.count_nonzero(degenerate))
+    return columns, exclusions, int(np.count_nonzero(degenerate))
 
 
 def assemble(corpus: Corpus, scenario: int, windows: Sequence[WindowPair],
@@ -308,16 +319,21 @@ def assemble(corpus: Corpus, scenario: int, windows: Sequence[WindowPair],
 
     ``graphs`` maps window_id to the feature-span co-publication graph;
     ``topic_vectors`` maps pub_id to its topic proportions.
+
+    Each window's candidate pairs, eligible authors and geocoding are
+    made here, window by window, so the geocoder and the geocode cache
+    see the calls of an in-process run in the same order. The rest of
+    each window's columns (:func:`_window_columns`) is one item of one
+    ``fork_map`` call, and the windows' columns and counts are merged in
+    window order, so the dataset does not depend on the number of
+    usable CPUs.
     """
     sampling = sampling or SamplingPolicy()
     level = CONTIGUITY_LEVEL[scenario]
     adjacency = geo.adjacency_for(level)
 
-    blocks: list[dict] = []
-    exclusions: dict[str, int] = {}
-    degenerate_cognitive = 0
+    units = []
     window_meta = []
-
     for window in windows:
         if window.window_id not in graphs:
             raise ValueError(f"missing co-publication graph for window {window.window_id}")
@@ -332,10 +348,21 @@ def assemble(corpus: Corpus, scenario: int, windows: Sequence[WindowPair],
             "sampling_kind": sampling.resolved_kind(
                 len(eligible_authors(corpus, window))),
         })
-        columns, degenerate = _window_columns(
-            corpus, window, graphs[window.window_id], authors, pairs, scenario,
-            adjacency, geo, topic_vectors, exclusions)
+        points, affs = _geocode_window(corpus, authors, pairs, window.feature_span, geo)
+        units.append((window, authors, pairs, points, affs))
+
+    def run(unit):
+        window, authors, pairs, points, affs = unit
+        return _window_columns(corpus, window, graphs[window.window_id], authors, pairs,
+                               points, affs, scenario, adjacency, topic_vectors)
+
+    blocks: list[dict] = []
+    exclusions: Counter = Counter()
+    degenerate_cognitive = 0
+    for columns, excluded, degenerate in fork_map(
+            run, units, lambda unit: f"features child for window {unit[0].window_id}"):
         blocks.append(columns)
+        exclusions.update(excluded)
         degenerate_cognitive += degenerate
 
     columns = {name: None if blocks and blocks[0][name] is None

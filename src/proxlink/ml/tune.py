@@ -6,8 +6,9 @@ kinds together. Every candidate is scored by mean AUC over stratified CV
 folds, with minority oversampling applied to each fold's training part
 only; the validation rows are always original rows. The folds are built
 and resampled once per search and shared by every candidate, and each
-distinct candidate is scored once per search. Ties go to the smaller
-model, then the earlier candidate.
+distinct candidate is scored once per search; the folds of every kind
+are oversampled in one batch of forked workers, one (kind, fold) per
+unit. Ties go to the smaller model, then the earlier candidate.
 
 Candidates are scored in one place, ``_score_stage``: the fits of a
 stage run in forked workers, one per usable CPU, each serving units one
@@ -109,9 +110,9 @@ class TunePlan:
 class EvalResult:
     """A kind's winning spec and its CV fold AUCs, plus its test AUC once
     the pipeline has refitted it. ``wall_time_s`` is the seconds spent on
-    the kind: its candidates and fold sets, its units wherever they ran
-    (units of several kinds overlap in time) and, in a pipeline run, its
-    refit and test AUC."""
+    the kind: its candidates and folds, its oversampling and scoring units
+    wherever they ran (units of several kinds overlap in time) and, in a
+    pipeline run, its refit and test AUC."""
 
     spec: ClassifierSpec
     fold_aucs: tuple
@@ -142,6 +143,47 @@ def apply_smote_train_only(X_train, y_train, cfg: Optional[SmoteConfig], seed: i
     return Smote(k=k, target_ratio=cfg.target_ratio, seed=seed).fit_resample(X_train, y_train)
 
 
+def _oversampled_folds(X, y, folds: int, smote: Optional[SmoteConfig],
+                       seeds: Sequence[int], names: Sequence[str]
+                       ) -> list[tuple[list[tuple], float]]:
+    """``build_fold_sets`` for each of ``seeds`` (``names`` names them in
+    worker messages), with the seconds spent on each seed's fold sets.
+
+    The stratified folds are drawn here; the training parts of every
+    (seed, fold) are oversampled in one ``fork_map`` call, one unit each,
+    and only the oversampled training arrays come back.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    splits, seconds = [], []
+    for seed in seeds:
+        t0 = time.perf_counter()
+        splits.append(stratified_folds(y, folds=folds, seed=seed))
+        seconds.append(time.perf_counter() - t0)
+    units = [(s, f) for s in range(len(seeds)) for f in range(folds)]
+
+    def run(unit):
+        s, f = unit
+        t0 = time.perf_counter()
+        tr = splits[s][f][0]
+        X_tr, y_tr = apply_smote_train_only(X[tr], y[tr], smote,
+                                            seed=stable_seed(seeds[s], "smote", f))
+        return X_tr, y_tr, time.perf_counter() - t0
+
+    def label(unit):
+        return f"oversampling child for {names[unit[0]]} (fold {unit[1]})"
+
+    out = [[] for _ in seeds]
+    for (s, f), (X_tr, y_tr, unit_s) in zip(units, fork_map(run, units, label)):
+        va = splits[s][f][1]
+        fold = (X_tr, y_tr, X[va], y[va])
+        for arr in fold:
+            arr.flags.writeable = False
+        out[s].append(fold)
+        seconds[s] += unit_s
+    return list(zip(out, seconds))
+
+
 def build_fold_sets(X, y, folds: int = 5, smote: Optional[SmoteConfig] = None,
                     seed: int = 0) -> list[tuple]:
     """``(X_train, y_train, X_val, y_val)`` per stratified CV fold, with the
@@ -149,19 +191,11 @@ def build_fold_sets(X, y, folds: int = 5, smote: Optional[SmoteConfig] = None,
 
     A fold set depends only on the data, ``folds``, ``smote`` and ``seed``,
     so one list serves every candidate of a search. The arrays are made
-    read-only because they are shared between fits.
+    read-only because they are shared between fits. The folds are
+    oversampled in forked workers, one fold per unit (``fork_map``).
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    out = []
-    for fold_no, (tr, va) in enumerate(stratified_folds(y, folds=folds, seed=seed)):
-        X_tr, y_tr = apply_smote_train_only(
-            X[tr], y[tr], smote, seed=stable_seed(seed, "smote", fold_no))
-        fold = (X_tr, y_tr, X[va], y[va])
-        for arr in fold:
-            arr.flags.writeable = False
-        out.append(fold)
-    return out
+    [(fold_sets, _)] = _oversampled_folds(X, y, folds, smote, [seed], [f"seed {seed}"])
+    return fold_sets
 
 
 def check_kinds(kinds: Sequence[str]) -> None:
@@ -325,10 +359,11 @@ def tune_kinds(kinds: Sequence[str], X, y, seeds: Sequence[int],
     ``log`` (if given) collects one dict per evaluation, kind by kind,
     random stage first.
 
-    The candidates, fold sets and winners are drawn in this process, and
-    each stage scores the units of every kind in one ``fork_map`` call
-    (``_score_stage``), so the results do not depend on the number of
-    usable CPUs.
+    The candidates, stratified folds and winners are drawn in this
+    process. One ``fork_map`` call oversamples the training part of every
+    (kind, fold), and each stage scores the units of every kind in one
+    more (``_score_stage``), so the results do not depend on the number
+    of usable CPUs.
     """
     plan = plan or TunePlan()
     if not kinds:
@@ -336,16 +371,18 @@ def tune_kinds(kinds: Sequence[str], X, y, seeds: Sequence[int],
     check_kinds(kinds)
     if len(seeds) != len(kinds):
         raise ValueError("seeds must hold one seed per kind")
-    searches = []
+    drawn = []
     for kind, seed in zip(kinds, seeds):
         t0 = time.perf_counter()
         rng = np.random.default_rng(stable_seed(seed, "random-stage", kind))
         candidates = [ClassifierSpec.create(kind, seed=stable_seed(seed, kind, "spec"),
                                             **_sample_params(kind, rng))
                       for _ in range(plan.n_random)]
-        fold_sets = build_fold_sets(X, y, plan.folds, plan.smote, stable_seed(seed, "cv"))
-        searches.append(_Search(kind, candidates, fold_sets,
-                                seconds=time.perf_counter() - t0))
+        drawn.append((candidates, time.perf_counter() - t0))
+    fold_sets = _oversampled_folds(X, y, plan.folds, plan.smote,
+                                   [stable_seed(seed, "cv") for seed in seeds], kinds)
+    searches = [_Search(kind, candidates, sets, seconds=draw_s + fold_s)
+                for kind, (candidates, draw_s), (sets, fold_s) in zip(kinds, drawn, fold_sets)]
 
     _score_stage(searches, [s.candidates for s in searches])
     grids = [_grid_specs(s.kind, _best(s.results(s.candidates))[0], plan) for s in searches]

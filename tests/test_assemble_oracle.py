@@ -1,11 +1,15 @@
 """The columnar assemble against the row-by-row reference, bit for bit."""
+import json
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from proxlink.corpus import scenario_filter
 from proxlink._tables import cell
 from proxlink.features import CSV_COLUMNS, GeoContext, assemble
-from proxlink.geo import AdjacencyTable, GazetteerGeocoder
+from proxlink.geo import AdjacencyTable, GazetteerGeocoder, GeocodeCache
 from proxlink.network import SamplingPolicy, build_graph, make_windows
 from proxlink.synthetic import make_synthetic_corpus
 
@@ -70,7 +74,20 @@ def inputs():
     return corpus, vectors
 
 
-def build(inputs, assemble_fn, scenario, keep_continent, kind):
+class AddressGeocoder:
+    """The bundled gazetteer behind the plain client interface, so that
+    every address goes to the cache first and each miss is written to it."""
+
+    def __init__(self):
+        self.gazetteer = GazetteerGeocoder()
+        self.calls = []
+
+    def resolve(self, address):
+        self.calls.append(address)
+        return self.gazetteer.resolve(address)
+
+
+def build(inputs, assemble_fn, scenario, keep_continent, kind, client=None, cache=None):
     full, vectors = inputs
     corpus = scenario_filter(full, scenario)
     windows = make_windows(2000, 2009)
@@ -78,7 +95,8 @@ def build(inputs, assemble_fn, scenario, keep_continent, kind):
     country_table = None
     if scenario in (3, 4) and not keep_continent:
         country_table = AdjacencyTable("country", [("CA", "US"), ("FR", "CH")], codes=("GB",))
-    geo = GeoContext(client=RecordingGazetteer(), country_adjacency=country_table)
+    geo = GeoContext(client=client or RecordingGazetteer(), cache=cache,
+                     country_adjacency=country_table)
     out = assemble_fn(corpus, scenario, windows, geo, graphs, vectors,
                       sampling=SamplingPolicy(kind=kind, ratio=2.0), seed=3,
                       keep_continent=keep_continent)
@@ -124,3 +142,53 @@ def test_cases_reach_every_branch(inputs):
     assert reasons == REASONS
     assert degenerate > 0  # the 1.0 branch
     assert twins and all(c == 0.0 for c in twins)  # the identical-vector branch
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("scenario,keep_continent", CASES)
+def test_columns_do_not_depend_on_cpu_count(inputs, usable_cpus, scenario, keep_continent):
+    runs = []
+    for n_cpus in (1, 2):
+        usable_cpus(n_cpus)
+        runs.append(build(inputs, assemble, scenario, keep_continent, "ratio"))
+    (one, one_calls), (two, two_calls) = runs
+    assert one.manifest == two.manifest
+    assert one_calls == two_calls
+    for name in CSV_COLUMNS:
+        expected, got = one.columns[name], two.columns[name]
+        if expected is None:
+            assert got is None, name
+        else:
+            assert got.dtype == expected.dtype, name
+            assert got.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_geocode_cache_lines_do_not_depend_on_cpu_count(inputs, usable_cpus, tmp_path):
+    # every geocoder and cache call stays in the parent: a worker's appends
+    # would interleave, and the parent would miss them and append again
+    runs = []
+    for n_cpus in (1, 2):
+        usable_cpus(n_cpus)
+        path = tmp_path / f"cache_{n_cpus}.jsonl"
+        client = AddressGeocoder()
+        build(inputs, assemble, 2, False, "all", client=client, cache=GeocodeCache(path))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        runs.append(([{k: v for k, v in line.items() if k != "ts"} for line in lines],
+                     client.calls))
+    assert runs[0][0] and runs[0][1]
+    assert runs[0] == runs[1]
+
+
+def test_windows_are_one_fork_map_call(inputs, monkeypatch):
+    calls = []
+
+    def recording_fork_map(fn, items, label):
+        calls.append([label(item) for item in items])
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(sys.modules["proxlink.features"], "fork_map", recording_fork_map)
+    ds, _ = build(inputs, assemble, 2, False, "all")
+    assert len(ds)
+    assert calls == [[f"features child for window {w.window_id}"
+                      for w in make_windows(2000, 2009)]]

@@ -1307,20 +1307,36 @@ class TestCrossValAndTune:
             tune_kinds(kinds, X, y, [0, 1, 2], plan=TunePlan(n_random=1))
 
     @pytest.mark.parametrize("n_random", [1, 6])
-    def test_tune_resamples_each_fold_once(self, monkeypatch, n_random):
-        calls = []
+    def test_tune_resamples_each_fold_once(self, monkeypatch, usable_cpus, n_random):
+        # the spy sees the SMOTE calls of an in-process run only; with two
+        # CPUs the folds are oversampled in workers and must come out equal
+        calls, used = [], []
         original = Smote.fit_resample
+        tune_mod = sys.modules["proxlink.ml.tune"]
+        original_stage = tune_mod._score_stage
 
         def counting(self, X, y):
             calls.append(self.seed)
             return original(self, X, y)
 
+        def recording_stage(searches, stage_specs):
+            used.append([fold for s in searches for fold in s.fold_sets])
+            return original_stage(searches, stage_specs)
+
         monkeypatch.setattr(Smote, "fit_resample", counting)
+        monkeypatch.setattr(tune_mod, "_score_stage", recording_stage)
         X, y = separable_dataset(n=150, seed=4)
         plan = TunePlan(n_random=n_random, folds=4, smote=SmoteConfig(k=3))
+        usable_cpus(1)
         tune_kinds(["gaussian-naive-bayes"], X, y, [0], plan=plan)
         assert len(calls) == plan.folds
         assert len(set(calls)) == plan.folds
+        usable_cpus(2)
+        tune_kinds(["gaussian-naive-bayes"], X, y, [0], plan=plan)
+        one_cpu, two_cpus = ([(a.dtype.str, a.shape, a.tobytes()) for fold in folds for a in fold]
+                             for folds in (used[0], used[-1]))
+        assert len(used) == 4 and len(one_cpu) == 4 * plan.folds
+        assert one_cpu == two_cpus
 
     def test_tune_finds_dominant_hyperparameter(self):
         # paired points: the 1-nearest neighbour is always the pair mate,
@@ -1517,26 +1533,51 @@ class TestForkedTuning:
 
     def test_each_distinct_spec_and_fold_is_one_unit(self, usable_cpus, monkeypatch):
         usable_cpus(2)
-        units = []
+        calls = []
         tune_mod = sys.modules["proxlink.ml.tune"]
         real_fork_map = tune_mod.fork_map
 
         def recording_fork_map(fn, items, label):
-            units.extend(label(item) for item in items)
+            calls.append([label(item) for item in items])
             return real_fork_map(fn, items, label)
 
         monkeypatch.setattr(tune_mod, "fork_map", recording_fork_map)
         X, y = overlapping_blobs()
         log = []
-        tune_kinds(["logistic-sgd", "k-nearest-neighbors", "linear-svm"], X, y,
-                   plan=TunePlan(n_random=40, max_grid_fits=4, folds=3, smote=None),
+        kinds = ["logistic-sgd", "k-nearest-neighbors", "linear-svm"]
+        tune_kinds(kinds, X, y,
+                   plan=TunePlan(n_random=40, max_grid_fits=4, folds=3, smote=SmoteConfig(k=3)),
                    seeds=[5, 5, 5], log=log)
+        oversampling, *stages = calls
+        # the training part of each (kind, fold) is oversampled once
+        assert oversampling == [f"oversampling child for {kind} (fold {f})"
+                                for kind in kinds for f in range(3)]
+        units = [unit for stage in stages for unit in stage]
         knn = {r["hyperparameters"] for r in log if r["kind"] == "k-nearest-neighbors"}
         assert len(knn) < 40
         assert len(units) == len(set(units)) == 2 + 2 + 3 * len(knn)
         # the linear kinds: one lockstep unit per stage each
         for kind in ("logistic-sgd", "linear-svm"):
             assert sum(u.startswith(f"tune child for {kind} (") for u in units) == 2, kind
+
+    @pytest.mark.parametrize("n_kinds", [1, 2, len(CLASSIFIER_KINDS)])
+    def test_every_kind_is_oversampled_in_one_call(self, monkeypatch, n_kinds):
+        # one fork per kind made protocol slower: keep it one call per search
+        calls = []
+        tune_mod = sys.modules["proxlink.ml.tune"]
+
+        def recording_fork_map(fn, items, label):
+            calls.append([label(item) for item in items])
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(tune_mod, "fork_map", recording_fork_map)
+        X, y = overlapping_blobs()
+        kinds = CLASSIFIER_KINDS[:n_kinds]
+        tune_kinds(kinds, X, y, list(range(n_kinds)),
+                   plan=TunePlan(n_random=1, max_grid_fits=1, folds=3, smote=SmoteConfig(k=3)))
+        assert calls[0] == [f"oversampling child for {kind} (fold {f})"
+                            for kind in kinds for f in range(3)]
+        assert not any(label.startswith("oversampling") for call in calls[1:] for label in call)
 
     def test_fold_fit_error_in_a_worker_reaches_the_caller(self, usable_cpus, monkeypatch):
         usable_cpus(2)
